@@ -17,7 +17,6 @@ from factorregimes import (
     FitConfig,
     HmmParams,
     SyntheticSpec,
-    em_fit,
     generate,
     label_accuracy,
     order_regimes,
@@ -70,13 +69,14 @@ for row in table:
     print(f"  {row['k']:2d}  {row['loglik']:12.2f}  {row['bic']:12.2f}{marker}")
 
 # ---------------------------------------------------------------------
-# 3. Fit the chosen model and line the regimes up by volatility.
+# 3. Take the chosen model and line the regimes up by volatility.
 #
-# EM label-switching means regime 0 of the fit need not be regime 0 of
-# the truth; order_regimes sorts states by their mean volatility norm
-# so "0, 1, 2" always reads "normal, elevated, crisis".
+# Every successful table row carries its fit, so the winner is not
+# refitted. EM label-switching means regime 0 of the fit need not be
+# regime 0 of the truth; order_regimes sorts states by their mean
+# volatility norm so "0, 1, 2" always reads "normal, elevated, crisis".
 
-fit = em_fit(panel, best_k, "student_t", config)
+fit = next(row["fit"] for row in table if row["k"] == best_k)
 fit = order_regimes(fit, panel)
 
 acc = label_accuracy(fit.labels, true_labels, 3)

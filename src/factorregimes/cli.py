@@ -146,10 +146,9 @@ def cmd_fit(args) -> int:
                 print(f"{row['k']}  {row['n_free_params']:6d}  "
                       f"{row['loglik']:14.4f}  {row['bic']:14.4f}")
         print(f"selected K={best_k} by BIC")
-        k = best_k
+        fit = next(row["fit"] for row in table if row["k"] == best_k)
     else:
-        k = args.k
-    fit = em_fit(panel, k, family, config)
+        fit = em_fit(panel, args.k, family, config)
     fit = order_regimes(fit, panel)
     _print_fit_summary(fit, panel)
     save_model(fit, args.out)

@@ -105,9 +105,7 @@ def build_design(y, x, L: int, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray
     n = sel.shape[0]
     required = 2 * L + 1 + MIN_EXTRA_ROWS
     if n < required:
-        raise SampleSizeError(
-            f"lag {L} design needs {required} rows, found {n}", required, n
-        )
+        raise SampleSizeError(required, n, f"lag {L} design")
     Y = y[sel]
     cols = [np.ones(n)]
     for lag in range(1, L + 1):
@@ -130,8 +128,7 @@ def ols_rss(X: np.ndarray, Y: np.ndarray) -> tuple[float, int]:
     Y = np.asarray(Y, dtype=float).reshape(-1)
     if X.shape[0] < X.shape[1]:
         raise SampleSizeError(
-            f"need at least {X.shape[1]} rows for {X.shape[1]} columns",
-            X.shape[1], X.shape[0],
+            X.shape[1], X.shape[0], f"least squares with {X.shape[1]} columns"
         )
     beta, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
     resid = Y - X @ beta
@@ -150,9 +147,7 @@ def granger_f_test(y, x, L: int, mask, *, source: str = "x", target: str = "y",
     n = Y.shape[0]
     df2 = n - 2 * L - 1
     if df2 <= 0:
-        raise SampleSizeError(
-            f"residual dof {df2} <= 0 at lag {L}", 2 * L + 2, n
-        )
+        raise SampleSizeError(2 * L + 2, n, f"residual dof {df2} <= 0 at lag {L}")
     rss_u, rank_u = ols_rss(X_u, Y)
     if rank_u < X_u.shape[1]:
         raise DegenerateDesignError(
@@ -202,7 +197,7 @@ def select_lag_bic(y, x, mask_builder: Callable[[int], np.ndarray],
             n = Y.shape[0]
             if n - 2 * L - 1 <= 0:
                 raise SampleSizeError(
-                    f"residual dof nonpositive at lag {L}", 2 * L + 2, n
+                    2 * L + 2, n, f"residual dof nonpositive at lag {L}"
                 )
             rss_u, rank_u = ols_rss(X_u, Y)
             if rank_u < X_u.shape[1]:
@@ -223,8 +218,9 @@ def select_lag_bic(y, x, mask_builder: Callable[[int], np.ndarray],
             best_bic = bic
             best_L = L
     if best_L is None:
+        rows = int(np.count_nonzero(np.asarray(mask_builder(1), dtype=bool)[1:]))
         raise SampleSizeError(
-            f"no feasible lag in 1..{L_max}", 2 * 1 + 1 + MIN_EXTRA_ROWS, 0
+            2 * 1 + 1 + MIN_EXTRA_ROWS, rows, f"no feasible lag in 1..{L_max}"
         )
     return best_L, table
 

@@ -2,15 +2,16 @@
 emissions, fitted by EM with deterministic multi-restart, BIC model
 selection over K, and severity ordering of the recovered regimes.
 
-The forward-backward pass uses per-step scaling with a per-row max shift
-on the emission log-densities, so nothing underflows for series up to
-about 1e5 observations. The inner recursions are loop kernels compiled
-with numba when it is installed; the same function bodies run as plain
-Python otherwise.
+The forward-backward pass shifts the emission log-densities by their
+per-day max and computes the filter and the smoother as prefix and suffix
+products of the per-day transition matrices, in O(log T) batched numpy
+matmuls with no per-day Python loop. The scaled products keep it free of
+underflow, and it needs nothing beyond numpy and scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -22,23 +23,6 @@ from scipy.linalg import solve_triangular
 from .errors import EstimationError, SampleSizeError
 from .numerics import digamma, log_gamma
 from .panel import FactorPanel, volatility_norm
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrapper(func):
-            return func
-
-        return wrapper
-
 
 FAMILIES = ("student_t", "gaussian")
 
@@ -229,79 +213,143 @@ def _emission_terms(X, mu, Sigma, nu, family):
 
 
 # ---------------------------------------------------------------------------
-# scaled forward-backward recursions
+# forward-backward as a prefix/suffix product scan
+#
+# With b~_t the emission densities scaled by their row max and
+# M_t = A diag(b~_t), the unnormalized filter is alpha_t = (pi o b~_0) M_1..M_t
+# and the backward variable is beta_t = M_{t+1}..M_{T-1} 1. Both come from
+# inclusive scans of the stack M_1..M_{T-1} (Sarkka & Garcia-Fernandez,
+# "Temporal Parallelization of Bayesian Smoothers", IEEE TAC 2021), each a
+# batched matmul per step in O(log T) steps.
+#
+# A product is held row-scaled, as diag(exp(h)) S with every nonzero row of
+# S at max entry 1 and max(h) = 0. A row that the rest of the product
+# outweighs by more than the double range keeps its scale in h instead of
+# underflowing, so a filter that sits on that row (an absorbing start, say)
+# stays exact. Zero rows carry h = -inf.
+
+# a fast-path row below this max may have lost terms to underflow
+_ROW_UNDERFLOW = 2.0 ** -800
 
 
-@njit(cache=True)
-def _forward_kernel(pi, A, btil):  # pragma: no cover - thin numeric kernel
-    T, K = btil.shape
-    alpha = np.empty((T, K))
-    c = np.empty(T)
-    s = 0.0
-    for k in range(K):
-        v = pi[k] * btil[0, k]
-        alpha[0, k] = v
-        s += v
-    c[0] = s
-    if s > 0.0:
-        for k in range(K):
-            alpha[0, k] /= s
-    for t in range(1, T):
-        s = 0.0
-        for k in range(K):
-            acc = 0.0
-            for j in range(K):
-                acc += alpha[t - 1, j] * A[j, k]
-            acc *= btil[t, k]
-            alpha[t, k] = acc
-            s += acc
-        c[t] = s
-        if s > 0.0:
-            for k in range(K):
-                alpha[t, k] /= s
-    return alpha, c
+def _max_last(X):
+    """Max over a short last axis; for a few columns this is much faster
+    than ndarray.max(axis=-1), which pays per-row reduction overhead."""
+    return functools.reduce(np.maximum, np.moveaxis(X, -1, 0))
 
 
-@njit(cache=True)
-def _backward_kernel(A, btil, c):  # pragma: no cover - thin numeric kernel
-    T, K = btil.shape
-    beta = np.empty((T, K))
-    for k in range(K):
-        beta[T - 1, k] = 1.0
-    for t in range(T - 2, -1, -1):
-        inv = 1.0 / c[t + 1]
-        for j in range(K):
-            acc = 0.0
-            for k in range(K):
-                acc += A[j, k] * btil[t + 1, k] * beta[t + 1, k]
-            beta[t, j] = acc * inv
-    return beta
+def _row_scaled(M):
+    """Split a stack of nonnegative matrices into (S, h) form."""
+    r = _max_last(M)
+    with np.errstate(divide="ignore"):
+        h = np.log(r)
+    top = _max_last(h)[:, None]
+    if not np.all(np.isfinite(top)):
+        raise EstimationError("transition product is zero or not finite")
+    return M / np.where(r > 0.0, r, 1.0)[..., None], h - top
+
+
+def _combine(P, hp, Q, hq):
+    """Row-scaled products diag(e^hp) P . diag(e^hq) Q over a stack.
+
+    Rows whose fast-path value underflowed are redone with their own
+    log shift. Raises EstimationError on a zero or non-finite product.
+    """
+    R = (P * np.exp(hq)[:, None, :]) @ Q
+    r = _max_last(R)
+    shift = np.zeros_like(r)
+    weak = (r < _ROW_UNDERFLOW) & (hp > -np.inf)
+    if weak.any():
+        i, j = np.nonzero(weak)
+        with np.errstate(divide="ignore"):
+            W = np.log(P[i, j]) + hq[i]
+        s = W.max(axis=1)
+        s[s == -np.inf] = 0.0  # the row is exactly zero
+        Rw = (np.exp(W - s[:, None])[:, None, :] @ Q[i])[:, 0, :]
+        R[i, j] = Rw
+        r[i, j] = Rw.max(axis=1)
+        shift[i, j] = s
+    with np.errstate(divide="ignore"):
+        h = hp + shift + np.log(r)
+    R /= np.where(r > 0.0, r, 1.0)[..., None]
+    top = _max_last(h)[:, None]
+    if not np.all(np.isfinite(top)):
+        raise EstimationError("transition product is zero or not finite")
+    return R, h - top
+
+
+def _scan(S, h, mul=_combine):
+    """Inclusive prefix products of a row-scaled stack, in place.
+
+    Work-efficient odd-even recursion: multiply neighbours in pairs, scan
+    the pairs, then fill in the even positions. That is about 2n products
+    in 2 log2(n) batched steps, where Hillis-Steele doubling needs n log2(n).
+    """
+    n = S.shape[0]
+    if n < 2:
+        return
+    m = n // 2
+    PS, Ph = mul(S[0:2 * m:2], h[0:2 * m:2], S[1:2 * m:2], h[1:2 * m:2])
+    _scan(PS, Ph, mul)
+    S[1::2], h[1::2] = PS, Ph
+    if n > 2:
+        rest = (n - 1) // 2
+        S[2::2], h[2::2] = mul(PS[:rest], Ph[:rest], S[2::2], h[2::2])
+
+
+def _suffix_scan(S, h):
+    """Inclusive suffix products, in place: the prefix scan of the
+    reversed stack with the factors swapped."""
+    _scan(S[::-1], h[::-1], lambda a, ha, b, hb: _combine(b, hb, a, ha))
 
 
 def _forward_backward_core(pi, A, logB):
-    """Scaled recursions on precomputed log emission densities.
+    """Smoothed posteriors on precomputed log emission densities.
 
     Returns (loglik, gamma, xi_sum). gamma rows are renormalized to sum
     exactly to 1; xi_sum is the posterior expectation of transition
-    counts summed over t = 0..T-2.
+    counts summed over t = 0..T-2. alpha is the normalized filter and
+    beta is scaled so that sum_k alpha_tk beta_tk = 1, as in the scaled
+    recursions.
     """
     T, K = logB.shape
-    m = logB.max(axis=1)
+    m = _max_last(logB)
     if not np.all(np.isfinite(m)):
         raise EstimationError("emission density vanished for some observation")
     btil = np.exp(logB - m[:, None])
-    pi = np.ascontiguousarray(pi, dtype=float)
-    A = np.ascontiguousarray(A, dtype=float)
-    btil = np.ascontiguousarray(btil)
-    alpha, c = _forward_kernel(pi, A, btil)
+    c = np.empty(T)
+    a0 = pi * btil[0]
+    c[0] = a0.sum()
+    if not (c[0] > 0.0 and math.isfinite(c[0])):
+        raise EstimationError("forward recursion produced a zero or non-finite scale")
+    S, h = _row_scaled(A * btil[1:, None, :])
+    # forward: a first element whose rows all equal a0 makes the rows of
+    # every prefix product equal the unnormalized filter
+    first = np.broadcast_to(a0 / a0.max(), (1, K, K))
+    Sf = np.concatenate([first, S])
+    _scan(Sf, np.concatenate([np.zeros((1, K)), h]))
+    alpha = Sf[:, 0, :]
+    alpha = alpha / alpha.sum(axis=1, keepdims=True)
+    del Sf
+    c[1:] = ((alpha[:-1] @ A) * btil[1:]).sum(axis=1)
     if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
         raise EstimationError("forward recursion produced a zero or non-finite scale")
-    beta = _backward_kernel(A, btil, c)
     loglik = float(np.sum(np.log(c)) + np.sum(m))
     if not math.isfinite(loglik):
         raise EstimationError("log-likelihood is not finite")
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
+    # backward: beta_t is the row sums of the suffix product from t+1
+    _suffix_scan(S, h)
+    logbeta = np.zeros((T, K))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logbeta[:-1] = h + np.log(S.sum(axis=2))
+        shift = _max_last(np.log(alpha) + logbeta)[:, None]
+        beta = np.where(alpha > 0.0, np.exp(logbeta - shift), 0.0)
+        beta /= (alpha * beta).sum(axis=1, keepdims=True)
+        gamma = alpha * beta
+        gamma /= gamma.sum(axis=1, keepdims=True)
+    del S
+    if not np.all(np.isfinite(gamma)):
+        raise EstimationError("backward recursion produced a zero or non-finite scale")
     if T > 1:
         w = btil[1:] * beta[1:] / c[1:, None]
         xi_sum = A * (alpha[:-1].T @ w)
@@ -541,9 +589,7 @@ def em_fit(panel: FactorPanel, K: int, family: str = "student_t",
     X = panel.returns
     T, d = X.shape
     if T <= 10 * K:
-        raise SampleSizeError(
-            f"need more than {10 * K} observations to fit K={K}", 10 * K + 1, T
-        )
+        raise SampleSizeError(10 * K + 1, T, f"fitting K={K} regimes")
     children = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
     best = None
     last_error = None
@@ -586,28 +632,29 @@ def select_k(panel: FactorPanel, k_range, family: str = "student_t",
     """Fit every K in k_range with the same restart budget; pick min BIC.
 
     Returns (best_k, table) where table rows are dicts with keys
-    k, loglik, bic, n_free_params, error. A failed K carries the error
-    message and is excluded from the argmin.
+    k, loglik, bic, n_free_params, error, fit. A successful row carries
+    its HmmFit, so the winner needs no refit; a failed K carries the
+    error message and fit None, and is excluded from the argmin.
     """
     ks = list(k_range)
     if not ks or min(ks) < 1 or max(ks) > 8:
         raise ValueError("k_range must lie within [1, 8] and be nonempty")
     table = []
-    fits = {}
     for k in ks:
         try:
             fit = em_fit(panel, k, family, config)
         except (EstimationError, SampleSizeError) as exc:
             table.append({"k": k, "loglik": None, "bic": None,
                           "n_free_params": n_free_params(k, panel.n_factors, family),
-                          "error": str(exc)})
+                          "error": str(exc), "fit": None})
             continue
-        fits[k] = fit
         table.append({"k": k, "loglik": fit.loglik, "bic": fit.bic,
-                      "n_free_params": fit.n_free_params, "error": None})
-    if not fits:
+                      "n_free_params": fit.n_free_params, "error": None,
+                      "fit": fit})
+    fitted = [row for row in table if row["fit"] is not None]
+    if not fitted:
         raise EstimationError("every candidate K failed to fit")
-    best_k = min(fits, key=lambda k: (fits[k].bic, k))
+    best_k = min(fitted, key=lambda row: (row["bic"], row["k"]))["k"]
     return best_k, table
 
 

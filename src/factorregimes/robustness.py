@@ -42,10 +42,7 @@ def threshold_regimes(panel: FactorPanel, window: int = 21,
         raise ValueError("quantile must be in (0, 1)")
     T = panel.n_days
     if T <= window:
-        raise SampleSizeError(
-            f"need more than {window} days for a {window}-day window",
-            window + 1, T,
-        )
+        raise SampleSizeError(window + 1, T, f"a {window}-day window")
     norm = volatility_norm(panel)
     csum = np.concatenate([[0.0], np.cumsum(norm)])
     realized = (csum[window:] - csum[:-window]) / window  # ends at t = window-1..T-1

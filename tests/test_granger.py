@@ -92,8 +92,13 @@ class TestBuildDesign:
     def test_sample_size_enforced(self):
         y = np.arange(20.0)
         x = np.arange(20.0)
-        with pytest.raises(SampleSizeError):
+        with pytest.raises(SampleSizeError) as info:
             build_design(y, x, 4, np.ones(20, dtype=bool))
+        # lag 4 needs 2*4 + 1 parameters plus 10 spare rows; t = 4..19 remain
+        assert str(info.value) == (
+            "lag 4 design: need at least 19 observations, have 16")
+        assert info.value.required == 19
+        assert info.value.available == 16
 
 
 class TestOlsRss:

@@ -1,7 +1,11 @@
 """HMM emissions, forward-backward, EM, model selection, persistence."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from factorregimes import (
     solve_nu,
     t_logpdf,
 )
+import factorregimes
 from factorregimes.hmm import _emission_terms, _forward_backward_core
 
 from conftest import table1_like_params
@@ -40,6 +45,57 @@ def toy_panel(X, start="2015-01-05"):
     dates = np.busday_offset(start, np.arange(X.shape[0])).astype("datetime64[D]")
     names = tuple(f"F{i}" for i in range(X.shape[1]))
     return FactorPanel(dates, X, names)
+
+
+def loop_forward_backward(pi, A, logB):
+    """Reference scaled forward-backward: plain Python, one day at a time.
+
+    alpha_t is normalized by c_t = sum_k (alpha_{t-1} A)_k b~_tk and beta
+    is divided by the same c_t, the textbook recursions that the scan in
+    hmm._forward_backward_core must reproduce. Returns (loglik, gamma,
+    xi_sum).
+    """
+    T, K = logB.shape
+    m = logB.max(axis=1)
+    btil = np.exp(logB - m[:, None])
+    alpha = np.empty((T, K))
+    c = np.empty(T)
+    for t in range(T):
+        for k in range(K):
+            if t == 0:
+                acc = pi[k]
+            else:
+                acc = 0.0
+                for j in range(K):
+                    acc += alpha[t - 1, j] * A[j, k]
+            alpha[t, k] = acc * btil[t, k]
+        c[t] = alpha[t].sum()
+        if c[t] > 0.0:
+            alpha[t] /= c[t]
+    if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
+        raise EstimationError("forward recursion produced a zero or non-finite scale")
+    beta = np.ones((T, K))
+    for t in range(T - 2, -1, -1):
+        for j in range(K):
+            acc = 0.0
+            for k in range(K):
+                acc += A[j, k] * btil[t + 1, k] * beta[t + 1, k]
+            beta[t, j] = acc / c[t + 1]
+    loglik = float(np.sum(np.log(c)) + np.sum(m))
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    xi_sum = np.zeros((K, K))
+    if T > 1:
+        xi_sum = A * (alpha[:-1].T @ (btil[1:] * beta[1:] / c[1:, None]))
+    return loglik, gamma, xi_sum
+
+
+def assert_matches_loop(pi, A, logB):
+    ll, gamma, xi_sum = _forward_backward_core(np.asarray(pi), np.asarray(A), logB)
+    ref_ll, ref_gamma, ref_xi = loop_forward_backward(np.asarray(pi), np.asarray(A), logB)
+    assert ll == pytest.approx(ref_ll, rel=1e-10)
+    np.testing.assert_allclose(gamma, ref_gamma, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(xi_sum, ref_xi, rtol=1e-12, atol=1e-12)
 
 
 def two_state_params(d=1):
@@ -163,6 +219,99 @@ class TestForwardBackward:
             forward_backward(p, toy_panel([[0.1], [0.2]]))
 
 
+class TestScanMatchesLoop:
+    """The batched scan against the day-by-day reference recursions."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 1000, 5000])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_random_models(self, K, T):
+        rng = np.random.default_rng(1000 * K + T)
+        pi = rng.dirichlet(np.ones(K))
+        A = rng.dirichlet(np.full(K, 0.5), size=K)
+        logB = rng.normal(0.0, 3.0, (T, K))
+        assert_matches_loop(pi, A, logB)
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_transition_matrix_with_zeros(self, K):
+        rng = np.random.default_rng(K)
+        # banded chain: state j can only stay or move to j+1 (mod K)
+        A = np.zeros((K, K))
+        for j in range(K):
+            A[j, j] = 0.9
+            A[j, (j + 1) % K] = 0.1
+        pi = np.zeros(K)
+        pi[0] = 1.0
+        logB = rng.normal(0.0, 2.0, (1000, K))
+        assert_matches_loop(pi, A, logB)
+
+    def test_absorbing_start(self):
+        # the chain starts in state 0 and can never leave, while the data
+        # favour state 1 by one nat a day
+        T = 200
+        logB = np.column_stack([np.full(T, -2.0), np.full(T, -1.0)])
+        assert_matches_loop([1.0, 0.0], np.eye(2), logB)
+
+    def test_long_absorbing_start_is_exact(self):
+        # 5000 days at a two-nat daily disadvantage put state 0's path
+        # 1e4 nats below state 1's, far outside the double range
+        T = 5000
+        rng = np.random.default_rng(5)
+        logB = np.column_stack([rng.normal(-3.0, 1.0, T), rng.normal(-1.0, 1.0, T)])
+        ll, gamma, xi_sum = _forward_backward_core(
+            np.array([1.0, 0.0]), np.eye(2), logB)
+        assert ll == pytest.approx(logB[:, 0].sum(), rel=1e-12)
+        np.testing.assert_array_equal(gamma[:, 0], 1.0)
+        np.testing.assert_allclose(xi_sum, [[T - 1, 0.0], [0.0, 0.0]], atol=1e-9)
+
+    def test_impossible_path_raises(self):
+        # the chain must alternate 0 -> 1 but day 2 sits thousands of
+        # standard deviations from regime 1: no path has positive density
+        p = HmmParams(pi=[1.0, 0.0], A=[[0.0, 1.0], [1.0, 0.0]],
+                      mu=[[0.0], [10.0]], Sigma=[[[1e-4]], [[1e-4]]],
+                      nu=None, family="gaussian")
+        panel = toy_panel([[0.0], [0.0], [0.0]])
+        logB, _ = _emission_terms(panel.returns, p.mu, p.Sigma, None, "gaussian")
+        with pytest.raises(EstimationError):
+            loop_forward_backward(p.pi, p.A, logB)
+        with pytest.raises(EstimationError):
+            forward_backward(p, panel)
+
+
+DETERMINISM_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from factorregimes import FitConfig, em_fit, forward_backward, generate, SyntheticSpec
+sys.path.insert(0, sys.argv[1])
+from conftest import table1_like_params
+
+params = table1_like_params(6)
+panel, _ = generate(SyntheticSpec(hmm=params, T=3000, seed=404))
+ll, gamma, xi_sum = forward_backward(params, panel)
+fit = em_fit(panel, 3, "student_t", FitConfig(seed=3, n_restarts=1))
+p = fit.params
+h = lambda *arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+print(json.dumps({"loglik": repr(ll), "gamma": h(gamma, xi_sum),
+                  "fit_loglik": repr(fit.loglik), "fit_gamma": h(fit.gamma),
+                  "params": h(p.pi, p.A, p.mu, p.Sigma, p.nu)}))
+"""
+
+
+def test_outputs_identical_across_blas_thread_counts():
+    """Forward-backward and EM give byte-identical results with one and
+    two BLAS threads."""
+    src = os.path.dirname(os.path.dirname(factorregimes.__file__))
+    here = os.path.dirname(__file__)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        res = subprocess.run([sys.executable, "-c", DETERMINISM_SCRIPT, here],
+                             env=env, capture_output=True, text=True, check=True)
+        outputs.append(json.loads(res.stdout))
+    assert outputs[0] == outputs[1]
+
+
 class TestSolveNu:
     def test_gaussian_weights_pin_upper_bound(self):
         rng = np.random.default_rng(1)
@@ -232,8 +381,12 @@ class TestEmFit:
 
     def test_sample_size_guard(self):
         panel = toy_panel(np.random.default_rng(0).normal(0, 1, (20, 1)))
-        with pytest.raises(SampleSizeError):
+        with pytest.raises(SampleSizeError) as info:
             em_fit(panel, 2, "student_t", FitConfig(seed=1))
+        assert str(info.value) == (
+            "fitting K=2 regimes: need at least 21 observations, have 20")
+        assert info.value.required == 21
+        assert info.value.available == 20
 
     def test_seed_reproducibility(self, synthetic_3regime):
         panel, _ = synthetic_3regime
@@ -280,6 +433,26 @@ class TestSelectK:
                 expected = (-2 * row["loglik"]
                             + row["n_free_params"] * math.log(panel.n_days))
                 assert row["bic"] == pytest.approx(expected, rel=1e-12)
+
+    def test_rows_carry_the_fit_em_fit_returns(self):
+        rng = np.random.default_rng(21)
+        panel = toy_panel(np.concatenate([rng.normal(0, 0.5, (300, 2)),
+                                          rng.normal(0, 2.0, (300, 2))]))
+        config = FitConfig(seed=4, n_restarts=2)
+        best_k, table = select_k(panel, range(1, 3), "student_t", config)
+        row = next(r for r in table if r["k"] == best_k)
+        refit = em_fit(panel, best_k, "student_t", config)
+        assert row["fit"].loglik == refit.loglik == row["loglik"]
+        np.testing.assert_array_equal(row["fit"].gamma, refit.gamma)
+        np.testing.assert_array_equal(row["fit"].params.Sigma, refit.params.Sigma)
+
+    def test_failed_row_has_no_fit(self):
+        panel = toy_panel(np.random.default_rng(3).normal(0, 1, (25, 1)))
+        best_k, table = select_k(panel, [1, 3], "gaussian", FitConfig(seed=1))
+        assert best_k == 1
+        assert table[0]["fit"] is not None and table[1]["fit"] is None
+        assert table[1]["error"] == (
+            "fitting K=3 regimes: need at least 31 observations, have 25")
 
     def test_k_range_bounds(self, synthetic_3regime):
         panel, _ = synthetic_3regime
