@@ -32,17 +32,15 @@ from .events import (
     write_validation_csv,
 )
 from .granger import (
-    granger_f_test,
+    bic_granger_test,
     granger_results_to_csv,
     pairwise_regime_matrix,
     regime_lag_mask,
-    select_lag_bic,
 )
 from .hmm import FitConfig, em_fit, order_regimes, save_model, select_k
 from .panel import (
     FF5_COLUMNS,
     MOMENTUM_COLUMNS,
-    FactorPanel,
     parse_ff_daily_csv,
     merge_on_dates,
     read_labels_csv,
@@ -71,18 +69,6 @@ def _load_aligned(panel_path, labels_path):
             f"label dates in {labels_path} do not match the panel dates"
         )
     return panel, labels
-
-
-def _maybe_slice(panel, labels, start, end):
-    keep = np.ones(panel.n_days, dtype=bool)
-    if start:
-        keep &= panel.dates >= np.datetime64(start, "D")
-    if end:
-        keep &= panel.dates <= np.datetime64(end, "D")
-    return (
-        FactorPanel(panel.dates[keep], panel.returns[keep], panel.factor_names),
-        None if labels is None else labels[keep],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +114,11 @@ def _print_fit_summary(fit, panel):
 def cmd_fit(args) -> int:
     panel = read_panel_csv(args.panel)
     if args.start or args.end:
-        panel, _ = _maybe_slice(panel, None, args.start, args.end)
+        panel = slice_dates(
+            panel,
+            args.start or panel.dates[0],
+            args.end or panel.dates[-1],
+        )
     family = FAMILY_MAP[args.family]
     config = FitConfig(seed=args.seed, n_restarts=args.restarts)
     if args.k_range:
@@ -260,12 +250,10 @@ def cmd_robustness(args) -> int:
     y = panel.column("SMB")
     x = panel.column("HML")
     try:
-        L_star, _ = select_lag_bic(
-            y, x, lambda L: regime_lag_mask(thr_labels, 1, L), args.lmax
-        )
-        res = granger_f_test(y, x, L_star, regime_lag_mask(thr_labels, 1, L_star),
-                             source="HML", target="SMB", regime="threshold")
-        print(f"threshold regimes: HML->SMB lag {L_star} p={res.p_value:.5e}")
+        res = bic_granger_test(y, x, lambda L: regime_lag_mask(thr_labels, 1, L),
+                               args.lmax, source="HML", target="SMB",
+                               regime="threshold")
+        print(f"threshold regimes: HML->SMB lag {res.lag} p={res.p_value:.5e}")
     except (SampleSizeError, DegenerateDesignError) as exc:
         print(f"threshold regimes: untestable ({exc})")
 

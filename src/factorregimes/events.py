@@ -129,6 +129,7 @@ class ValidationReport:
     n_check: int
     n_testable: int
     binomial_p: float
+    alpha: float = 0.10  # significance level and binomial success probability
 
 
 def _classify(p_fwd: float, p_rev: float, alpha: float) -> str:
@@ -196,7 +197,7 @@ def event_granger_validation(panel: FactorPanel,
     n_check = sum(1 for r in testable if r.classification == CHECK)
     n_testable = len(testable)
     binom = binomial_tail(n_check, n_testable, alpha) if n_testable else 1.0
-    return ValidationReport(tuple(rows), n_check, n_testable, binom)
+    return ValidationReport(tuple(rows), n_check, n_testable, binom, alpha)
 
 
 def write_validation_csv(report: ValidationReport, path_or_buf) -> None:
@@ -209,12 +210,11 @@ def write_validation_csv(report: ValidationReport, path_or_buf) -> None:
             p_f = "" if r.p_fwd is None else f"{r.p_fwd:.5e}"
             p_r = "" if r.p_rev is None else f"{r.p_rev:.5e}"
             fh.write(f"{r.event},{r.days},{p_f},{p_r},{r.classification}\n")
-        note = ""
-        if (report.n_check, report.n_testable) == (5, 6):
-            note = "; exact value, approximate methods give ~1e-3 here"
+        p = np.format_float_positional(report.alpha, min_digits=2)
         fh.write(
             f"# binomial: {report.n_check}/{report.n_testable} CHECK; "
-            f"exact tail at p=0.10 = {report.binomial_p:.5e}{note}\n"
+            f"exact tail at p={p} = {report.binomial_p:.5e} "
+            f"(exact sum, not an approximate method)\n"
         )
     finally:
         if own:

@@ -6,13 +6,18 @@ regression row straddles a regime boundary. Lag order is chosen per cell
 by BIC on the unrestricted model, then the F test compares restricted
 (own lags) against unrestricted (own plus source lags) on the identical
 row set.
+
+One core serves every test in the package: `_lagged_design` builds each
+lagged design from row indices and `_nested_f` runs each F test, with the
+one copy of the rank, exact-fit and constant-response checks. The
+lag-selection policy lives in one function, `bic_granger_test`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -86,6 +91,22 @@ def full_mask(n: int) -> np.ndarray:
     return np.ones(n, dtype=bool)
 
 
+def _lagged_design(y, x, rows, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Response and unrestricted regressors at the given row indices.
+
+    X_u columns are [1, y lags 1..L, x lags 1..L]; the restricted model
+    is X_u[:, :L + 1]. Rows are used as given, duplicates included, and
+    must all be >= L. Every lagged regression in the package is built here.
+    """
+    n = rows.shape[0]
+    required = 2 * L + 1 + MIN_EXTRA_ROWS
+    if n < required:
+        raise SampleSizeError(required, n, f"lag {L} design")
+    lags = rows[:, None] - np.arange(1, L + 1)
+    X_u = np.hstack([np.ones((n, 1)), y[lags], x[lags]])
+    return y[rows], X_u
+
+
 def build_design(y, x, L: int, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble response and regressor matrices for the two nested models.
 
@@ -101,20 +122,8 @@ def build_design(y, x, L: int, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if L < 1:
         raise ValueError("L must be >= 1")
     sel = np.flatnonzero(mask)
-    sel = sel[sel >= L]
-    n = sel.shape[0]
-    required = 2 * L + 1 + MIN_EXTRA_ROWS
-    if n < required:
-        raise SampleSizeError(required, n, f"lag {L} design")
-    Y = y[sel]
-    cols = [np.ones(n)]
-    for lag in range(1, L + 1):
-        cols.append(y[sel - lag])
-    X_r = np.column_stack(cols)
-    for lag in range(1, L + 1):
-        cols.append(x[sel - lag])
-    X_u = np.column_stack(cols)
-    return Y, X_r, X_u
+    Y, X_u = _lagged_design(y, x, sel[sel >= L], L)
+    return Y, X_u[:, :L + 1], X_u
 
 
 def ols_rss(X: np.ndarray, Y: np.ndarray) -> tuple[float, int]:
@@ -135,6 +144,37 @@ def ols_rss(X: np.ndarray, Y: np.ndarray) -> tuple[float, int]:
     return float(resid @ resid), int(rank)
 
 
+def _unrestricted_rss(Y, X_u) -> float:
+    """RSS of the full-rank, inexact unrestricted fit; raises otherwise.
+
+    _lagged_design leaves at least MIN_EXTRA_ROWS residual degrees of
+    freedom, so the F test's n - 2L - 1 is always positive.
+    """
+    rss_u, rank_u = ols_rss(X_u, Y)
+    if rank_u < X_u.shape[1]:
+        raise DegenerateDesignError(
+            f"unrestricted design rank {rank_u} < {X_u.shape[1]} columns"
+        )
+    if rss_u <= 0.0:
+        raise DegenerateDesignError("unrestricted model fits exactly (zero RSS)")
+    return rss_u
+
+
+def _nested_f(Y, X_u, L: int) -> tuple[float, float, float]:
+    """(F, p-value, R^2 increment) of the x lags in the design X_u, as
+    granger_f_test defines them."""
+    rss_u = _unrestricted_rss(Y, X_u)
+    rss_r, _ = ols_rss(X_u[:, :L + 1], Y)
+    tss = float(np.sum((Y - Y.mean()) ** 2))
+    if tss <= 0.0:
+        raise DegenerateDesignError("response is constant on the selected rows")
+    df2 = Y.shape[0] - 2 * L - 1
+    # rounding can push RSS_r a hair below RSS_u; the ratio is then 0
+    f_stat = max(0.0, (rss_r - rss_u) / L / (rss_u / df2))
+    p_value = f_sf(f_stat, FTestDistribution(L, df2))
+    return f_stat, p_value, max(0.0, (rss_r - rss_u) / tss)
+
+
 def granger_f_test(y, x, L: int, mask, *, source: str = "x", target: str = "y",
                    regime: int | str = "pooled",
                    bonferroni_threshold: float = DEFAULT_ALPHA / 30.0) -> GrangerResult:
@@ -143,26 +183,8 @@ def granger_f_test(y, x, L: int, mask, *, source: str = "x", target: str = "y",
     F = ((RSS_r - RSS_u)/L) / (RSS_u/(n - 2L - 1)), upper-tail p-value
     from the F(L, n-2L-1) distribution.
     """
-    Y, X_r, X_u = build_design(y, x, L, mask)
-    n = Y.shape[0]
-    df2 = n - 2 * L - 1
-    if df2 <= 0:
-        raise SampleSizeError(2 * L + 2, n, f"residual dof {df2} <= 0 at lag {L}")
-    rss_u, rank_u = ols_rss(X_u, Y)
-    if rank_u < X_u.shape[1]:
-        raise DegenerateDesignError(
-            f"unrestricted design rank {rank_u} < {X_u.shape[1]} columns"
-        )
-    rss_r, _ = ols_rss(X_r, Y)
-    if rss_u <= 0.0:
-        raise DegenerateDesignError("unrestricted model fits exactly (zero RSS)")
-    tss = float(np.sum((Y - Y.mean()) ** 2))
-    if tss <= 0.0:
-        raise DegenerateDesignError("response is constant on the selected rows")
-    # rounding can push RSS_r a hair below RSS_u; the ratio is then 0
-    f_stat = max(0.0, (rss_r - rss_u) / L / (rss_u / df2))
-    p_value = f_sf(f_stat, FTestDistribution(L, df2))
-    r2_increment = max(0.0, (rss_r - rss_u) / tss)
+    Y, _, X_u = build_design(y, x, L, mask)
+    f_stat, p_value, r2_increment = _nested_f(Y, X_u, L)
     return GrangerResult(
         source=source,
         target=target,
@@ -170,10 +192,42 @@ def granger_f_test(y, x, L: int, mask, *, source: str = "x", target: str = "y",
         lag=L,
         f_stat=f_stat,
         p_value=p_value,
-        n_obs=n,
+        n_obs=Y.shape[0],
         r2_increment=r2_increment,
         significant_bonferroni=bool(p_value < bonferroni_threshold),
     )
+
+
+def _bic_table(y, x, mask_builder: Callable[[int], np.ndarray],
+               L_max: int) -> list[dict]:
+    """Per-L rows (lag, n_obs, bic, error) for L in 1..L_max."""
+    if L_max < 1:
+        raise ValueError("L_max must be >= 1")
+    table = []
+    for L in range(1, L_max + 1):
+        row = {"lag": L, "n_obs": None, "bic": None, "error": None}
+        try:
+            Y, _, X_u = build_design(y, x, L, mask_builder(L))
+            rss_u = _unrestricted_rss(Y, X_u)
+        except (SampleSizeError, DegenerateDesignError) as exc:
+            row["error"] = str(exc)
+        else:
+            n = Y.shape[0]
+            row["n_obs"] = n
+            row["bic"] = n * math.log(rss_u / n) + (2 * L + 1) * math.log(n)
+        table.append(row)
+    return table
+
+
+def _min_bic_lag(table: list[dict], mask_builder) -> int:
+    """The lag of the table's smallest BIC, the smaller lag on ties."""
+    fits = [(row["bic"], row["lag"]) for row in table if row["bic"] is not None]
+    if not fits:
+        rows = int(np.count_nonzero(np.asarray(mask_builder(1), dtype=bool)[1:]))
+        raise SampleSizeError(
+            2 * 1 + 1 + MIN_EXTRA_ROWS, rows, f"no feasible lag in 1..{len(table)}"
+        )
+    return min(fits)[1]
 
 
 def select_lag_bic(y, x, mask_builder: Callable[[int], np.ndarray],
@@ -185,44 +239,23 @@ def select_lag_bic(y, x, mask_builder: Callable[[int], np.ndarray],
     + (2L+1) ln n; ties break toward the smaller L. Returns the winner
     and a per-L table (lag, n_obs, bic, error).
     """
-    if L_max < 1:
-        raise ValueError("L_max must be >= 1")
-    table = []
-    best_L = None
-    best_bic = math.inf
-    for L in range(1, L_max + 1):
-        row = {"lag": L, "n_obs": None, "bic": None, "error": None}
-        try:
-            Y, _, X_u = build_design(y, x, L, mask_builder(L))
-            n = Y.shape[0]
-            if n - 2 * L - 1 <= 0:
-                raise SampleSizeError(
-                    2 * L + 2, n, f"residual dof nonpositive at lag {L}"
-                )
-            rss_u, rank_u = ols_rss(X_u, Y)
-            if rank_u < X_u.shape[1]:
-                raise DegenerateDesignError(
-                    f"unrestricted design rank-deficient at lag {L}"
-                )
-            if rss_u <= 0.0:
-                raise DegenerateDesignError(f"exact fit at lag {L}")
-        except (SampleSizeError, DegenerateDesignError) as exc:
-            row["error"] = str(exc)
-            table.append(row)
-            continue
-        bic = n * math.log(rss_u / n) + (2 * L + 1) * math.log(n)
-        row["n_obs"] = n
-        row["bic"] = bic
-        table.append(row)
-        if bic < best_bic:
-            best_bic = bic
-            best_L = L
-    if best_L is None:
-        rows = int(np.count_nonzero(np.asarray(mask_builder(1), dtype=bool)[1:]))
-        raise SampleSizeError(
-            2 * 1 + 1 + MIN_EXTRA_ROWS, rows, f"no feasible lag in 1..{L_max}"
-        )
-    return best_L, table
+    table = _bic_table(y, x, mask_builder, L_max)
+    return _min_bic_lag(table, mask_builder), table
+
+
+def bic_granger_test(y, x, mask_builder: Callable[[int], np.ndarray], L_max: int,
+                     *, table: list[dict] | None = None, **fields) -> GrangerResult:
+    """select_lag_bic over 1..L_max, then granger_f_test at the chosen lag.
+
+    Every lag-selected test in the package goes through here, so the
+    lag-selection policy lives in this one function. `table`, a
+    select_lag_bic table covering at least 1..L_max, saves the search.
+    `fields` are granger_f_test's keyword arguments.
+    """
+    if table is None:
+        table = _bic_table(y, x, mask_builder, L_max)
+    L_star = _min_bic_lag(table[:L_max], mask_builder)
+    return granger_f_test(y, x, L_star, mask_builder(L_star), **fields)
 
 
 def pairwise_regime_matrix(panel: FactorPanel, labels, L_max: int = DEFAULT_L_MAX,
@@ -252,11 +285,8 @@ def pairwise_regime_matrix(panel: FactorPanel, labels, L_max: int = DEFAULT_L_MA
             y = panel.returns[:, j]
             for k in regimes:
                 try:
-                    L_star, _ = select_lag_bic(
-                        y, x, lambda L, k=k: regime_lag_mask(labels, k, L), L_max
-                    )
-                    res = granger_f_test(
-                        y, x, L_star, regime_lag_mask(labels, k, L_star),
+                    res = bic_granger_test(
+                        y, x, lambda L, k=k: regime_lag_mask(labels, k, L), L_max,
                         source=source, target=target, regime=k,
                         bonferroni_threshold=threshold,
                     )

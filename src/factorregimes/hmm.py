@@ -156,26 +156,16 @@ def t_logpdf(x, mu, Sigma, nu: float) -> float:
 
     log Gamma((nu+d)/2) - log Gamma(nu/2) - (d/2) ln(nu*pi)
       - 0.5 ln|Sigma| - ((nu+d)/2) ln(1 + delta/nu),
-    with delta the squared Mahalanobis distance.
+    with delta the squared Mahalanobis distance; a one-row, one-regime
+    call of the EM emission densities.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    Sigma = np.asarray(Sigma, dtype=float)
-    d = x.shape[0]
-    try:
-        L = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError:
-        raise EstimationError("scale matrix is not positive definite") from None
-    z = solve_triangular(L, x - mu, lower=True)
-    delta = float(z @ z)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    const = (
-        log_gamma((nu + d) / 2.0)
-        - log_gamma(nu / 2.0)
-        - 0.5 * d * math.log(nu * math.pi)
-        - 0.5 * logdet
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    logB, _ = _emission_terms(
+        x, np.asarray(mu, dtype=float).reshape(1, -1),
+        np.asarray(Sigma, dtype=float)[None], np.array([nu], dtype=float),
+        "student_t",
     )
-    return const - 0.5 * (nu + d) * math.log1p(delta / nu)
+    return float(logB[0, 0])
 
 
 def _emission_terms(X, mu, Sigma, nu, family):

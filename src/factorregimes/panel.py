@@ -8,7 +8,6 @@ row is a complete observation vector.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from datetime import date as _date
 from typing import Iterable, Sequence
@@ -257,12 +256,6 @@ def write_panel_csv(p: FactorPanel, path_or_buf) -> None:
     finally:
         if own:
             fh.close()
-
-
-def panel_to_csv_text(p: FactorPanel) -> str:
-    buf = io.StringIO()
-    write_panel_csv(p, buf)
-    return buf.getvalue()
 
 
 def read_panel_csv(path_or_text) -> FactorPanel:

@@ -9,7 +9,6 @@ HMM-based result is informative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -18,13 +17,12 @@ import numpy as np
 from .errors import DegenerateDesignError, SampleSizeError
 from .granger import (
     PairwiseMatrix,
-    full_mask,
-    ols_rss,
+    _bic_table,
+    _lagged_design,
+    _nested_f,
+    bic_granger_test,
     pairwise_regime_matrix,
-    select_lag_bic,
-    granger_f_test,
 )
-from .numerics import FTestDistribution, f_sf
 from .panel import FactorPanel, as_date64, volatility_norm
 
 
@@ -57,7 +55,8 @@ def lag_sweep(y, x, mask, L_max_values: Sequence[int]) -> list[dict]:
 
     `mask` may be a fixed boolean mask or a callable L -> mask for
     lag-complete regime conditioning. Rows keep input order; infeasible
-    bounds record the error instead of aborting the sweep.
+    bounds record the error instead of aborting the sweep. One BIC table
+    up to the largest bound serves every bound through its prefix.
     """
     if any(v < 1 for v in L_max_values):
         raise ValueError("every L_max must be >= 1")
@@ -67,18 +66,20 @@ def lag_sweep(y, x, mask, L_max_values: Sequence[int]) -> list[dict]:
     else:
         fixed = np.asarray(mask, dtype=bool)
         builder = lambda L: fixed
+    if not L_max_values:
+        return []
+    table = _bic_table(y, x, builder, max(L_max_values))
     rows = []
     for L_max in L_max_values:
         row = {"L_max": L_max, "L_star": None, "f_stat": None,
                "p_value": None, "n_obs": None, "error": None}
         try:
-            L_star, _ = select_lag_bic(y, x, builder, L_max)
-            res = granger_f_test(y, x, L_star, builder(L_star))
+            res = bic_granger_test(y, x, builder, L_max, table=table)
         except (SampleSizeError, DegenerateDesignError) as exc:
             row["error"] = str(exc)
             rows.append(row)
             continue
-        row.update(L_star=L_star, f_stat=res.f_stat, p_value=res.p_value,
+        row.update(L_star=res.lag, f_stat=res.f_stat, p_value=res.p_value,
                    n_obs=res.n_obs)
         rows.append(row)
     return rows
@@ -127,44 +128,20 @@ class TransitionReport:
     exit: TransitionPair
 
 
-def _segment_rows(y, x, L, lo, hi):
-    """Design rows for global indices lo+L..hi, lags confined to [lo, hi]."""
-    ts = np.arange(lo + L, hi + 1)
-    if ts.size == 0:
-        return None
-    Y = y[ts]
-    cols = [np.ones(ts.size)]
-    for lag in range(1, L + 1):
-        cols.append(y[ts - lag])
-    X_r = np.column_stack(cols)
-    for lag in range(1, L + 1):
-        cols.append(x[ts - lag])
-    X_u = np.column_stack(cols)
-    return Y, X_r, X_u
-
-
-def _pooled_f(segments, L: int) -> tuple[float | None, int]:
+def _pooled_f(y, x, segments, L: int) -> tuple[float | None, int]:
     """Stacked-design F test over per-transition segments.
 
-    Returns (p_value, n_rows); p is None when the pooled design is too
-    small or degenerate.
+    Each segment (lo, hi) contributes design rows lo+L..hi, so lags stay
+    inside [lo, hi]. Returns (p_value, n_rows); p is None when the
+    pooled design is too small or degenerate.
     """
-    parts = [s for s in segments if s is not None]
-    if not parts:
-        return None, 0
-    Y = np.concatenate([s[0] for s in parts])
-    X_r = np.vstack([s[1] for s in parts])
-    X_u = np.vstack([s[2] for s in parts])
-    n = Y.shape[0]
-    df2 = n - 2 * L - 1
-    if n < 2 * L + 1 + 10 or df2 <= 0:
-        return None, n
-    rss_u, rank_u = ols_rss(X_u, Y)
-    if rank_u < X_u.shape[1] or rss_u <= 0.0:
-        return None, n
-    rss_r, _ = ols_rss(X_r, Y)
-    f_stat = max(0.0, (rss_r - rss_u) / L / (rss_u / df2))
-    return f_sf(f_stat, FTestDistribution(L, df2)), n
+    rows = np.concatenate([np.arange(0), *(np.arange(lo + L, hi + 1)
+                                           for lo, hi in segments)])
+    try:
+        _, p_value, _ = _nested_f(*_lagged_design(y, x, rows, L), L)
+    except (SampleSizeError, DegenerateDesignError):
+        return None, rows.size
+    return p_value, rows.size
 
 
 def _transition_starts(labels, crisis_index, m, entering: bool, entry_from):
@@ -214,14 +191,9 @@ def transition_window_analysis(panel: FactorPanel, labels, crisis_index: int,
     out = {}
     for name, entering in (("entry", True), ("exit", False)):
         starts = _transition_starts(labels, crisis_index, m, entering, entry_from)
-        before, after = [], []
-        for t in starts:
-            lo_b = max(0, t - window)
-            if t - 1 >= lo_b:
-                before.append(_segment_rows(y, x, L, lo_b, t - 1))
-            hi_a = min(T - 1, t + window - 1)
-            after.append(_segment_rows(y, x, L, t, hi_a))
-        p_b, n_b = _pooled_f(before, L)
-        p_a, n_a = _pooled_f(after, L)
+        before = [(max(0, t - window), t - 1) for t in starts]
+        after = [(t, min(T - 1, t + window - 1)) for t in starts]
+        p_b, n_b = _pooled_f(y, x, before, L)
+        p_a, n_a = _pooled_f(y, x, after, L)
         out[name] = TransitionPair(len(starts), p_b, p_a, n_b, n_a)
     return TransitionReport(entry=out["entry"], exit=out["exit"])

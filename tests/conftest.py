@@ -96,6 +96,19 @@ def synthetic_3regime():
 _ACCEPTANCE_RESULTS: dict[str, tuple[str, str]] = {}
 
 
+def reference_design(y, x, L, rows):
+    """The column-by-column lagged-design builder the shared design helper
+    replaced: the response, then restricted [1, y lags 1..L] and
+    unrestricted [.., x lags 1..L] regressors at the given rows."""
+    cols = [np.ones(rows.size)]
+    for lag in range(1, L + 1):
+        cols.append(y[rows - lag])
+    X_r = np.column_stack(cols)
+    for lag in range(1, L + 1):
+        cols.append(x[rows - lag])
+    return y[rows], X_r, np.column_stack(cols)
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

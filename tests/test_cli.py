@@ -156,6 +156,16 @@ class TestFit:
         doc = json.loads(model.read_text())
         assert doc["family"] == "gaussian" and doc["nu"] is None
 
+    def test_start_after_end_exit_2(self, synthetic_files, tmp_path, capsys):
+        _, panel_path, _, _ = synthetic_files
+        rc = main(["fit", "--panel", str(panel_path), "--k", "2",
+                   "--seed", "1", "--start", "2010-01-01",
+                   "--end", "2009-01-01", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "start 2010-01-01 is after end 2009-01-01" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_seed_required(self, synthetic_files, tmp_path, capsys):
         _, panel_path, _, _ = synthetic_files
         with pytest.raises(SystemExit):

@@ -246,6 +246,18 @@ class TestValidationCsv:
         assert "approximate" in footer  # flags the common ~1e-3 misreading
 
 
+    def test_footer_reports_the_alpha_used(self):
+        panel = build_event_panel(T=500, seed=36, coef=0.8, lag=2)
+        ws = (EventWindow("evt", panel.dates[0], panel.dates[-1]),)
+        for alpha, shown in ((0.05, "p=0.05"), (0.10, "p=0.10")):
+            report = event_granger_validation(panel, ws, L=3, alpha=alpha)
+            assert report.alpha == alpha
+            buf = io.StringIO()
+            write_validation_csv(report, buf)
+            footer = buf.getvalue().splitlines()[-1]
+            assert f"exact tail at {shown} =" in footer
+
+
 class TestWindowConfigIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "events.csv"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorregimes import (
     DegenerateDesignError,
@@ -19,6 +21,9 @@ from factorregimes import (
     regime_lag_mask,
     select_lag_bic,
 )
+from factorregimes.granger import _lagged_design
+
+from conftest import reference_design
 
 
 def make_panel(X, names=None):
@@ -64,7 +69,49 @@ class TestMasks:
         assert full_mask(4).all() and full_mask(4).shape == (4,)
 
 
+def brute_force_lag_mask(labels, k, L):
+    return np.array([t >= L and all(labels[t - l] == k for l in range(L + 1))
+                     for t in range(len(labels))], dtype=bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.integers(0, 2), max_size=60),
+       k=st.integers(0, 2), L=st.integers(1, 8))
+def test_regime_lag_mask_matches_brute_force(labels, k, L):
+    labels = np.array(labels, dtype=int)
+    np.testing.assert_array_equal(regime_lag_mask(labels, k, L),
+                                  brute_force_lag_mask(labels, k, L))
+
+
 class TestBuildDesign:
+    def test_matches_column_by_column_reference(self):
+        rng = np.random.default_rng(19)
+        for trial in range(30):
+            T = int(rng.integers(60, 400))
+            L = int(rng.integers(1, 9))
+            y, x = rng.standard_normal(T), rng.standard_normal(T)
+            mask = rng.random(T) < rng.uniform(0.3, 1.0)
+            sel = np.flatnonzero(mask)
+            rows = sel[sel >= L]
+            if rows.size < 2 * L + 11:
+                with pytest.raises(SampleSizeError):
+                    build_design(y, x, L, mask)
+                continue
+            ref = reference_design(y, x, L, rows)
+            for got, want in zip(build_design(y, x, L, mask), ref):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+    def test_rows_kept_as_given_with_duplicates(self):
+        rng = np.random.default_rng(20)
+        y, x = rng.standard_normal(200), rng.standard_normal(200)
+        rows = np.concatenate([np.arange(10, 80), np.arange(50, 120)])
+        Y, X_u = _lagged_design(y, x, rows, 4)
+        ref_Y, _, ref_X_u = reference_design(y, x, 4, rows)
+        np.testing.assert_array_equal(Y, ref_Y)
+        np.testing.assert_array_equal(X_u, ref_X_u)
+
+
     def test_hand_checked_columns(self):
         T = 15
         y = np.arange(1.0, T + 1)

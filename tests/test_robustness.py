@@ -4,16 +4,26 @@ import numpy as np
 import pytest
 
 from factorregimes import (
+    DegenerateDesignError,
+    FTestDistribution,
     FactorPanel,
     SampleSizeError,
+    f_sf,
     full_mask,
+    granger_f_test,
     lag_sweep,
+    ols_rss,
+    regime_lag_mask,
+    select_lag_bic,
     subsample_split,
     threshold_regimes,
     transition_window_analysis,
     volatility_norm,
 )
-from factorregimes.robustness import _transition_starts
+from factorregimes.granger import _lagged_design
+from factorregimes.robustness import _pooled_f, _transition_starts
+
+from conftest import reference_design
 
 
 def dated(n, start="2005-01-03"):
@@ -120,6 +130,47 @@ class TestLagSweep:
         rows = lag_sweep(y, x, lambda L: regime_lag_mask(labels, 0, L),
                          [5, 10])
         assert all(r["error"] is None for r in rows)
+
+    def test_rows_equal_select_then_test_per_bound(self):
+        rng = np.random.default_rng(65)
+        T = 1500
+        y, x = self.lagged(T, 66, lag=3)
+        labels = (rng.random(T) < 0.9).astype(int)
+        cases = [
+            (y, x, full_mask(T), [7, 1, 4, 12]),
+            (y, x, lambda L: regime_lag_mask(labels, 1, L), [2, 9, 5, 15]),
+            (y[:25], x[:25], full_mask(25), [1, 3, 8]),  # lags 5..8 too long
+            (y[:12], x[:12], full_mask(12), [2, 5]),  # no feasible lag
+        ]
+        for yy, xx, mask, bounds in cases:
+            builder = mask if callable(mask) else (lambda L, m=mask: m)
+            for row, bound in zip(lag_sweep(yy, xx, mask, bounds), bounds):
+                want = {"L_max": bound, "L_star": None, "f_stat": None,
+                        "p_value": None, "n_obs": None, "error": None}
+                try:
+                    L_star, _ = select_lag_bic(yy, xx, builder, bound)
+                    res = granger_f_test(yy, xx, L_star, builder(L_star))
+                except (SampleSizeError, DegenerateDesignError) as exc:
+                    want["error"] = str(exc)
+                else:
+                    want.update(L_star=L_star, f_stat=res.f_stat,
+                                p_value=res.p_value, n_obs=res.n_obs)
+                assert row == want
+
+    def test_one_bic_table_for_all_bounds(self, monkeypatch):
+        import factorregimes.granger as granger
+
+        calls = []
+
+        def counted(X, Y):
+            calls.append(X.shape[1])
+            return ols_rss(X, Y)
+
+        monkeypatch.setattr(granger, "ols_rss", counted)
+        y, x = self.lagged(1000, 67)
+        lag_sweep(y, x, full_mask(1000), [5, 10, 15, 20])
+        # 20 BIC fits, then an unrestricted and a restricted fit per bound
+        assert len(calls) == 20 + 2 * 4
 
     def test_rejects_bad_bound(self):
         y, x = self.lagged(100, 58)
@@ -236,6 +287,38 @@ class TestTransitionWindows:
                 if p is not None and p < 0.05:
                     rejected += 1
         assert rejected <= 3  # 20 null tests at the 5% level
+
+    def test_pooled_design_and_p_match_stacked_segments(self):
+        """Overlapping windows keep their duplicate rows: the pooled test
+        equals stacking one reference design per segment."""
+        rng = np.random.default_rng(68)
+        T, L = 600, 3
+        y, x = rng.standard_normal(T), rng.standard_normal(T)
+        y[2:] += 0.3 * x[:-2]
+        starts = [100, 130, 150, 400, 420]  # windows of 60 overlap
+        for segments in ([(max(0, t - 60), t - 1) for t in starts],
+                         [(t, min(T - 1, t + 59)) for t in starts]):
+            parts = [np.arange(lo + L, hi + 1) for lo, hi in segments]
+            refs = [reference_design(y, x, L, r) for r in parts]
+            Y_ref = np.concatenate([ref[0] for ref in refs])
+            X_r = np.vstack([ref[1] for ref in refs])
+            X_u = np.vstack([ref[2] for ref in refs])
+            Y, X = _lagged_design(y, x, np.concatenate(parts), L)
+            np.testing.assert_array_equal(Y, Y_ref)
+            np.testing.assert_array_equal(X, X_u)
+            n = Y_ref.size
+            rss_u, _ = ols_rss(X_u, Y_ref)
+            rss_r, _ = ols_rss(X_r, Y_ref)
+            df2 = n - 2 * L - 1
+            f_stat = max(0.0, (rss_r - rss_u) / L / (rss_u / df2))
+            p, n_rows = _pooled_f(y, x, segments, L)
+            assert n_rows == n
+            assert p == f_sf(f_stat, FTestDistribution(L, df2))
+
+    def test_pooled_too_few_rows_is_none(self):
+        y = x = np.arange(50.0)
+        assert _pooled_f(y, x, [], 3) == (None, 0)
+        assert _pooled_f(y, x, [(0, 10)], 3) == (None, 8)
 
     def test_no_transitions_reports_empty(self):
         panel = noise_panel(300, seed=65, names=("HML", "SMB"))
