@@ -222,29 +222,6 @@ def volatility_norm(p: FactorPanel) -> np.ndarray:
     return np.linalg.norm(p.returns, axis=1)
 
 
-def weekly_aggregate(p: FactorPanel) -> FactorPanel:
-    """Collapse the panel to one row per ISO week.
-
-    Each factor's weekly value is the compounded percent return of the
-    week's days, 100 * (prod(1 + r/100) - 1), dated by the week's last
-    trading day.
-    """
-    if p.n_days == 0:
-        raise ValueError("panel is empty")
-    iso = [d.astype(object).isocalendar()[:2] for d in p.dates]
-    out_dates = []
-    out_rows = []
-    start = 0
-    for t in range(1, p.n_days + 1):
-        if t == p.n_days or iso[t] != iso[start]:
-            block = p.returns[start:t]
-            out_rows.append(100.0 * (np.prod(1.0 + block / 100.0, axis=0) - 1.0))
-            out_dates.append(p.dates[t - 1])
-            start = t
-    return FactorPanel(np.array(out_dates, dtype="datetime64[D]"),
-                       np.array(out_rows), p.factor_names)
-
-
 def write_panel_csv(p: FactorPanel, path_or_buf) -> None:
     """Write the canonical form: header `date,<names>`, ISO dates, 6 decimals."""
     own = not hasattr(path_or_buf, "write")

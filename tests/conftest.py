@@ -6,7 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from factorregimes import HmmParams, SyntheticSpec, generate
+from factorregimes import (
+    DegenerateDesignError,
+    FTestDistribution,
+    HmmParams,
+    SampleSizeError,
+    SyntheticSpec,
+    f_sf,
+    generate,
+)
 
 
 def locate_factor_data():
@@ -107,6 +115,65 @@ def reference_design(y, x, L, rows):
     for lag in range(1, L + 1):
         cols.append(x[rows - lag])
     return y[rows], X_r, np.column_stack(cols)
+
+
+# ---------------------------------------------------------------------------
+# least-squares reference: the SVD two-fit path the nested-QR core replaced
+
+
+def lstsq_rss(X, Y):
+    """(RSS, rank) of numpy's SVD least-squares fit."""
+    beta, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+    resid = Y - X @ beta
+    return float(resid @ resid), int(rank)
+
+
+def lstsq_unrestricted_rss(Y, X_u):
+    """RSS of the unrestricted fit, with the rank and exact-fit checks and
+    texts the Granger core must reproduce."""
+    rss_u, rank_u = lstsq_rss(X_u, Y)
+    if rank_u < X_u.shape[1]:
+        raise DegenerateDesignError(
+            f"unrestricted design rank {rank_u} < {X_u.shape[1]} columns")
+    if rss_u <= 0.0:
+        raise DegenerateDesignError("unrestricted model fits exactly (zero RSS)")
+    return rss_u
+
+
+def lstsq_nested_f(Y, X_u, L):
+    """(F, p-value, R^2 increment) of the x lags from two SVD fits."""
+    rss_u = lstsq_unrestricted_rss(Y, X_u)
+    rss_r, _ = lstsq_rss(X_u[:, :L + 1], Y)
+    tss = float(np.sum((Y - Y.mean()) ** 2))
+    if tss <= 0.0:
+        raise DegenerateDesignError("response is constant on the selected rows")
+    df2 = Y.shape[0] - 2 * L - 1
+    f_stat = max(0.0, (rss_r - rss_u) / L / (rss_u / df2))
+    return (f_stat, f_sf(f_stat, FTestDistribution(L, df2)),
+            max(0.0, (rss_r - rss_u) / tss))
+
+
+def lstsq_bic_table(y, x, mask_builder, L_max):
+    """select_lag_bic's table from one column-by-column design and one SVD
+    fit per lag."""
+    table = []
+    for L in range(1, L_max + 1):
+        row = {"lag": L, "n_obs": None, "bic": None, "error": None}
+        sel = np.flatnonzero(mask_builder(L))
+        rows = sel[sel >= L]
+        try:
+            if rows.size < 2 * L + 11:
+                raise SampleSizeError(2 * L + 11, rows.size, f"lag {L} design")
+            Y, _, X_u = reference_design(y, x, L, rows)
+            rss_u = lstsq_unrestricted_rss(Y, X_u)
+        except (SampleSizeError, DegenerateDesignError) as exc:
+            row["error"] = str(exc)
+        else:
+            n = rows.size
+            row["n_obs"] = n
+            row["bic"] = n * np.log(rss_u / n) + (2 * L + 1) * np.log(n)
+        table.append(row)
+    return table
 
 
 @pytest.hookimpl(hookwrapper=True)

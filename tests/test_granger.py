@@ -1,6 +1,9 @@
 """Granger F-tests, lag selection, masks, and the pairwise matrix."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,9 +24,17 @@ from factorregimes import (
     regime_lag_mask,
     select_lag_bic,
 )
-from factorregimes.granger import _lagged_design
+import factorregimes
+from factorregimes.granger import (
+    _bic_table,
+    _f_test,
+    _lag_depth,
+    _lag_fits,
+    _lagged_design,
+    _nested_f,
+)
 
-from conftest import reference_design
+from conftest import lstsq_bic_table, lstsq_nested_f, lstsq_rss, reference_design
 
 
 def make_panel(X, names=None):
@@ -174,6 +185,17 @@ class TestOlsRss:
         assert rss == pytest.approx(float(resid @ resid), rel=1e-8)
 
 
+    def test_rank_deficient_matches_lstsq(self):
+        rng = np.random.default_rng(5)
+        Z = rng.standard_normal((60, 3))
+        X = np.column_stack([np.ones(60), Z, Z[:, 0] - 2.0 * Z[:, 2], np.zeros(60)])
+        y = rng.standard_normal(60)
+        rss, rank = ols_rss(X, y)
+        ref_rss, ref_rank = lstsq_rss(X, y)
+        assert rank == ref_rank == 4
+        assert rss == pytest.approx(ref_rss, rel=1e-9)
+
+
 class TestGrangerFTest:
     def test_p_value_consistent_with_f_sf(self):
         from factorregimes import FTestDistribution
@@ -266,6 +288,17 @@ class TestSelectLagBic:
         with pytest.raises(SampleSizeError):
             select_lag_bic(y, x, lambda L: full_mask(12), 5)
 
+    def test_non_nested_masks_rejected(self):
+        y, x = lagged_pair(300, 21)
+        even = np.arange(300) % 2 == 0
+
+        def builder(L):
+            return even if L == 2 else full_mask(300)
+
+        with pytest.raises(ValueError, match=r"mask_builder\(3\) is not a "
+                                             r"subset of mask_builder\(2\)"):
+            select_lag_bic(y, x, builder, 4)
+
     def test_shrinking_mask_skips_infeasible_lags(self):
         y, x = lagged_pair(400, 13, coef=0.4, lag=1)
         labels = np.zeros(400, dtype=int)
@@ -345,3 +378,173 @@ class TestCsv:
         float(fields[4])
         assert "e" in fields[5]  # scientific notation for p
         assert fields[8] in ("True", "False")
+
+
+def masked_rows(mask, L):
+    sel = np.flatnonzero(mask)
+    return sel[sel >= L]
+
+
+def assert_f_matches(got, want):
+    """(F, p-value, R^2 increment) against the SVD reference."""
+    f_stat, p_value, r2 = got
+    ref_f, ref_p, ref_r2 = want
+    assert abs(f_stat - ref_f) <= 1e-9 * max(ref_f, 1.0)
+    assert p_value == pytest.approx(ref_p, rel=1e-9)
+    assert r2 == pytest.approx(ref_r2, rel=1e-9, abs=1e-15)
+
+
+def mask_builder_for(kind, rng, T):
+    """A nested mask builder: lag-complete regime masks, or one fixed mask
+    whose rows below L_max are in use."""
+    if kind == "regime":
+        labels = np.cumsum(rng.random(T) < rng.uniform(0.01, 0.2)) % 2
+        return lambda L: regime_lag_mask(labels, 1, L)
+    if kind == "fixed":
+        fixed = rng.random(T) < rng.uniform(0.3, 1.0)
+        return lambda L: fixed
+    return lambda L: full_mask(T)
+
+
+def outcome(fn, *args):
+    """The error type and text fn raises, or None."""
+    try:
+        fn(*args)
+    except (SampleSizeError, DegenerateDesignError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestCoreMatchesLstsq:
+    """The nested-QR core against the SVD two-fit reference in conftest."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["regime", "fixed", "full"]),
+           T=st.integers(20, 400), L_max=st.integers(1, 12))
+    def test_every_lag_on_nested_masks(self, seed, kind, T, L_max):
+        rng = np.random.default_rng(seed)
+        y, x = rng.standard_normal(T), rng.standard_normal(T)
+        y[2:] += 0.3 * x[:-2]
+        builder = mask_builder_for(kind, rng, T)
+        depth = _lag_depth(builder, L_max, T)
+        (table,), (fits,) = _lag_fits(np.column_stack([y, x]), depth, L_max,
+                                      [(0, 1)])
+        ref = lstsq_bic_table(y, x, builder, L_max)
+        assert len(table) == len(ref) == L_max
+        for row, want in zip(table, ref):
+            assert [row[key] for key in ("lag", "n_obs", "error")] == \
+                [want[key] for key in ("lag", "n_obs", "error")]
+            if want["bic"] is None:
+                assert row["bic"] is None
+                continue
+            assert row["bic"] == pytest.approx(want["bic"], rel=1e-9, abs=1e-9)
+            L = row["lag"]
+            Y, _, X_u = reference_design(y, x, L, masked_rows(builder(L), L))
+            want_f = lstsq_nested_f(Y, X_u, L)
+            assert_f_matches(_f_test(Y, L, *fits[L]), want_f)
+            res = granger_f_test(y, x, L, builder(L))
+            assert_f_matches((res.f_stat, res.p_value, res.r2_increment), want_f)
+        feasible = [(r["bic"], r["lag"]) for r in ref if r["bic"] is not None]
+        if feasible:
+            assert select_lag_bic(y, x, builder, L_max)[0] == min(feasible)[1]
+
+    def test_pairwise_matrix_matches_reference(self):
+        rng = np.random.default_rng(31)
+        T, d, L_max = 1500, 3, 8
+        X = rng.standard_normal((T, d))
+        X[2:, 1] += 0.4 * X[:-2, 0]
+        labels = np.cumsum(rng.random(T) < 0.02) % 3
+        matrix = pairwise_regime_matrix(make_panel(X), labels, L_max=L_max)
+        got = {(r.source, r.target, r.regime): r for r in matrix}
+        failed = {(f.source, f.target, f.regime) for f in matrix.failures}
+        for i in range(d):
+            for j in range(d):
+                if i == j:
+                    continue
+                for k in range(3):
+                    key = (f"F{i}", f"F{j}", k)
+                    y, x = X[:, j], X[:, i]
+                    builder = lambda L, k=k: regime_lag_mask(labels, k, L)
+                    ref = lstsq_bic_table(y, x, builder, L_max)
+                    feasible = [(r["bic"], r["lag"]) for r in ref
+                                if r["bic"] is not None]
+                    if not feasible:
+                        assert key in failed
+                        continue
+                    L = min(feasible)[1]
+                    Y, _, X_u = reference_design(y, x, L,
+                                                 masked_rows(builder(L), L))
+                    res = got[key]
+                    assert (res.lag, res.n_obs) == (L, Y.size)
+                    assert_f_matches((res.f_stat, res.p_value, res.r2_increment),
+                                     lstsq_nested_f(Y, X_u, L))
+        assert len(got) + len(failed) == d * (d - 1) * 3
+
+    def test_duplicated_rows(self):
+        rng = np.random.default_rng(32)
+        y, x = rng.standard_normal(300), rng.standard_normal(300)
+        y[1:] += 0.2 * x[:-1]
+        rows = np.concatenate([np.arange(10, 80), np.arange(50, 120),
+                               np.arange(50, 120), np.arange(200, 260)])
+        Y, X_u = _lagged_design(y, x, rows, 4)
+        ref_Y, _, ref_X_u = reference_design(y, x, 4, rows)
+        assert_f_matches(_nested_f(Y, X_u, 4), lstsq_nested_f(ref_Y, ref_X_u, 4))
+
+    @pytest.mark.parametrize("case", ["zero_regressor", "constant_regressor",
+                                      "constant_response", "exact_fit"])
+    def test_degenerate_designs_raise_reference_errors(self, case):
+        rng = np.random.default_rng(40)
+        T = 200
+        y, x = rng.standard_normal(T), rng.standard_normal(T)
+        mask, L = full_mask(T), 2
+        if case == "zero_regressor":
+            x = np.zeros(T)
+        elif case == "constant_regressor":
+            x = np.full(T, 3.0)
+        else:
+            # the response is constant on the even days the mask keeps,
+            # while its lag-1 values on odd days are not
+            mask, L = np.arange(T) % 2 == 0, 1
+            y[mask] = 1.0 if case == "constant_response" else 0.0
+        Y, _, X_u = reference_design(y, x, L, masked_rows(mask, L))
+        want = outcome(lstsq_nested_f, Y, X_u, L)
+        assert want is not None
+        assert outcome(granger_f_test, y, x, L, mask) == want
+        # the lag search records the reference's error at every lag
+        builder = lambda _: mask
+        assert [row["error"] for row in _bic_table(y, x, builder, 4)] == \
+            [row["error"] for row in lstsq_bic_table(y, x, builder, 4)]
+
+
+GRANGER_DETERMINISM_SCRIPT = """
+import io, sys
+from factorregimes import (SyntheticSpec, generate, granger_results_to_csv,
+                           pairwise_regime_matrix)
+sys.path.insert(0, sys.argv[1])
+from conftest import table1_like_params
+
+panel, labels = generate(SyntheticSpec(hmm=table1_like_params(6), T=3000, seed=404))
+matrix = pairwise_regime_matrix(panel, labels, 15)
+buf = io.StringIO()
+granger_results_to_csv(matrix, buf)
+print(buf.getvalue(), end="")
+print(matrix.failures)
+"""
+
+
+def test_matrix_csv_identical_across_blas_thread_counts():
+    """The pairwise matrix CSV is byte-identical with one and two BLAS
+    threads."""
+    src = os.path.dirname(os.path.dirname(factorregimes.__file__))
+    here = os.path.dirname(__file__)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        res = subprocess.run([sys.executable, "-c", GRANGER_DETERMINISM_SCRIPT, here],
+                             env=env, capture_output=True, text=True, check=True)
+        outputs.append(res.stdout)
+    assert outputs[0].count("\n") > 30
+    assert outputs[0] == outputs[1]

@@ -9,6 +9,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from factorregimes import (
     EstimationError,
@@ -275,6 +278,34 @@ class TestScanMatchesLoop:
             loop_forward_backward(p.pi, p.A, logB)
         with pytest.raises(EstimationError):
             forward_backward(p, panel)
+
+
+@st.composite
+def hmm_inputs(draw):
+    """(pi, A, logB) with strictly positive pi and A and log emission
+    densities spread over 80 nats."""
+    K = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 80))
+    weights = st.floats(0.01, 1.0)
+    pi = draw(hnp.arrays(float, K, elements=weights))
+    A = draw(hnp.arrays(float, (K, K), elements=weights))
+    logB = draw(hnp.arrays(float, (T, K), elements=st.floats(-60.0, 20.0)))
+    return pi / pi.sum(), A / A.sum(axis=1, keepdims=True), logB
+
+
+@settings(max_examples=200, deadline=None)
+@given(hmm_inputs())
+def test_posterior_marginals_are_consistent(inputs):
+    """gamma rows sum to 1, and the rows and columns of xi_sum sum to the
+    gamma marginals of the days each transition leaves and enters."""
+    pi, A, logB = inputs
+    _, gamma, xi_sum = _forward_backward_core(pi, A, logB)
+    T = logB.shape[0]
+    np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(xi_sum.sum(axis=1), gamma[:-1].sum(axis=0),
+                               rtol=0, atol=1e-10 * T)
+    np.testing.assert_allclose(xi_sum.sum(axis=0), gamma[1:].sum(axis=0),
+                               rtol=0, atol=1e-10 * T)
 
 
 DETERMINISM_SCRIPT = """

@@ -15,7 +15,6 @@ from factorregimes import (
     read_panel_csv,
     slice_dates,
     volatility_norm,
-    weekly_aggregate,
     write_labels_csv,
     write_panel_csv,
 )
@@ -192,27 +191,6 @@ class TestVolatilityNorm:
                         np.zeros((0, 1)), ("A",))
         with pytest.raises(ValueError):
             volatility_norm(p)
-
-
-class TestWeeklyAggregate:
-    def test_two_day_compounding(self):
-        p = make_panel([[1.0], [-1.0]], names=("A",), start="2020-01-06")
-        w = weekly_aggregate(p)
-        assert w.n_days == 1
-        assert w.returns[0, 0] == pytest.approx(100 * (1.01 * 0.99 - 1))
-
-    def test_single_day_week_unchanged(self):
-        p = make_panel([[0.37]], names=("A",))
-        w = weekly_aggregate(p)
-        assert w.returns[0, 0] == pytest.approx(0.37)
-
-    def test_dates_increase_and_bound_by_week_end(self):
-        # three ISO weeks of synthetic weekdays
-        p = make_panel(np.linspace(-1, 1, 15).reshape(15, 1), names=("A",))
-        w = weekly_aggregate(p)
-        assert w.n_days == 3
-        assert np.all(np.diff(w.dates).astype(int) > 0)
-        assert w.dates[-1] == p.dates[-1]
 
 
 class TestSerialization:

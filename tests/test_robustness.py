@@ -5,14 +5,11 @@ import pytest
 
 from factorregimes import (
     DegenerateDesignError,
-    FTestDistribution,
     FactorPanel,
     SampleSizeError,
-    f_sf,
     full_mask,
     granger_f_test,
     lag_sweep,
-    ols_rss,
     regime_lag_mask,
     select_lag_bic,
     subsample_split,
@@ -20,10 +17,10 @@ from factorregimes import (
     transition_window_analysis,
     volatility_norm,
 )
-from factorregimes.granger import _lagged_design
+from factorregimes.granger import _lagged_design, _nested_f
 from factorregimes.robustness import _pooled_f, _transition_starts
 
-from conftest import reference_design
+from conftest import lstsq_nested_f, reference_design
 
 
 def dated(n, start="2005-01-03"):
@@ -160,17 +157,19 @@ class TestLagSweep:
     def test_one_bic_table_for_all_bounds(self, monkeypatch):
         import factorregimes.granger as granger
 
-        calls = []
+        chains = []
+        r_chain = granger._r_chain
 
-        def counted(X, Y):
-            calls.append(X.shape[1])
-            return ols_rss(X, Y)
+        def counted(block, depth, L_max):
+            chains.append(L_max)
+            return r_chain(block, depth, L_max)
 
-        monkeypatch.setattr(granger, "ols_rss", counted)
+        monkeypatch.setattr(granger, "_r_chain", counted)
         y, x = self.lagged(1000, 67)
         lag_sweep(y, x, full_mask(1000), [5, 10, 15, 20])
-        # 20 BIC fits, then an unrestricted and a restricted fit per bound
-        assert len(calls) == 20 + 2 * 4
+        # one chain over lags 1..20 for the BIC table, then one
+        # single-level factorization per bound's F test
+        assert chains == [20, 1, 1, 1, 1]
 
     def test_rejects_bad_bound(self):
         y, x = self.lagged(100, 58)
@@ -306,14 +305,13 @@ class TestTransitionWindows:
             Y, X = _lagged_design(y, x, np.concatenate(parts), L)
             np.testing.assert_array_equal(Y, Y_ref)
             np.testing.assert_array_equal(X, X_u)
-            n = Y_ref.size
-            rss_u, _ = ols_rss(X_u, Y_ref)
-            rss_r, _ = ols_rss(X_r, Y_ref)
-            df2 = n - 2 * L - 1
-            f_stat = max(0.0, (rss_r - rss_u) / L / (rss_u / df2))
+            np.testing.assert_array_equal(X[:, :L + 1], X_r)
             p, n_rows = _pooled_f(y, x, segments, L)
-            assert n_rows == n
-            assert p == f_sf(f_stat, FTestDistribution(L, df2))
+            assert n_rows == Y_ref.size
+            # the F test on the stacked reference design, bit for bit, and
+            # the SVD two-fit reference within the oracle tolerance
+            assert p == _nested_f(Y_ref, X_u, L)[1]
+            assert p == pytest.approx(lstsq_nested_f(Y_ref, X_u, L)[1], rel=1e-9)
 
     def test_pooled_too_few_rows_is_none(self):
         y = x = np.arange(50.0)
