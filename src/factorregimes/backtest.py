@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import FactorPanel, as_date64
+from .panel import FactorPanel, as_date64, write_panel_csv
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -177,6 +177,4 @@ def write_returns_csv(strategy: BacktestReport, benchmark: BacktestReport,
         np.column_stack([strategy.daily_returns, benchmark.daily_returns]),
         ("STRATEGY", "BENCHMARK"),
     )
-    from .panel import write_panel_csv
-
     write_panel_csv(p, path)

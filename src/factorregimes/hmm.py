@@ -14,8 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular

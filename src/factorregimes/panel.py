@@ -8,9 +8,10 @@ row is a complete observation vector.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from datetime import date as _date
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,7 +112,19 @@ def _looks_like_date(token: str) -> bool:
     return len(token) == 10 and token[4] == "-" and token[7] == "-"
 
 
-def parse_ff_daily_csv(text, expected_columns: Sequence[str]) -> FactorPanel:
+def _read_lines(source) -> list[str]:
+    """The lines of a text stream, or of the file at a path (str or
+    os.PathLike), whatever its name."""
+    if hasattr(source, "read"):
+        return source.read().splitlines()
+    if not isinstance(source, (str, os.PathLike)):
+        raise TypeError(
+            f"expected a path or a text stream, got {type(source).__name__}")
+    with open(source, "r", encoding="utf-8", errors="replace") as fh:
+        return fh.read().splitlines()
+
+
+def parse_ff_daily_csv(source, expected_columns: Sequence[str]) -> FactorPanel:
     """Parse a daily factor CSV in the data library's distribution format.
 
     The file may carry preamble lines before the header and footer blocks
@@ -121,18 +134,13 @@ def parse_ff_daily_csv(text, expected_columns: Sequence[str]) -> FactorPanel:
     where any requested column is missing, non-finite, or equal to a
     missing-data sentinel are dropped.
 
-    `text` may be a string, a text stream, or a filesystem path.
+    `source` is a path (str or os.PathLike) or a text stream.
     """
-    if hasattr(text, "read"):
-        lines = text.read().splitlines()
-    else:
-        s = str(text)
-        if "\n" not in s and s.endswith((".csv", ".CSV", ".txt")):
-            with open(s, "r", encoding="utf-8", errors="replace") as fh:
-                lines = fh.read().splitlines()
-        else:
-            lines = s.splitlines()
+    return _parse_lines(_read_lines(source), expected_columns)
 
+
+def _parse_lines(lines: list[str], expected_columns: Sequence[str]) -> FactorPanel:
+    """parse_ff_daily_csv on the file's lines."""
     wanted = [str(c) for c in expected_columns]
     wanted_keys = [c.strip().upper() for c in wanted]
     if len(set(wanted_keys)) != len(wanted_keys):
@@ -235,18 +243,10 @@ def write_panel_csv(p: FactorPanel, path_or_buf) -> None:
             fh.close()
 
 
-def read_panel_csv(path_or_text) -> FactorPanel:
-    """Read a canonical panel CSV (the output format of write_panel_csv)."""
-    if hasattr(path_or_text, "read"):
-        content = path_or_text.read()
-    else:
-        s = str(path_or_text)
-        if "\n" not in s:
-            with open(s, "r", encoding="utf-8") as fh:
-                content = fh.read()
-        else:
-            content = s
-    lines = content.splitlines()
+def read_panel_csv(source) -> FactorPanel:
+    """Read a canonical panel CSV (the output format of write_panel_csv)
+    from a path (str or os.PathLike) or a text stream."""
+    lines = _read_lines(source)
     if not lines:
         raise PanelParseError("empty input")
     header = [f.strip() for f in lines[0].split(",")]
@@ -255,7 +255,7 @@ def read_panel_csv(path_or_text) -> FactorPanel:
     names = header[1:]
     if not names:
         raise SchemaError("no factor columns in header")
-    return parse_ff_daily_csv(content, names)
+    return _parse_lines(lines, names)
 
 
 def write_labels_csv(dates: np.ndarray, labels: np.ndarray, path) -> None:

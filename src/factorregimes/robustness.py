@@ -17,10 +17,9 @@ import numpy as np
 from .errors import DegenerateDesignError, SampleSizeError
 from .granger import (
     PairwiseMatrix,
-    _bic_table,
-    _lagged_design,
-    _nested_f,
-    bic_granger_test,
+    _bic_granger_tests,
+    _fixed_lag_fit,
+    _granger_result,
     pairwise_regime_matrix,
 )
 from .panel import FactorPanel, as_date64, volatility_norm
@@ -55,8 +54,9 @@ def lag_sweep(y, x, mask, L_max_values: Sequence[int]) -> list[dict]:
 
     `mask` may be a fixed boolean mask or a callable L -> mask for
     lag-complete regime conditioning. Rows keep input order; infeasible
-    bounds record the error instead of aborting the sweep. One BIC table
-    up to the largest bound serves every bound through its prefix.
+    bounds record the error instead of aborting the sweep. One chain up
+    to the largest bound serves every bound: its BIC table's prefix
+    picks the lag, and its fit at that lag gives the test.
     """
     if any(v < 1 for v in L_max_values):
         raise ValueError("every L_max must be >= 1")
@@ -68,19 +68,16 @@ def lag_sweep(y, x, mask, L_max_values: Sequence[int]) -> list[dict]:
         builder = lambda L: fixed
     if not L_max_values:
         return []
-    table = _bic_table(y, x, builder, max(L_max_values))
     rows = []
-    for L_max in L_max_values:
+    results = _bic_granger_tests(y, x, builder, L_max_values)
+    for L_max, res in zip(L_max_values, results):
         row = {"L_max": L_max, "L_star": None, "f_stat": None,
                "p_value": None, "n_obs": None, "error": None}
-        try:
-            res = bic_granger_test(y, x, builder, L_max, table=table)
-        except (SampleSizeError, DegenerateDesignError) as exc:
-            row["error"] = str(exc)
-            rows.append(row)
-            continue
-        row.update(L_star=res.lag, f_stat=res.f_stat, p_value=res.p_value,
-                   n_obs=res.n_obs)
+        if isinstance(res, Exception):
+            row["error"] = str(res)
+        else:
+            row.update(L_star=res.lag, f_stat=res.f_stat, p_value=res.p_value,
+                       n_obs=res.n_obs)
         rows.append(row)
     return rows
 
@@ -138,10 +135,10 @@ def _pooled_f(y, x, segments, L: int) -> tuple[float | None, int]:
     rows = np.concatenate([np.arange(0), *(np.arange(lo + L, hi + 1)
                                            for lo, hi in segments)])
     try:
-        _, p_value, _ = _nested_f(*_lagged_design(y, x, rows, L), L)
+        res = _granger_result(_fixed_lag_fit(y, x, rows, L), L)
     except (SampleSizeError, DegenerateDesignError):
         return None, rows.size
-    return p_value, rows.size
+    return res.p_value, rows.size
 
 
 def _transition_starts(labels, crisis_index, m, entering: bool, entry_from):

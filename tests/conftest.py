@@ -128,25 +128,25 @@ def lstsq_rss(X, Y):
     return float(resid @ resid), int(rank)
 
 
-def lstsq_unrestricted_rss(Y, X_u):
-    """RSS of the unrestricted fit, with the rank and exact-fit checks and
-    texts the Granger core must reproduce."""
+def lstsq_unrestricted_fit(Y, X_u):
+    """(RSS, TSS) of the unrestricted fit, with the rank, exact-fit and
+    constant-response checks and texts the Granger core must reproduce."""
     rss_u, rank_u = lstsq_rss(X_u, Y)
     if rank_u < X_u.shape[1]:
         raise DegenerateDesignError(
             f"unrestricted design rank {rank_u} < {X_u.shape[1]} columns")
     if rss_u <= 0.0:
         raise DegenerateDesignError("unrestricted model fits exactly (zero RSS)")
-    return rss_u
+    tss = float(np.sum((Y - Y.mean()) ** 2))
+    if tss <= 0.0:
+        raise DegenerateDesignError("response is constant on the selected rows")
+    return rss_u, tss
 
 
 def lstsq_nested_f(Y, X_u, L):
     """(F, p-value, R^2 increment) of the x lags from two SVD fits."""
-    rss_u = lstsq_unrestricted_rss(Y, X_u)
+    rss_u, tss = lstsq_unrestricted_fit(Y, X_u)
     rss_r, _ = lstsq_rss(X_u[:, :L + 1], Y)
-    tss = float(np.sum((Y - Y.mean()) ** 2))
-    if tss <= 0.0:
-        raise DegenerateDesignError("response is constant on the selected rows")
     df2 = Y.shape[0] - 2 * L - 1
     f_stat = max(0.0, (rss_r - rss_u) / L / (rss_u / df2))
     return (f_stat, f_sf(f_stat, FTestDistribution(L, df2)),
@@ -165,7 +165,7 @@ def lstsq_bic_table(y, x, mask_builder, L_max):
             if rows.size < 2 * L + 11:
                 raise SampleSizeError(2 * L + 11, rows.size, f"lag {L} design")
             Y, _, X_u = reference_design(y, x, L, rows)
-            rss_u = lstsq_unrestricted_rss(Y, X_u)
+            rss_u, _ = lstsq_unrestricted_fit(Y, X_u)
         except (SampleSizeError, DegenerateDesignError) as exc:
             row["error"] = str(exc)
         else:

@@ -1,6 +1,5 @@
 """Granger F-tests, lag selection, masks, and the pairwise matrix."""
 
-import math
 import os
 import subprocess
 import sys
@@ -14,27 +13,26 @@ from factorregimes import (
     DegenerateDesignError,
     FactorPanel,
     SampleSizeError,
-    build_design,
+    bic_granger_test,
     f_sf,
     full_mask,
     granger_f_test,
     granger_results_to_csv,
-    ols_rss,
     pairwise_regime_matrix,
     regime_lag_mask,
     select_lag_bic,
 )
 import factorregimes
 from factorregimes.granger import (
-    _bic_table,
-    _f_test,
+    _fixed_lag_fit,
+    _granger_result,
+    _lag_block,
     _lag_depth,
     _lag_fits,
-    _lagged_design,
-    _nested_f,
+    _lag_search,
 )
 
-from conftest import lstsq_bic_table, lstsq_nested_f, lstsq_rss, reference_design
+from conftest import lstsq_bic_table, lstsq_nested_f, reference_design
 
 
 def make_panel(X, names=None):
@@ -94,7 +92,17 @@ def test_regime_lag_mask_matches_brute_force(labels, k, L):
                                   brute_force_lag_mask(labels, k, L))
 
 
+def pair_design(y, x, L, rows):
+    """(Y, X_r, X_u) of the nested models at the given rows, sliced from the
+    design builder's columns [1, y lags, x lags, y, x]."""
+    Z = _lag_block(np.column_stack([y, x]), L)(rows)
+    return Z[:, 2 * L + 1], Z[:, :L + 1], Z[:, :2 * L + 1]
+
+
 class TestBuildDesign:
+    """The one design builder, `_lag_block`, and the rows granger_f_test
+    gives it."""
+
     def test_matches_column_by_column_reference(self):
         rng = np.random.default_rng(19)
         for trial in range(30):
@@ -106,10 +114,10 @@ class TestBuildDesign:
             rows = sel[sel >= L]
             if rows.size < 2 * L + 11:
                 with pytest.raises(SampleSizeError):
-                    build_design(y, x, L, mask)
+                    granger_f_test(y, x, L, mask)
                 continue
             ref = reference_design(y, x, L, rows)
-            for got, want in zip(build_design(y, x, L, mask), ref):
+            for got, want in zip(pair_design(y, x, L, rows), ref):
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got, want)
 
@@ -117,83 +125,40 @@ class TestBuildDesign:
         rng = np.random.default_rng(20)
         y, x = rng.standard_normal(200), rng.standard_normal(200)
         rows = np.concatenate([np.arange(10, 80), np.arange(50, 120)])
-        Y, X_u = _lagged_design(y, x, rows, 4)
-        ref_Y, _, ref_X_u = reference_design(y, x, 4, rows)
-        np.testing.assert_array_equal(Y, ref_Y)
-        np.testing.assert_array_equal(X_u, ref_X_u)
-
+        for got, want in zip(pair_design(y, x, 4, rows),
+                             reference_design(y, x, 4, rows)):
+            np.testing.assert_array_equal(got, want)
 
     def test_hand_checked_columns(self):
         T = 15
         y = np.arange(1.0, T + 1)
         x = 10.0 * np.arange(1.0, T + 1)
-        mask = np.ones(T, dtype=bool)
-        mask[5] = False
-        Y, X_r, X_u = build_design(y, x, 1, mask)
         sel = [t for t in range(1, T) if t != 5]
-        np.testing.assert_array_equal(Y, y[sel])
-        assert X_r.shape == (len(sel), 2)
-        assert X_u.shape == (len(sel), 3)
-        np.testing.assert_array_equal(X_u[:, 0], 1.0)
-        np.testing.assert_array_equal(X_u[:, 1], y[np.array(sel) - 1])
-        np.testing.assert_array_equal(X_u[:, 2], x[np.array(sel) - 1])
-        np.testing.assert_array_equal(X_r, X_u[:, :2])
+        Z = _lag_block(np.column_stack([y, x]), 1)(np.array(sel))
+        assert Z.shape == (len(sel), 5)
+        np.testing.assert_array_equal(Z[:, 0], 1.0)
+        np.testing.assert_array_equal(Z[:, 1], y[np.array(sel) - 1])
+        np.testing.assert_array_equal(Z[:, 2], x[np.array(sel) - 1])
+        np.testing.assert_array_equal(Z[:, 3], y[sel])
+        np.testing.assert_array_equal(Z[:, 4], x[sel])
 
     def test_mask_rows_below_lag_dropped(self):
         T = 20
-        y = np.arange(float(T))
-        x = np.arange(float(T)) * 2
-        Y, _, _ = build_design(y, x, 2, np.ones(T, dtype=bool))
-        assert len(Y) == T - 2  # t = 2..T-1
-        assert Y[0] == y[2]
+        y, x = lagged_pair(T, 22)
+        np.testing.assert_array_equal(_lag_depth(lambda L: full_mask(T), 2, T),
+                                      np.minimum(np.arange(T), 2))
+        assert granger_f_test(y, x, 2, full_mask(T)).n_obs == T - 2  # t = 2..T-1
 
     def test_sample_size_enforced(self):
         y = np.arange(20.0)
         x = np.arange(20.0)
         with pytest.raises(SampleSizeError) as info:
-            build_design(y, x, 4, np.ones(20, dtype=bool))
+            granger_f_test(y, x, 4, np.ones(20, dtype=bool))
         # lag 4 needs 2*4 + 1 parameters plus 10 spare rows; t = 4..19 remain
         assert str(info.value) == (
             "lag 4 design: need at least 19 observations, have 16")
         assert info.value.required == 19
         assert info.value.available == 16
-
-
-class TestOlsRss:
-    def test_exact_fit_zero_residual(self):
-        rng = np.random.default_rng(3)
-        Z = np.column_stack([np.ones(30), rng.standard_normal((30, 2))])
-        beta = np.array([0.5, -1.0, 2.0])
-        y = Z @ beta
-        rss, rank = ols_rss(Z, y)
-        assert rank == 3
-        assert rss <= 1e-18 * float(y @ y)
-
-    def test_intercept_only_is_centered_ss(self):
-        y = np.array([1.0, 2.0, 4.0, 9.0])
-        rss, _ = ols_rss(np.ones((4, 1)), y)
-        assert rss == pytest.approx(float(((y - y.mean()) ** 2).sum()),
-                                    rel=1e-12)
-
-    def test_matches_normal_equations(self):
-        rng = np.random.default_rng(4)
-        Z = np.column_stack([np.ones(50), rng.standard_normal((50, 4))])
-        y = rng.standard_normal(50)
-        rss, _ = ols_rss(Z, y)
-        beta = np.linalg.solve(Z.T @ Z, Z.T @ y)
-        resid = y - Z @ beta
-        assert rss == pytest.approx(float(resid @ resid), rel=1e-8)
-
-
-    def test_rank_deficient_matches_lstsq(self):
-        rng = np.random.default_rng(5)
-        Z = rng.standard_normal((60, 3))
-        X = np.column_stack([np.ones(60), Z, Z[:, 0] - 2.0 * Z[:, 2], np.zeros(60)])
-        y = rng.standard_normal(60)
-        rss, rank = ols_rss(X, y)
-        ref_rss, ref_rank = lstsq_rss(X, y)
-        assert rank == ref_rank == 4
-        assert rss == pytest.approx(ref_rss, rel=1e-9)
 
 
 class TestGrangerFTest:
@@ -428,8 +393,9 @@ class TestCoreMatchesLstsq:
         y[2:] += 0.3 * x[:-2]
         builder = mask_builder_for(kind, rng, T)
         depth = _lag_depth(builder, L_max, T)
-        (table,), (fits,) = _lag_fits(np.column_stack([y, x]), depth, L_max,
-                                      [(0, 1)])
+        (fits,) = _lag_fits(np.column_stack([y, x]), np.arange(T), depth,
+                            range(1, L_max + 1), [(0, 1)])
+        table = _lag_search(y, x, builder, L_max)[1]
         ref = lstsq_bic_table(y, x, builder, L_max)
         assert len(table) == len(ref) == L_max
         for row, want in zip(table, ref):
@@ -442,9 +408,10 @@ class TestCoreMatchesLstsq:
             L = row["lag"]
             Y, _, X_u = reference_design(y, x, L, masked_rows(builder(L), L))
             want_f = lstsq_nested_f(Y, X_u, L)
-            assert_f_matches(_f_test(Y, L, *fits[L]), want_f)
-            res = granger_f_test(y, x, L, builder(L))
-            assert_f_matches((res.f_stat, res.p_value, res.r2_increment), want_f)
+            for res in (_granger_result(fits[L], L),
+                        granger_f_test(y, x, L, builder(L))):
+                assert_f_matches((res.f_stat, res.p_value, res.r2_increment),
+                                 want_f)
         feasible = [(r["bic"], r["lag"]) for r in ref if r["bic"] is not None]
         if feasible:
             assert select_lag_bic(y, x, builder, L_max)[0] == min(feasible)[1]
@@ -487,9 +454,10 @@ class TestCoreMatchesLstsq:
         y[1:] += 0.2 * x[:-1]
         rows = np.concatenate([np.arange(10, 80), np.arange(50, 120),
                                np.arange(50, 120), np.arange(200, 260)])
-        Y, X_u = _lagged_design(y, x, rows, 4)
+        res = _granger_result(_fixed_lag_fit(y, x, rows, 4), 4)
         ref_Y, _, ref_X_u = reference_design(y, x, 4, rows)
-        assert_f_matches(_nested_f(Y, X_u, 4), lstsq_nested_f(ref_Y, ref_X_u, 4))
+        assert_f_matches((res.f_stat, res.p_value, res.r2_increment),
+                         lstsq_nested_f(ref_Y, ref_X_u, 4))
 
     @pytest.mark.parametrize("case", ["zero_regressor", "constant_regressor",
                                       "constant_response", "exact_fit"])
@@ -513,8 +481,29 @@ class TestCoreMatchesLstsq:
         assert outcome(granger_f_test, y, x, L, mask) == want
         # the lag search records the reference's error at every lag
         builder = lambda _: mask
-        assert [row["error"] for row in _bic_table(y, x, builder, 4)] == \
+        assert [row["error"] for row in _lag_search(y, x, builder, 4)[1]] == \
             [row["error"] for row in lstsq_bic_table(y, x, builder, 4)]
+
+    def test_near_constant_response_is_degenerate(self):
+        # y = 0.37 on the kept even days is constant only up to rounding:
+        # its centred sum of squares is about 1e-31, and an F from it
+        # would be rounding noise
+        rng = np.random.default_rng(40)
+        T = 200
+        y, x = rng.standard_normal(T), rng.standard_normal(T)
+        mask = np.arange(T) % 2 == 0
+        y[mask] = 0.37
+        with pytest.raises(DegenerateDesignError,
+                           match="response is constant on the selected rows"):
+            granger_f_test(y, x, 1, mask)
+        table = _lag_search(y, x, lambda _: mask, 4)[1]
+        assert table[0]["error"] == "response is constant on the selected rows"
+        assert all(row["bic"] is None for row in table)
+        # with no lag feasible, the lag search names the degenerate lag
+        with pytest.raises(DegenerateDesignError,
+                           match=r"no feasible lag in 1\.\.4; lag 1: response "
+                                 r"is constant on the selected rows"):
+            bic_granger_test(y, x, lambda _: mask, 4)
 
 
 GRANGER_DETERMINISM_SCRIPT = """

@@ -51,46 +51,62 @@ def make_panel(values, names=("A", "B"), start="2020-01-06"):
 class TestParse:
     def test_three_row_passthrough(self):
         text = "date,X\n2020-01-01,0.1\n2020-01-02,-0.2\n2020-01-03,0.3\n"
-        p = parse_ff_daily_csv(text, ["X"])
+        p = parse_ff_daily_csv(io.StringIO(text), ["X"])
         assert p.n_days == 3
         np.testing.assert_allclose(p.returns[:, 0], [0.1, -0.2, 0.3])
 
     def test_realistic_file_with_preamble_and_footer(self):
-        p = parse_ff_daily_csv(RAW_FF5, ["MKT-RF", "SMB", "HML", "RMW", "CMA"])
+        p = parse_ff_daily_csv(io.StringIO(RAW_FF5),
+                               ["MKT-RF", "SMB", "HML", "RMW", "CMA"])
         assert p.n_days == 3
         assert p.factor_names == ("MKT-RF", "SMB", "HML", "RMW", "CMA")
         # footer annual rows must not leak in
         assert str(p.dates[-1]) == "1990-01-04"
 
     def test_sentinel_rows_dropped(self):
-        p = parse_ff_daily_csv(RAW_MOM, ["MOM"])
+        p = parse_ff_daily_csv(io.StringIO(RAW_MOM), ["MOM"])
         assert p.n_days == 3
         np.testing.assert_allclose(p.returns[:, 0], [0.25, 0.40, 0.18])
         text = "date,Z\n20200101,-999\n20200102,1.0\n"
-        assert parse_ff_daily_csv(text, ["Z"]).n_days == 1
+        assert parse_ff_daily_csv(io.StringIO(text), ["Z"]).n_days == 1
 
     def test_columns_mapped_by_name_not_position(self):
         text = "date,B,A\n20200101,2.0,1.0\n"
-        p = parse_ff_daily_csv(text, ["A", "B"])
+        p = parse_ff_daily_csv(io.StringIO(text), ["A", "B"])
         np.testing.assert_allclose(p.returns[0], [1.0, 2.0])
 
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError, match="HML"):
-            parse_ff_daily_csv("date,SMB\n20200101,0.1\n", ["SMB", "HML"])
+            parse_ff_daily_csv(io.StringIO("date,SMB\n20200101,0.1\n"),
+                               ["SMB", "HML"])
 
     def test_malformed_date_reports_line_number(self):
         text = ",X\n20200101,0.1\n2020-13-45,0.2\n"
         with pytest.raises(PanelParseError, match="line 3"):
-            parse_ff_daily_csv(text, ["X"])
+            parse_ff_daily_csv(io.StringIO(text), ["X"])
 
     def test_malformed_value_reports_line_number(self):
         text = ",X\n20200101,0.1\n20200102,oops\n"
         with pytest.raises(PanelParseError, match="line 3"):
-            parse_ff_daily_csv(text, ["X"])
+            parse_ff_daily_csv(io.StringIO(text), ["X"])
 
     def test_accepts_stream_input(self):
         p = parse_ff_daily_csv(io.StringIO(RAW_MOM), ["MOM"])
         assert p.n_days == 3
+
+    def test_path_parsed_whatever_its_suffix(self, tmp_path):
+        for name in ("mom_daily.TXT", "mom_daily"):
+            path = tmp_path / name
+            path.write_text(RAW_MOM, encoding="utf-8")
+            for source in (str(path), path):
+                p = parse_ff_daily_csv(source, ["MOM"])
+                np.testing.assert_allclose(p.returns[:, 0], [0.25, 0.40, 0.18])
+
+    def test_text_is_not_a_source(self):
+        with pytest.raises(FileNotFoundError):
+            parse_ff_daily_csv("date,X\n2020-01-01,0.1\n", ["X"])
+        with pytest.raises(TypeError, match="path or a text stream"):
+            read_panel_csv(b"date,X\n2020-01-01,0.1\n")
 
 
 class TestPanelType:
@@ -199,7 +215,7 @@ class TestSerialization:
         p = make_panel(rng.normal(0, 1, (7, 3)).round(6), names=("A", "B", "C"))
         buf = io.StringIO()
         write_panel_csv(p, buf)
-        q = read_panel_csv(buf.getvalue())
+        q = read_panel_csv(io.StringIO(buf.getvalue()))
         np.testing.assert_array_equal(p.dates, q.dates)
         np.testing.assert_allclose(p.returns, q.returns, atol=5e-7)
         assert p.factor_names == q.factor_names

@@ -9,15 +9,15 @@ from factorregimes import (
     SampleSizeError,
     full_mask,
     granger_f_test,
+    bic_granger_test,
     lag_sweep,
     regime_lag_mask,
-    select_lag_bic,
     subsample_split,
     threshold_regimes,
     transition_window_analysis,
     volatility_norm,
 )
-from factorregimes.granger import _lagged_design, _nested_f
+from factorregimes.granger import _lag_block
 from factorregimes.robustness import _pooled_f, _transition_starts
 
 from conftest import lstsq_nested_f, reference_design
@@ -145,31 +145,44 @@ class TestLagSweep:
                 want = {"L_max": bound, "L_star": None, "f_stat": None,
                         "p_value": None, "n_obs": None, "error": None}
                 try:
-                    L_star, _ = select_lag_bic(yy, xx, builder, bound)
-                    res = granger_f_test(yy, xx, L_star, builder(L_star))
+                    res = bic_granger_test(yy, xx, builder, bound)
                 except (SampleSizeError, DegenerateDesignError) as exc:
                     want["error"] = str(exc)
                 else:
-                    want.update(L_star=L_star, f_stat=res.f_stat,
+                    want.update(L_star=res.lag, f_stat=res.f_stat,
                                 p_value=res.p_value, n_obs=res.n_obs)
-                assert row == want
+                if row["error"] is None:
+                    fixed = granger_f_test(yy, xx, row["L_star"],
+                                           builder(row["L_star"]))
+                    assert row["f_stat"] == pytest.approx(fixed.f_stat, rel=1e-12)
+                    assert row["p_value"] == pytest.approx(fixed.p_value, rel=1e-10)
+                if bound == max(bounds):
+                    assert row == want  # the same chain, bit for bit
+                    continue
+                # a chain up to a smaller bound orders its columns and folds
+                # its rows differently: F agrees to rounding, and p to F's
+                # error times the tail's log-slope (about 140 at p = 1e-79)
+                exact = ("L_max", "L_star", "n_obs", "error")
+                assert {k: row[k] for k in exact} == {k: want[k] for k in exact}
+                if want["error"] is None:
+                    assert row["f_stat"] == pytest.approx(want["f_stat"], rel=1e-12)
+                    assert row["p_value"] == pytest.approx(want["p_value"], rel=1e-10)
 
     def test_one_bic_table_for_all_bounds(self, monkeypatch):
         import factorregimes.granger as granger
 
         chains = []
-        r_chain = granger._r_chain
+        lag_fits = granger._lag_fits
 
-        def counted(block, depth, L_max):
-            chains.append(L_max)
-            return r_chain(block, depth, L_max)
+        def counted(series, rows, depth, lags, pairs):
+            chains.append(list(lags))
+            return lag_fits(series, rows, depth, lags, pairs)
 
-        monkeypatch.setattr(granger, "_r_chain", counted)
+        monkeypatch.setattr(granger, "_lag_fits", counted)
         y, x = self.lagged(1000, 67)
         lag_sweep(y, x, full_mask(1000), [5, 10, 15, 20])
-        # one chain over lags 1..20 for the BIC table, then one
-        # single-level factorization per bound's F test
-        assert chains == [20, 1, 1, 1, 1]
+        # one chain over lags 1..20 gives every bound's table and F test
+        assert chains == [list(range(1, 21))]
 
     def test_rejects_bad_bound(self):
         y, x = self.lagged(100, 58)
@@ -302,15 +315,13 @@ class TestTransitionWindows:
             Y_ref = np.concatenate([ref[0] for ref in refs])
             X_r = np.vstack([ref[1] for ref in refs])
             X_u = np.vstack([ref[2] for ref in refs])
-            Y, X = _lagged_design(y, x, np.concatenate(parts), L)
-            np.testing.assert_array_equal(Y, Y_ref)
-            np.testing.assert_array_equal(X, X_u)
-            np.testing.assert_array_equal(X[:, :L + 1], X_r)
+            Z = _lag_block(np.column_stack([y, x]), L)(np.concatenate(parts))
+            np.testing.assert_array_equal(Z[:, 2 * L + 1], Y_ref)
+            np.testing.assert_array_equal(Z[:, :2 * L + 1], X_u)
+            np.testing.assert_array_equal(Z[:, :L + 1], X_r)
             p, n_rows = _pooled_f(y, x, segments, L)
             assert n_rows == Y_ref.size
-            # the F test on the stacked reference design, bit for bit, and
-            # the SVD two-fit reference within the oracle tolerance
-            assert p == _nested_f(Y_ref, X_u, L)[1]
+            # the SVD two-fit reference on the stacked reference design
             assert p == pytest.approx(lstsq_nested_f(Y_ref, X_u, L)[1], rel=1e-9)
 
     def test_pooled_too_few_rows_is_none(self):
