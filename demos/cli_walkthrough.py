@@ -69,7 +69,7 @@ run(["granger", "--panel", str(out / "panel.csv"),
      "--out", str(out / "granger.csv")])
 
 # event windows for validate: the three longest decoded crisis episodes
-from factorregimes import EventWindow, read_labels_csv, write_event_windows
+from factorregimes import read_labels_csv
 
 dates, labels = read_labels_csv(out / "labels.csv")
 runs, t = [], 0
@@ -82,11 +82,9 @@ while t < len(labels):
     else:
         t += 1
 episodes = sorted(runs, reverse=True)[:3]
-write_event_windows(
-    [EventWindow(f"episode {i + 1}", dates[a], dates[b])
-     for i, (a, b) in enumerate(sorted(ep[1:] for ep in episodes))],
-    out / "events.csv",
-)
+(out / "events.csv").write_text("name,start,end\n" + "".join(
+    f"episode {i + 1},{dates[a]},{dates[b]}\n"
+    for i, (a, b) in enumerate(sorted(ep[1:] for ep in episodes))))
 
 run(["validate", "--panel", str(out / "panel.csv"),
      "--labels", str(out / "labels.csv"), "--lag", "2",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import FactorPanel, as_date64, write_panel_csv
+from .panel import TESTED_PAIR, FactorPanel, as_date64, write_panel_csv
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -112,8 +112,7 @@ def performance_metrics(returns, dates=None, n_active_days: int | None = None
 
 
 def run_backtest(panel: FactorPanel, labels, crisis_index: int, *,
-                 window: int = 9, hml: str = "HML", smb: str = "SMB",
-                 start=None, end=None, execution_lag: int = 0
+                 window: int = 9, start=None, end=None, execution_lag: int = 0
                  ) -> tuple[BacktestReport, BacktestReport]:
     """Strategy and buy-and-hold benchmark over an optional date range.
 
@@ -132,6 +131,7 @@ def run_backtest(panel: FactorPanel, labels, crisis_index: int, *,
     if not keep.any():
         raise ValueError("date range selects no rows")
     sub_dates = dates[keep]
+    hml, smb = TESTED_PAIR
     hml_r = panel.column(hml)[keep]
     smb_r = panel.column(smb)[keep]
     sub_labels = labels[keep]

@@ -41,6 +41,7 @@ from .hmm import FitConfig, em_fit, order_regimes, save_model, select_k
 from .panel import (
     FF5_COLUMNS,
     MOMENTUM_COLUMNS,
+    TESTED_PAIR,
     parse_ff_daily_csv,
     merge_on_dates,
     read_labels_csv,
@@ -71,6 +72,23 @@ def _load_aligned(panel_path, labels_path):
     return panel, labels
 
 
+def _date_range(panel, args):
+    """The panel cut to --start/--end when either is given."""
+    if args.start or args.end:
+        panel = slice_dates(
+            panel,
+            args.start or panel.dates[0],
+            args.end or panel.dates[-1],
+        )
+    return panel
+
+
+def _event_windows(args):
+    """The windows of --events, or the built-in set without it."""
+    return read_event_windows(args.events) if args.events \
+        else DEFAULT_EVENT_WINDOWS
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -78,13 +96,7 @@ def _load_aligned(panel_path, labels_path):
 def cmd_ingest(args) -> int:
     ff5 = parse_ff_daily_csv(args.ff5, FF5_COLUMNS)
     mom = parse_ff_daily_csv(args.momentum, MOMENTUM_COLUMNS)
-    panel = merge_on_dates(ff5, mom)
-    if args.start or args.end:
-        panel = slice_dates(
-            panel,
-            args.start or panel.dates[0],
-            args.end or panel.dates[-1],
-        )
+    panel = _date_range(merge_on_dates(ff5, mom), args)
     write_panel_csv(panel, args.out)
     print(
         f"panel: T={panel.n_days} d={panel.n_factors} "
@@ -112,13 +124,7 @@ def _print_fit_summary(fit, panel):
 
 
 def cmd_fit(args) -> int:
-    panel = read_panel_csv(args.panel)
-    if args.start or args.end:
-        panel = slice_dates(
-            panel,
-            args.start or panel.dates[0],
-            args.end or panel.dates[-1],
-        )
+    panel = _date_range(read_panel_csv(args.panel), args)
     family = FAMILY_MAP[args.family]
     config = FitConfig(seed=args.seed, n_restarts=args.restarts)
     if args.k_range:
@@ -168,8 +174,7 @@ def cmd_granger(args) -> int:
 
 def cmd_validate(args) -> int:
     panel, labels = _load_aligned(args.panel, args.labels)
-    windows = read_event_windows(args.events) if args.events \
-        else DEFAULT_EVENT_WINDOWS
+    windows = _event_windows(args)
     crisis = int(labels.max())
     norm = volatility_norm(panel)
     print("event                 detection  first_detect  peak_date    lead")
@@ -222,8 +227,7 @@ def cmd_backtest(args) -> int:
 
 def cmd_plotdata(args) -> int:
     panel, labels = _load_aligned(args.panel, args.labels)
-    windows = read_event_windows(args.events) if args.events \
-        else DEFAULT_EVENT_WINDOWS
+    windows = _event_windows(args)
     norm = volatility_norm(panel)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("date,volatility_norm,regime,event\n")
@@ -247,13 +251,15 @@ def cmd_robustness(args) -> int:
     thr_labels = threshold_regimes(panel)
     thr_path = os.path.join(args.out, "threshold_regimes.csv")
     write_labels_csv(panel.dates, thr_labels, thr_path)
-    y = panel.column("SMB")
-    x = panel.column("HML")
+    source, target = TESTED_PAIR
+    y = panel.column(target)
+    x = panel.column(source)
     try:
         res = bic_granger_test(y, x, lambda L: regime_lag_mask(thr_labels, 1, L),
-                               args.lmax, source="HML", target="SMB",
+                               args.lmax, source=source, target=target,
                                regime="threshold")
-        print(f"threshold regimes: HML->SMB lag {res.lag} p={res.p_value:.5e}")
+        print(f"threshold regimes: {source}->{target} lag {res.lag} "
+              f"p={res.p_value:.5e}")
     except (SampleSizeError, DegenerateDesignError) as exc:
         print(f"threshold regimes: untestable ({exc})")
 

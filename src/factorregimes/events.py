@@ -3,21 +3,22 @@
 Given decoded regime labels and a set of named market-stress windows,
 this module measures crisis detection rates, early-warning lead times
 (first sustained detection to the subsequent volatility peak), and
-per-event directional Granger classifications with an exact binomial
-summary of how many events show the expected pattern.
+per-event directional HML -> SMB Granger classifications, each on every
+day of its window, with an exact binomial summary of how many events
+show the expected pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDesignError, PanelParseError, SampleSizeError
 from .granger import full_mask, granger_f_test
 from .numerics import binomial_tail
-from .panel import FactorPanel, as_date64, slice_dates
+from .panel import TESTED_PAIR, FactorPanel, _open_output, as_date64, slice_dates
 
 CHECK = "CHECK"
 DIR = "DIR"
@@ -27,12 +28,11 @@ UNTESTABLE = "UNTESTABLE"
 
 @dataclass(frozen=True)
 class EventWindow:
-    """A named calendar window expected (or not) to contain a crisis."""
+    """A named calendar window expected to contain a crisis."""
 
     name: str
     start: np.datetime64
     end: np.datetime64
-    expected_crisis: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "start", as_date64(self.start))
@@ -142,45 +142,27 @@ def _classify(p_fwd: float, p_rev: float, alpha: float) -> str:
 
 def event_granger_validation(panel: FactorPanel,
                              windows: Sequence[EventWindow] = DEFAULT_EVENT_WINDOWS,
-                             L: int = 9, *, source: str = "HML",
-                             target: str = "SMB", alpha: float = 0.10,
-                             labels=None, crisis_index: int | None = None,
-                             mode: str = "window") -> ValidationReport:
-    """Directional Granger classification for each event window.
+                             L: int = 9, *, alpha: float = 0.10) -> ValidationReport:
+    """Directional HML -> SMB Granger classification for each event window.
 
-    At fixed lag L, tests source -> target (forward) and the reverse on
-    the window's days. CHECK means the forward test is significant at
+    At fixed lag L, tests HML -> SMB (forward) and the reverse on every
+    day of the window. CHECK means the forward test is significant at
     `alpha` while the reverse is not; DIR means the forward p is smaller
     but misses significance; CROSS is anything else. Windows shorter
     than 2L+12 days (or whose design collapses) are UNTESTABLE. The
     summary attaches the exact binomial upper tail for the CHECK count
     among testable events at success probability `alpha`.
-
-    mode="window" uses every day in the window; mode="crisis_days"
-    restricts rows to days decoded as the crisis regime, which requires
-    `labels` and `crisis_index`.
     """
-    if mode not in ("window", "crisis_days"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "crisis_days" and (labels is None or crisis_index is None):
-        raise ValueError("crisis_days mode requires labels and crisis_index")
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape[0] != panel.n_days:
-            raise ValueError("labels must align with the panel rows")
+    source, target = TESTED_PAIR
     rows = []
     min_days = 2 * L + 12
     for w in windows:
-        idx = _window_indices(panel.dates, w)
         sub = slice_dates(panel, w.start, w.end)
-        if mode == "crisis_days":
-            mask = labels[idx] == crisis_index
-        else:
-            mask = full_mask(sub.n_days)
-        days = int(mask.sum())
+        days = sub.n_days
         if days < min_days:
             rows.append(EventResult(w.name, days, None, None, UNTESTABLE))
             continue
+        mask = full_mask(days)
         y_t = sub.column(target)
         y_s = sub.column(source)
         try:
@@ -202,9 +184,7 @@ def event_granger_validation(panel: FactorPanel,
 
 def write_validation_csv(report: ValidationReport, path_or_buf) -> None:
     """Canonical validation CSV plus a binomial footer row."""
-    own = not hasattr(path_or_buf, "write")
-    fh = open(path_or_buf, "w", encoding="utf-8") if own else path_or_buf
-    try:
+    with _open_output(path_or_buf) as fh:
         fh.write("event,days,p_fwd,p_rev,classification\n")
         for r in report.rows:
             p_f = "" if r.p_fwd is None else f"{r.p_fwd:.5e}"
@@ -216,9 +196,6 @@ def write_validation_csv(report: ValidationReport, path_or_buf) -> None:
             f"exact tail at p={p} = {report.binomial_p:.5e} "
             f"(exact sum, not an approximate method)\n"
         )
-    finally:
-        if own:
-            fh.close()
 
 
 def read_event_windows(path) -> tuple[EventWindow, ...]:
@@ -245,9 +222,3 @@ def read_event_windows(path) -> tuple[EventWindow, ...]:
         raise PanelParseError("no event windows found")
     return tuple(windows)
 
-
-def write_event_windows(windows: Iterable[EventWindow], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("name,start,end\n")
-        for w in windows:
-            fh.write(f"{w.name},{w.start},{w.end}\n")

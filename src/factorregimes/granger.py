@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateDesignError, SampleSizeError
 from .numerics import FTestDistribution, f_sf
-from .panel import FactorPanel
+from .panel import FactorPanel, _open_output
 
 DEFAULT_L_MAX = 15
 DEFAULT_ALPHA = 0.01
@@ -439,9 +439,7 @@ def pairwise_regime_matrix(panel: FactorPanel, labels, L_max: int = DEFAULT_L_MA
 def granger_results_to_csv(results: Iterable[GrangerResult], path_or_buf) -> None:
     """Write results in the canonical CSV layout; p-values in scientific
     notation with 6 significant digits."""
-    own = not hasattr(path_or_buf, "write")
-    fh = open(path_or_buf, "w", encoding="utf-8") if own else path_or_buf
-    try:
+    with _open_output(path_or_buf) as fh:
         fh.write("source,target,regime,lag,f_stat,p_value,n_obs,"
                  "r2_increment,significant\n")
         for r in results:
@@ -450,6 +448,3 @@ def granger_results_to_csv(results: Iterable[GrangerResult], path_or_buf) -> Non
                 f"{r.p_value:.5e},{r.n_obs},{r.r2_increment:.6f},"
                 f"{r.significant_bonferroni}\n"
             )
-    finally:
-        if own:
-            fh.close()

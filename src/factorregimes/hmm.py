@@ -150,23 +150,6 @@ def n_free_params(K: int, d: int, family: str) -> int:
 # emission densities
 
 
-def t_logpdf(x, mu, Sigma, nu: float) -> float:
-    """Log density of the multivariate Student-t at one point.
-
-    log Gamma((nu+d)/2) - log Gamma(nu/2) - (d/2) ln(nu*pi)
-      - 0.5 ln|Sigma| - ((nu+d)/2) ln(1 + delta/nu),
-    with delta the squared Mahalanobis distance; a one-row, one-regime
-    call of the EM emission densities.
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    logB, _ = _emission_terms(
-        x, np.asarray(mu, dtype=float).reshape(1, -1),
-        np.asarray(Sigma, dtype=float)[None], np.array([nu], dtype=float),
-        "student_t",
-    )
-    return float(logB[0, 0])
-
-
 def _emission_terms(X, mu, Sigma, nu, family):
     """Per-day log emission densities and Mahalanobis distances.
 

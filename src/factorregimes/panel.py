@@ -9,6 +9,7 @@ row is a complete observation vector.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as _date
 from typing import Sequence
@@ -20,6 +21,8 @@ from .errors import PanelParseError, SchemaError
 SENTINELS = (-99.99, -999.0)
 
 FF5_COLUMNS = ("MKT-RF", "SMB", "HML", "RMW", "CMA")
+# (source, target) of the hypothesis every single-pair test runs: HML -> SMB
+TESTED_PAIR = ("HML", "SMB")
 MOMENTUM_COLUMNS = ("MOM",)
 SIX_FACTOR_NAMES = FF5_COLUMNS + MOMENTUM_COLUMNS
 
@@ -122,6 +125,17 @@ def _read_lines(source) -> list[str]:
             f"expected a path or a text stream, got {type(source).__name__}")
     with open(source, "r", encoding="utf-8", errors="replace") as fh:
         return fh.read().splitlines()
+
+
+@contextmanager
+def _open_output(target):
+    """A text stream to write to: `target` itself when it has a write
+    method, else the file at that path, opened here and closed on exit."""
+    if hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def parse_ff_daily_csv(source, expected_columns: Sequence[str]) -> FactorPanel:
@@ -232,15 +246,10 @@ def volatility_norm(p: FactorPanel) -> np.ndarray:
 
 def write_panel_csv(p: FactorPanel, path_or_buf) -> None:
     """Write the canonical form: header `date,<names>`, ISO dates, 6 decimals."""
-    own = not hasattr(path_or_buf, "write")
-    fh = open(path_or_buf, "w", encoding="utf-8") if own else path_or_buf
-    try:
+    with _open_output(path_or_buf) as fh:
         fh.write("date," + ",".join(p.factor_names) + "\n")
         for d, row in zip(p.dates, p.returns):
             fh.write(str(d) + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_panel_csv(source) -> FactorPanel:
@@ -266,9 +275,10 @@ def write_labels_csv(dates: np.ndarray, labels: np.ndarray, path) -> None:
             fh.write(f"{d},{int(z)}\n")
 
 
-def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:
+    """Read a label series (the output format of write_labels_csv) from a
+    path (str or os.PathLike) or a text stream."""
+    lines = _read_lines(source)
     if not lines or lines[0].strip().lower() != "date,regime":
         raise PanelParseError("expected header 'date,regime'", 1)
     dates = []
@@ -276,7 +286,10 @@ def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        d, z = line.split(",")
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise PanelParseError(f"expected 'date,regime', got {line!r}", i)
+        d, z = fields
         dates.append(_parse_date_token(d, i))
         try:
             labels.append(int(z))

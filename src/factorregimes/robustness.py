@@ -2,9 +2,10 @@
 subsample splits, and transition-window analysis.
 
 These re-run the main causality test under weaker or alternative
-assumptions. The threshold detector is deliberately model-free (rolling
-realized volatility against a quantile cutoff) so agreement with the
-HMM-based result is informative.
+assumptions; the transition windows test the HML -> SMB pair. The
+threshold detector is deliberately model-free (rolling realized
+volatility against a quantile cutoff) so agreement with the HMM-based
+result is informative.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .granger import (
     _granger_result,
     pairwise_regime_matrix,
 )
-from .panel import FactorPanel, as_date64, volatility_norm
+from .panel import TESTED_PAIR, FactorPanel, as_date64, volatility_norm
 
 
 def threshold_regimes(panel: FactorPanel, window: int = 21,
@@ -141,53 +142,40 @@ def _pooled_f(y, x, segments, L: int) -> tuple[float | None, int]:
     return res.p_value, rows.size
 
 
-def _transition_starts(labels, crisis_index, m, entering: bool, entry_from):
-    """Indices t that begin >= m consecutive days in (entering: crisis,
-    else non-crisis), with the prior day on the other side."""
+def _transition_starts(labels, crisis_index, m, entering: bool) -> np.ndarray:
+    """Indices t that begin >= m consecutive days of the state (entering:
+    crisis, else non-crisis) and follow a day outside it."""
     crisis = labels == crisis_index
     state = crisis if entering else ~crisis
     T = labels.shape[0]
     if T < m + 1:
-        return []
+        return np.zeros(0, dtype=np.int64)
     runs = np.convolve(state.astype(int), np.ones(m, dtype=int), "valid") == m
-    starts = []
-    for t in range(1, T - m + 1):
-        if not runs[t]:
-            continue
-        if entering:
-            prev_ok = (labels[t - 1] == entry_from) if entry_from is not None \
-                else not crisis[t - 1]
-        else:
-            prev_ok = crisis[t - 1]
-        if prev_ok:
-            starts.append(t)
-    return starts
+    return np.flatnonzero(runs[1:] & ~state[:T - m]) + 1
 
 
 def transition_window_analysis(panel: FactorPanel, labels, crisis_index: int,
-                               m: int = 5, window: int = 60, L: int = 9, *,
-                               source: str = "HML", target: str = "SMB",
-                               entry_from: int | None = None
+                               m: int = 5, window: int = 60, L: int = 9
                                ) -> TransitionReport:
-    """Does the source->target relation switch on at crisis entry?
+    """Does the HML -> SMB relation switch on at crisis entry?
 
     Entries are first days of >= m consecutive crisis labels preceded by
-    a non-crisis day (or by `entry_from` when given); exits are the
-    mirror image. For each transition the `window` days before and the
-    `window` days starting at the transition form separate design
-    segments (lags never cross the boundary), pooled into one stacked
-    regression per side. Returns pooled p-values; a direction with no
-    transitions reports an empty pair.
+    a non-crisis day; exits are the mirror image. For each transition the
+    `window` days before and the `window` days starting at the transition
+    form separate design segments (lags never cross the boundary), pooled
+    into one stacked regression per side. Returns pooled p-values; a
+    direction with no transitions reports an empty pair.
     """
     labels = np.asarray(labels)
     if labels.shape[0] != panel.n_days:
         raise ValueError("labels must align with the panel rows")
+    source, target = TESTED_PAIR
     y = panel.column(target)
     x = panel.column(source)
     T = panel.n_days
     out = {}
     for name, entering in (("entry", True), ("exit", False)):
-        starts = _transition_starts(labels, crisis_index, m, entering, entry_from)
+        starts = _transition_starts(labels, crisis_index, m, entering)
         before = [(max(0, t - window), t - 1) for t in starts]
         after = [(t, min(T - 1, t + window - 1)) for t in starts]
         p_b, n_b = _pooled_f(y, x, before, L)

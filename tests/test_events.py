@@ -20,7 +20,6 @@ from factorregimes import (
     first_sustained_detection,
     lead_time,
     read_event_windows,
-    write_event_windows,
     write_validation_csv,
 )
 from factorregimes.events import _classify
@@ -190,29 +189,6 @@ class TestEventGrangerValidation:
         assert report.binomial_p == pytest.approx(
             binomial_tail(report.n_check, 6, 0.10), rel=1e-12)
 
-    def test_crisis_days_mode_masks_rows(self):
-        panel = build_event_panel(T=600, seed=35, coef=0.8, lag=2)
-        labels = np.zeros(600, dtype=int)
-        labels[100:400] = 1
-        w = (EventWindow("evt", panel.dates[0], panel.dates[-1]),)
-        report = event_granger_validation(panel, w, L=3, labels=labels,
-                                          crisis_index=1,
-                                          mode="crisis_days")
-        assert report.rows[0].days == 300
-
-    def test_crisis_days_mode_requires_labels(self):
-        panel = build_event_panel()
-        w = (EventWindow("evt", panel.dates[0], panel.dates[-1]),)
-        with pytest.raises(ValueError):
-            event_granger_validation(panel, w, mode="crisis_days")
-
-    def test_misaligned_labels_rejected(self):
-        panel = build_event_panel(T=300)
-        w = (EventWindow("evt", panel.dates[0], panel.dates[-1]),)
-        with pytest.raises(ValueError):
-            event_granger_validation(panel, w, labels=np.zeros(10, dtype=int),
-                                     crisis_index=1, mode="crisis_days")
-
 
 class TestValidationCsv:
     def test_layout_and_footer(self):
@@ -261,7 +237,15 @@ class TestValidationCsv:
 class TestWindowConfigIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "events.csv"
-        write_event_windows(DEFAULT_EVENT_WINDOWS, path)
+        path.write_text(
+            "name,start,end\n"
+            "2008 Financial,2008-07-01,2009-06-30\n"
+            "2011 EU Debt,2011-07-01,2011-10-31\n"
+            "2015 China,2015-08-01,2015-10-31\n"
+            "2018 Vol Shock,2018-01-22,2018-03-16\n"
+            "2020 COVID,2020-02-01,2020-06-30\n"
+            "2022 Rate Hikes,2022-01-03,2022-10-31\n"
+        )
         back = read_event_windows(path)
         assert back == DEFAULT_EVENT_WINDOWS
 

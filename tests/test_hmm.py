@@ -31,7 +31,6 @@ from factorregimes import (
     save_model,
     select_k,
     solve_nu,
-    t_logpdf,
 )
 import factorregimes
 from factorregimes.hmm import _emission_terms, _forward_backward_core
@@ -40,7 +39,7 @@ from conftest import table1_like_params
 
 # offline oracle: direct evaluation of the closed-form density,
 # cross-checked against an independent statistics library
-T_LOGPDF_D2_NU4 = -3.0542723907338386
+T_LOG_DENSITY_D2_NU4 = -3.0542723907338386
 
 
 def toy_panel(X, start="2015-01-05"):
@@ -122,15 +121,20 @@ class TestTLogpdf:
 
         expected = (log_gamma((nu + d) / 2) - log_gamma(nu / 2)
                     - d / 2 * math.log(nu * math.pi) - 0.5 * logdet)
-        assert t_logpdf(mu, mu, Sigma, nu) == pytest.approx(expected, abs=1e-12)
+        logB, _ = _emission_terms(mu[None], mu[None], Sigma[None],
+                                  np.array([nu]), "student_t")
+        assert logB[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_gaussian_limit(self):
-        v = t_logpdf([0.0], [0.0], [[1.0]], 1e6)
-        assert v == pytest.approx(-0.9189385332046727, abs=1e-4)
+        logB, _ = _emission_terms(np.zeros((1, 1)), np.zeros((1, 1)),
+                                  np.ones((1, 1, 1)), np.array([1e6]),
+                                  "student_t")
+        assert logB[0, 0] == pytest.approx(-0.9189385332046727, abs=1e-4)
 
     def test_frozen_point(self):
-        v = t_logpdf([1.0, 1.0], [0.0, 0.0], np.eye(2), 4.0)
-        assert v == pytest.approx(T_LOGPDF_D2_NU4, abs=1e-12)
+        logB, _ = _emission_terms(np.ones((1, 2)), np.zeros((1, 2)),
+                                  np.eye(2)[None], np.array([4.0]), "student_t")
+        assert logB[0, 0] == pytest.approx(T_LOG_DENSITY_D2_NU4, abs=1e-12)
 
     def test_density_integrates_to_one(self):
         """Quadrature normalization over a fine 2-d grid."""
@@ -146,8 +150,9 @@ class TestTLogpdf:
 
     def test_non_spd_scale_rejected(self):
         with pytest.raises(EstimationError):
-            t_logpdf([0.0, 0.0], [0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]),
-                     5.0)
+            _emission_terms(np.zeros((1, 2)), np.zeros((1, 2)),
+                            np.array([[[1.0, 2.0], [2.0, 1.0]]]),
+                            np.array([5.0]), "student_t")
 
 
 class TestForwardBackward:
@@ -157,8 +162,10 @@ class TestForwardBackward:
         panel = toy_panel([[0.3], [-0.1], [0.8]])
         ll, gamma, xi = forward_backward(p, panel)
         np.testing.assert_allclose(gamma, 1.0)
-        direct = sum(t_logpdf(x, [0.0], [[1.0]], 5.0) for x in panel.returns)
-        assert ll == pytest.approx(direct, abs=1e-10)
+        logB, _ = _emission_terms(panel.returns, np.zeros((1, 1)),
+                                  np.ones((1, 1, 1)), np.array([5.0]),
+                                  "student_t")
+        assert ll == pytest.approx(logB.sum(), abs=1e-10)
 
     def test_absorbing_start(self):
         p = HmmParams(pi=[1.0, 0.0], A=np.eye(2),

@@ -240,3 +240,16 @@ class TestSerialization:
         d2, l2 = read_labels_csv(path)
         np.testing.assert_array_equal(dates, d2)
         np.testing.assert_array_equal(labels, l2)
+
+    @pytest.mark.parametrize("row", ["2020-01-07,0,1", "2020-01-07"])
+    def test_labels_wrong_field_count_reports_line(self, row):
+        text = f"date,regime\n2020-01-06,0\n{row}\n"
+        with pytest.raises(PanelParseError,
+                           match="line 3: expected 'date,regime'"):
+            read_labels_csv(io.StringIO(text))
+
+    def test_labels_non_utf8_byte_reports_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"date,regime\n2020-01-06,0\n2020-01-07,\xff\n")
+        with pytest.raises(PanelParseError, match="line 3"):
+            read_labels_csv(path)

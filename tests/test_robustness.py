@@ -231,27 +231,32 @@ class TestSubsampleSplit:
 class TestTransitionStarts:
     def test_one_clean_entry_and_exit(self):
         labels = np.array([0] * 10 + [1] * 10 + [0] * 10)
-        entries = _transition_starts(labels, 1, 5, True, None)
-        exits = _transition_starts(labels, 1, 5, False, None)
-        assert entries == [10]
-        assert exits == [20]
+        entries = _transition_starts(labels, 1, 5, True)
+        exits = _transition_starts(labels, 1, 5, False)
+        assert entries.tolist() == [10]
+        assert exits.tolist() == [20]
 
     def test_short_burst_ignored(self):
         labels = np.array([0] * 10 + [1] * 3 + [0] * 10)
-        assert _transition_starts(labels, 1, 5, True, None) == []
-
-    def test_entry_from_filters_origin(self):
-        labels = np.array([0] * 5 + [2] * 5 + [1] * 8 + [0] * 5)
-        anywhere = _transition_starts(labels, 1, 5, True, None)
-        from_zero = _transition_starts(labels, 1, 5, True, 0)
-        from_two = _transition_starts(labels, 1, 5, True, 2)
-        assert anywhere == [10]
-        assert from_zero == []
-        assert from_two == [10]
+        assert _transition_starts(labels, 1, 5, True).tolist() == []
 
     def test_series_opening_in_crisis_not_an_entry(self):
         labels = np.array([1] * 10 + [0] * 10)
-        assert _transition_starts(labels, 1, 5, True, None) == []
+        assert _transition_starts(labels, 1, 5, True).tolist() == []
+
+    def test_matches_day_by_day_definition(self):
+        """A start opens m days in the state and follows a day outside it."""
+        rng = np.random.default_rng(67)
+        for _ in range(300):
+            T, K = int(rng.integers(1, 120)), int(rng.integers(2, 4))
+            m = int(rng.choice([1, 3, 5, 8]))
+            labels = np.repeat(rng.integers(0, K, T), rng.integers(1, 9, T))[:T]
+            for entering in (True, False):
+                state = (labels == 1) == entering
+                ref = [t for t in range(1, T - m + 1)
+                       if state[t:t + m].all() and not state[t - 1]]
+                got = _transition_starts(labels, 1, m, entering)
+                assert got.tolist() == ref
 
 
 class TestTransitionWindows:
