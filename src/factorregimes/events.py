@@ -18,7 +18,14 @@ import numpy as np
 from .errors import DegenerateDesignError, PanelParseError, SampleSizeError
 from .granger import full_mask, granger_f_test
 from .numerics import binomial_tail
-from .panel import TESTED_PAIR, FactorPanel, _open_output, as_date64, slice_dates
+from .panel import (
+    TESTED_PAIR,
+    FactorPanel,
+    _open_output,
+    _read_lines,
+    as_date64,
+    slice_dates,
+)
 
 CHECK = "CHECK"
 DIR = "DIR"
@@ -198,15 +205,16 @@ def write_validation_csv(report: ValidationReport, path_or_buf) -> None:
         )
 
 
-def read_event_windows(path) -> tuple[EventWindow, ...]:
-    """Parse an event configuration file: lines of name,start,end (ISO)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def read_event_windows(source) -> tuple[EventWindow, ...]:
+    """Parse an event configuration, lines of name,start,end (ISO), from a
+    path (str or os.PathLike) or a text stream."""
     windows = []
-    for i, line in enumerate(lines, start=1):
+    for i, line in enumerate(_read_lines(source), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if "\ufffd" in line:
+            raise PanelParseError("text is not valid UTF-8", i)
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise PanelParseError(

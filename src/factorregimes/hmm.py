@@ -3,10 +3,10 @@ emissions, fitted by EM with deterministic multi-restart, BIC model
 selection over K, and severity ordering of the recovered regimes.
 
 The forward-backward pass shifts the emission log-densities by their
-per-day max and computes the filter and the smoother as prefix and suffix
-products of the per-day transition matrices, in O(log T) batched numpy
-matmuls with no per-day Python loop. The scaled products keep it free of
-underflow, and it needs nothing beyond numpy and scipy.
+per-day max and runs two prefix-product scans, each O(log T) batched
+numpy matmuls with no per-day Python loop: a row-scaled scan of the
+per-day transition matrices gives the filter, and a plain scan of the
+row-stochastic backward kernels gives the smoother. Neither underflows.
 """
 
 from __future__ import annotations
@@ -185,20 +185,26 @@ def _emission_terms(X, mu, Sigma, nu, family):
 
 
 # ---------------------------------------------------------------------------
-# forward-backward as a prefix/suffix product scan
+# forward-backward as two prefix-product scans
 #
 # With b~_t the emission densities scaled by their row max and
-# M_t = A diag(b~_t), the unnormalized filter is alpha_t = (pi o b~_0) M_1..M_t
-# and the backward variable is beta_t = M_{t+1}..M_{T-1} 1. Both come from
-# inclusive scans of the stack M_1..M_{T-1} (Sarkka & Garcia-Fernandez,
-# "Temporal Parallelization of Bayesian Smoothers", IEEE TAC 2021), each a
+# M_t = A diag(b~_t), the unnormalized filter is alpha_t = (pi o b~_0) M_1..M_t,
+# an inclusive scan of the stack M_1..M_{T-1} (Sarkka & Garcia-Fernandez,
+# "Temporal Parallelization of Bayesian Smoothers", IEEE TAC 2021): a
 # batched matmul per step in O(log T) steps.
 #
-# A product is held row-scaled, as diag(exp(h)) S with every nonzero row of
-# S at max entry 1 and max(h) = 0. A row that the rest of the product
+# A filter product is held row-scaled, as diag(exp(h)) S with every nonzero
+# row of S at max entry 1 and max(h) = 0. A row that the rest of the product
 # outweighs by more than the double range keeps its scale in h instead of
 # underflowing, so a filter that sits on that row (an absorbing start, say)
 # stays exact. Zero rows carry h = -inf.
+#
+# The smoother needs no scaling: gamma_t = gamma_{t+1} K_t with the
+# backward kernel K_t[j, i] = alpha_t[i] A[i, j] / (alpha_t A)[j], which is
+# row-stochastic (Cappe, Moulines & Ryden, "Inference in Hidden Markov
+# Models", 2005, ch. 3). Products of stochastic matrices stay stochastic,
+# so the plain-matmul scan of [gamma_{T-1}, K_{T-2}, ..., K_0] can neither
+# underflow nor overflow.
 
 # a fast-path row below this max may have lost terms to underflow
 _ROW_UNDERFLOW = 2.0 ** -800
@@ -251,11 +257,13 @@ def _combine(P, hp, Q, hq):
 
 
 def _scan(S, h, mul=_combine):
-    """Inclusive prefix products of a row-scaled stack, in place.
+    """Inclusive prefix products of a stack, in place.
 
-    Work-efficient odd-even recursion: multiply neighbours in pairs, scan
-    the pairs, then fill in the even positions. That is about 2n products
-    in 2 log2(n) batched steps, where Hillis-Steele doubling needs n log2(n).
+    mul(P, hp, Q, hq) returns the products of two stacks with their row
+    scales; the default keeps them row-scaled. Work-efficient odd-even
+    recursion: multiply neighbours in pairs, scan the pairs, then fill in
+    the even positions. That is about 2n products in 2 log2(n) batched
+    steps, where Hillis-Steele doubling needs n log2(n).
     """
     n = S.shape[0]
     if n < 2:
@@ -269,20 +277,14 @@ def _scan(S, h, mul=_combine):
         S[2::2], h[2::2] = mul(PS[:rest], Ph[:rest], S[2::2], h[2::2])
 
 
-def _suffix_scan(S, h):
-    """Inclusive suffix products, in place: the prefix scan of the
-    reversed stack with the factors swapped."""
-    _scan(S[::-1], h[::-1], lambda a, ha, b, hb: _combine(b, hb, a, ha))
-
-
 def _forward_backward_core(pi, A, logB):
     """Smoothed posteriors on precomputed log emission densities.
 
-    Returns (loglik, gamma, xi_sum). gamma rows are renormalized to sum
-    exactly to 1; xi_sum is the posterior expectation of transition
-    counts summed over t = 0..T-2. alpha is the normalized filter and
-    beta is scaled so that sum_k alpha_tk beta_tk = 1, as in the scaled
-    recursions.
+    Returns (loglik, gamma, xi_sum). alpha is the normalized filter from
+    the row-scaled scan and gamma the smoother from the scan of backward
+    kernels; gamma rows are renormalized to sum exactly to 1. xi_sum is
+    the posterior expectation of transition counts summed over
+    t = 0..T-2.
     """
     T, K = logB.shape
     m = _max_last(logB)
@@ -294,39 +296,33 @@ def _forward_backward_core(pi, A, logB):
     c[0] = a0.sum()
     if not (c[0] > 0.0 and math.isfinite(c[0])):
         raise EstimationError("forward recursion produced a zero or non-finite scale")
-    S, h = _row_scaled(A * btil[1:, None, :])
     # forward: a first element whose rows all equal a0 makes the rows of
     # every prefix product equal the unnormalized filter
-    first = np.broadcast_to(a0 / a0.max(), (1, K, K))
-    Sf = np.concatenate([first, S])
-    _scan(Sf, np.concatenate([np.zeros((1, K)), h]))
-    alpha = Sf[:, 0, :]
+    S, h = _row_scaled(np.concatenate(
+        [np.broadcast_to(a0, (1, K, K)), A * btil[1:, None, :]]))
+    _scan(S, h)
+    alpha = S[:, 0, :]
     alpha = alpha / alpha.sum(axis=1, keepdims=True)
-    del Sf
-    c[1:] = ((alpha[:-1] @ A) * btil[1:]).sum(axis=1)
+    del S
+    pred = alpha[:-1] @ A
+    c[1:] = (pred * btil[1:]).sum(axis=1)
     if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
         raise EstimationError("forward recursion produced a zero or non-finite scale")
     loglik = float(np.sum(np.log(c)) + np.sum(m))
     if not math.isfinite(loglik):
         raise EstimationError("log-likelihood is not finite")
-    # backward: beta_t is the row sums of the suffix product from t+1
-    _suffix_scan(S, h)
-    logbeta = np.zeros((T, K))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logbeta[:-1] = h + np.log(S.sum(axis=2))
-        shift = _max_last(np.log(alpha) + logbeta)[:, None]
-        beta = np.where(alpha > 0.0, np.exp(logbeta - shift), 0.0)
-        beta /= (alpha * beta).sum(axis=1, keepdims=True)
-        gamma = alpha * beta
-        gamma /= gamma.sum(axis=1, keepdims=True)
-    del S
-    if not np.all(np.isfinite(gamma)):
-        raise EstimationError("backward recursion produced a zero or non-finite scale")
-    if T > 1:
-        w = btil[1:] * beta[1:] / c[1:, None]
-        xi_sum = A * (alpha[:-1].T @ w)
-    else:
-        xi_sum = np.zeros((K, K))
+    # backward: the rows of every prefix product of [gamma_{T-1}, K_{T-2},
+    # ..., K_0] equal gamma; where pred is 0, K's row and gamma are 0 too
+    pred = np.where(pred > 0.0, pred, 1.0)
+    G = np.concatenate([np.broadcast_to(alpha[-1], (1, K, K)),
+                        (alpha[:-1, None, :] * A.T / pred[:, :, None])[::-1]])
+    _scan(G, np.zeros(T), lambda P, hp, Q, hq: (P @ Q, hp))
+    gamma = G[::-1, 0, :]
+    total = gamma.sum(axis=1, keepdims=True)
+    if not np.all(total > 0.0):
+        raise EstimationError("backward recursion lost all posterior mass")
+    gamma = gamma / total
+    xi_sum = A * (alpha[:-1].T @ (gamma[1:] / pred))
     return loglik, gamma, xi_sum
 
 

@@ -50,27 +50,22 @@ def threshold_regimes(panel: FactorPanel, window: int = 21,
     return labels
 
 
-def lag_sweep(y, x, mask, L_max_values: Sequence[int]) -> list[dict]:
+def lag_sweep(y, x, mask_builder: Callable[[int], np.ndarray],
+              L_max_values: Sequence[int]) -> list[dict]:
     """BIC lag choice and test p-value as the search bound varies.
 
-    `mask` may be a fixed boolean mask or a callable L -> mask for
-    lag-complete regime conditioning. Rows keep input order; infeasible
-    bounds record the error instead of aborting the sweep. One chain up
-    to the largest bound serves every bound: its BIC table's prefix
-    picks the lag, and its fit at that lag gives the test.
+    mask_builder(L) gives the lag-complete mask at lag L, as for
+    select_lag_bic. Rows keep input order; infeasible bounds record the
+    error instead of aborting the sweep. One chain up to the largest
+    bound serves every bound: its BIC table's prefix picks the lag, and
+    its fit at that lag gives the test.
     """
     if any(v < 1 for v in L_max_values):
         raise ValueError("every L_max must be >= 1")
-    builder: Callable[[int], np.ndarray]
-    if callable(mask):
-        builder = mask
-    else:
-        fixed = np.asarray(mask, dtype=bool)
-        builder = lambda L: fixed
     if not L_max_values:
         return []
     rows = []
-    results = _bic_granger_tests(y, x, builder, L_max_values)
+    results = _bic_granger_tests(y, x, mask_builder, L_max_values)
     for L_max, res in zip(L_max_values, results):
         row = {"L_max": L_max, "L_star": None, "f_stat": None,
                "p_value": None, "n_obs": None, "error": None}

@@ -254,3 +254,15 @@ class TestWindowConfigIO:
         path.write_text("name,start,end\nevt,2020-01-01\n")
         with pytest.raises(PanelParseError, match="line 2"):
             read_event_windows(path)
+
+    def test_text_stream_source(self):
+        back = read_event_windows(io.StringIO(
+            "name,start,end\n2020 COVID,2020-02-01,2020-06-30\n"))
+        assert back == (EventWindow("2020 COVID", "2020-02-01", "2020-06-30"),)
+
+    def test_non_utf8_byte_reports_line(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"name,start,end\n2008 Financial,2008-07-01,2009-06-30\n"
+                         b"2020 COV\xffID,2020-02-01,2020-06-30\n")
+        with pytest.raises(PanelParseError, match="line 3"):
+            read_event_windows(path)

@@ -315,6 +315,38 @@ def test_posterior_marginals_are_consistent(inputs):
                                rtol=0, atol=1e-10 * T)
 
 
+@st.composite
+def sparse_hmm_inputs(draw):
+    """(pi, A, logB) where pi and the rows of A may hold zeros, each with
+    at least one positive entry, so some states are unreachable or some
+    paths impossible."""
+    K = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 80))
+    weights = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    pi = draw(hnp.arrays(float, K, elements=weights))
+    A = draw(hnp.arrays(float, (K, K), elements=weights))
+    pi[draw(st.integers(0, K - 1))] = draw(st.floats(0.01, 1.0))
+    for i in range(K):
+        A[i, draw(st.integers(0, K - 1))] = draw(st.floats(0.01, 1.0))
+    logB = draw(hnp.arrays(float, (T, K), elements=st.floats(-60.0, 20.0)))
+    return pi / pi.sum(), A / A.sum(axis=1, keepdims=True), logB
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_hmm_inputs())
+def test_sparse_chains_match_loop(inputs):
+    """With zeros in pi and A the scan and the day-by-day recursions
+    either both find no path of positive density or agree."""
+    pi, A, logB = inputs
+    try:
+        loop_forward_backward(pi, A, logB)
+    except EstimationError:
+        with pytest.raises(EstimationError):
+            _forward_backward_core(pi, A, logB)
+        return
+    assert_matches_loop(pi, A, logB)
+
+
 DETERMINISM_SCRIPT = """
 import hashlib, json, sys
 import numpy as np

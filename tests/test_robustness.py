@@ -89,7 +89,7 @@ class TestLagSweep:
 
     def test_stable_choice_across_bounds(self):
         y, x = self.lagged(3000, 53)
-        rows = lag_sweep(y, x, full_mask(3000), [5, 10, 15, 20])
+        rows = lag_sweep(y, x, lambda L: full_mask(3000), [5, 10, 15, 20])
         assert [r["L_max"] for r in rows] == [5, 10, 15, 20]
         assert all(r["error"] is None for r in rows)
         assert len({r["L_star"] for r in rows}) == 1
@@ -97,13 +97,13 @@ class TestLagSweep:
 
     def test_bound_caps_selection(self):
         y, x = self.lagged(2000, 54, lag=4)
-        rows = lag_sweep(y, x, full_mask(2000), [2, 8])
+        rows = lag_sweep(y, x, lambda L: full_mask(2000), [2, 8])
         assert rows[0]["L_star"] <= 2
         assert rows[1]["L_star"] == 4
 
     def test_rows_identical_once_bound_exceeds_choice(self):
         y, x = self.lagged(2500, 55, lag=2)
-        rows = lag_sweep(y, x, full_mask(2500), [10, 15, 20])
+        rows = lag_sweep(y, x, lambda L: full_mask(2500), [10, 15, 20])
         first = rows[0]
         for row in rows[1:]:
             assert row["L_star"] == first["L_star"]
@@ -112,11 +112,11 @@ class TestLagSweep:
 
     def test_infeasible_bound_recorded(self):
         y, x = self.lagged(30, 56)
-        rows = lag_sweep(y, x, full_mask(30), [3, 50])
+        rows = lag_sweep(y, x, lambda L: full_mask(30), [3, 50])
         assert rows[0]["error"] is None
         assert rows[1]["error"] is None or rows[1]["L_star"] is not None
         # a bound with no feasible lag at all
-        rows2 = lag_sweep(y[:12], x[:12], full_mask(12), [5])
+        rows2 = lag_sweep(y[:12], x[:12], lambda L: full_mask(12), [5])
         assert rows2[0]["error"] is not None
 
     def test_callable_mask(self):
@@ -134,14 +134,13 @@ class TestLagSweep:
         y, x = self.lagged(T, 66, lag=3)
         labels = (rng.random(T) < 0.9).astype(int)
         cases = [
-            (y, x, full_mask(T), [7, 1, 4, 12]),
+            (y, x, lambda L: full_mask(T), [7, 1, 4, 12]),
             (y, x, lambda L: regime_lag_mask(labels, 1, L), [2, 9, 5, 15]),
-            (y[:25], x[:25], full_mask(25), [1, 3, 8]),  # lags 5..8 too long
-            (y[:12], x[:12], full_mask(12), [2, 5]),  # no feasible lag
+            (y[:25], x[:25], lambda L: full_mask(25), [1, 3, 8]),  # lags 5..8 too long
+            (y[:12], x[:12], lambda L: full_mask(12), [2, 5]),  # no feasible lag
         ]
-        for yy, xx, mask, bounds in cases:
-            builder = mask if callable(mask) else (lambda L, m=mask: m)
-            for row, bound in zip(lag_sweep(yy, xx, mask, bounds), bounds):
+        for yy, xx, builder, bounds in cases:
+            for row, bound in zip(lag_sweep(yy, xx, builder, bounds), bounds):
                 want = {"L_max": bound, "L_star": None, "f_stat": None,
                         "p_value": None, "n_obs": None, "error": None}
                 try:
@@ -180,14 +179,14 @@ class TestLagSweep:
 
         monkeypatch.setattr(granger, "_lag_fits", counted)
         y, x = self.lagged(1000, 67)
-        lag_sweep(y, x, full_mask(1000), [5, 10, 15, 20])
+        lag_sweep(y, x, lambda L: full_mask(1000), [5, 10, 15, 20])
         # one chain over lags 1..20 gives every bound's table and F test
         assert chains == [list(range(1, 21))]
 
     def test_rejects_bad_bound(self):
         y, x = self.lagged(100, 58)
         with pytest.raises(ValueError):
-            lag_sweep(y, x, full_mask(100), [0, 5])
+            lag_sweep(y, x, lambda L: full_mask(100), [0, 5])
 
 
 class TestSubsampleSplit:
