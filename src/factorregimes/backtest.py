@@ -53,15 +53,11 @@ def strategy_signal(hml, labels, crisis_index: int, window: int = 9) -> np.ndarr
     labels = np.asarray(labels).reshape(-1)
     if hml.shape != labels.shape:
         raise ValueError("hml and labels must have equal length")
-    T = hml.shape[0]
-    signal = np.zeros(T)
-    growth = np.cumprod(1.0 + hml / 100.0)
-    for t in range(window, T):
-        if labels[t] != crisis_index:
-            continue
-        prev = growth[t - window - 1] if t - window - 1 >= 0 else 1.0
-        trailing = growth[t - 1] / prev - 1.0
-        signal[t] = np.sign(trailing)
+    signal = np.zeros(hml.shape[0])
+    # growth[t] is the compounded HML growth over days 0..t-1
+    growth = np.concatenate([[1.0], np.cumprod(1.0 + hml / 100.0)])
+    on = np.flatnonzero(labels[window:] == crisis_index) + window
+    signal[on] = np.sign(growth[on] / growth[on - window] - 1.0)
     return signal
 
 

@@ -19,7 +19,6 @@ from .errors import (
     DegenerateDesignError,
     EstimationError,
     FactorRegimesError,
-    PanelParseError,
     SampleSizeError,
     SchemaError,
 )
@@ -395,15 +394,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PanelParseError, SchemaError, SampleSizeError) as exc:
-        return _die(2, str(exc))
     except (EstimationError, DegenerateDesignError) as exc:
+        # first: DegenerateDesignError is a ValueError too
         return _die(3, str(exc))
-    except FactorRegimesError as exc:
-        return _die(2, str(exc))
-    except ValueError as exc:
-        return _die(2, str(exc))
-    except OSError as exc:
+    except (FactorRegimesError, ValueError, OSError) as exc:
         return _die(2, str(exc))
 
 

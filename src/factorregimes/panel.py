@@ -1,14 +1,20 @@
-"""Daily factor-return panels: loading, merging, slicing, aggregation.
+"""Daily factor-return panels: reading, merging, slicing, writing.
 
 A panel is a dated T x d matrix of daily returns in percent units, exactly
 as published by the data provider. Cleaning drops whole rows containing
 the provider's missing-data sentinels (-99.99 / -999) so every surviving
 row is a complete observation vector.
+
+The panel readers share one rule for the daily rows: after the header, a
+line whose first field starts with a digit is a data row, and the first
+other line after one ends them. A data row's date is YYYYMMDD or
+YYYY-MM-DD; a malformed date or value raises PanelParseError with its line.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as _date
@@ -96,23 +102,28 @@ class FactorPanel:
         return self.returns[:, j]
 
 
-def _parse_date_token(token: str, line_number: int) -> np.datetime64:
-    token = token.strip()
-    try:
-        if len(token) == 8 and token.isdigit():
-            iso = f"{token[:4]}-{token[4:6]}-{token[6:8]}"
-        else:
-            iso = token
-        return np.datetime64(iso, "D")
-    except ValueError:
-        raise PanelParseError(f"malformed date token {token!r}", line_number) from None
+# A date token is exactly YYYYMMDD or YYYY-MM-DD.
+_DATE_TOKEN = re.compile(r"[0-9]{8}|[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def _looks_like_date(token: str) -> bool:
-    token = token.strip()
-    if len(token) == 8 and token.isdigit():
-        return True
-    return len(token) == 10 and token[4] == "-" and token[7] == "-"
+def _to_dates(tokens: list[str], line_numbers: list[int]) -> np.ndarray:
+    """datetime64[D] of stripped date tokens in one conversion. A token of
+    another shape, or a month or day out of range, raises PanelParseError
+    with the line number of the first such token."""
+    iso = [f"{t[:4]}-{t[4:6]}-{t[6:]}" if len(t) == 8 else t for t in tokens]
+    if all(map(_DATE_TOKEN.fullmatch, tokens)):
+        try:
+            return np.array(iso, dtype="datetime64[D]")
+        except ValueError:  # a month or day out of range
+            pass
+    for token, date, line_number in zip(tokens, iso, line_numbers):
+        try:
+            if not _DATE_TOKEN.fullmatch(token):
+                raise ValueError
+            np.datetime64(date, "D")
+        except ValueError:
+            raise PanelParseError(
+                f"malformed date token {token!r}", line_number) from None
 
 
 def _read_lines(source) -> list[str]:
@@ -141,11 +152,11 @@ def _open_output(target):
 def parse_ff_daily_csv(source, expected_columns: Sequence[str]) -> FactorPanel:
     """Parse a daily factor CSV in the data library's distribution format.
 
-    The file may carry preamble lines before the header and footer blocks
-    (e.g. annual tables) after the last daily row. The header row is the
-    first line naming every requested column (matched case-insensitively);
-    the first field of each data row is the date, YYYYMMDD or ISO. Rows
-    where any requested column is missing, non-finite, or equal to a
+    The header row is the first line naming every requested column
+    (matched case-insensitively). Other lines before the first data row are
+    preamble; the first other line after it (blank, an annual table's title,
+    a copyright line) ends the daily rows, each dated YYYYMMDD or YYYY-MM-DD.
+    Rows where any requested column is missing, non-finite, or equal to a
     missing-data sentinel are dropped.
 
     `source` is a path (str or os.PathLike) or a text stream.
@@ -160,59 +171,44 @@ def _parse_lines(lines: list[str], expected_columns: Sequence[str]) -> FactorPan
     if len(set(wanted_keys)) != len(wanted_keys):
         raise SchemaError(f"requested columns not distinct: {wanted}")
 
-    col_index: dict[str, int] | None = None
-    header_line = 0
-    for i, line in enumerate(lines):
-        fields = [f.strip().upper() for f in line.split(",")]
-        if all(key in fields for key in wanted_keys):
-            col_index = {key: fields.index(key) for key in wanted_keys}
-            header_line = i
+    for header_line, line in enumerate(lines):
+        header = [f.strip().upper() for f in line.split(",")]
+        if all(key in header for key in wanted_keys):
             break
-    if col_index is None:
+    else:
         present = set()
         for line in lines:
             present.update(f.strip().upper() for f in line.split(","))
         missing = [w for w, k in zip(wanted, wanted_keys) if k not in present]
         raise SchemaError(f"columns not found in any header row: {missing}")
 
-    dates: list[np.datetime64] = []
-    rows: list[list[float]] = []
+    block: list[int] = []  # indices of the daily rows
     for i in range(header_line + 1, len(lines)):
-        line = lines[i].strip()
-        if not line:
-            if dates:
-                break  # footer reached
-            continue
-        first = line.split(",", 1)[0]
-        if not _looks_like_date(first):
-            if dates:
-                break  # footer block (e.g. annual table header)
-            continue  # still in preamble
-        fields = line.split(",")
-        d = _parse_date_token(first, i + 1)
-        row = []
-        ok = True
-        for key in wanted_keys:
-            j = col_index[key]
-            if j >= len(fields):
-                ok = False
-                break
-            try:
-                v = float(fields[j])
-            except ValueError:
-                raise PanelParseError(
-                    f"malformed value {fields[j]!r} in column {key}", i + 1
-                ) from None
-            if not np.isfinite(v) or any(v == s for s in SENTINELS):
-                ok = False
-                break
-            row.append(v)
-        if ok:
-            dates.append(d)
-            rows.append(row)
+        if lines[i].lstrip()[:1].isdigit():
+            block.append(i)
+        elif block:
+            break  # the first other line after the daily rows ends them
+    fields = [lines[i].strip().split(",") for i in block]
+    line_numbers = [i + 1 for i in block]
+    dates = _to_dates([f[0].strip() for f in fields], line_numbers)
 
-    returns = np.array(rows, dtype=float).reshape(len(dates), len(wanted))
-    return FactorPanel(np.array(dates, dtype="datetime64[D]"), returns, tuple(wanted))
+    # a missing field reads as NaN, so its row is dropped with the others
+    idx = [header.index(key) for key in wanted_keys]
+    cells = [f[j] if j < len(f) else "nan" for f in fields for j in idx]
+    try:
+        values = np.array(cells, dtype=float).reshape(len(block), len(idx))
+    except ValueError:
+        for k, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                row, col = divmod(k, len(idx))
+                raise PanelParseError(
+                    f"malformed value {cell!r} in column {wanted_keys[col]}",
+                    line_numbers[row]) from None
+        raise
+    keep = np.isfinite(values).all(axis=1) & ~np.isin(values, SENTINELS).any(axis=1)
+    return FactorPanel(dates[keep], values[keep], tuple(wanted))
 
 
 def merge_on_dates(a: FactorPanel, b: FactorPanel) -> FactorPanel:
@@ -258,6 +254,8 @@ def read_panel_csv(source) -> FactorPanel:
     lines = _read_lines(source)
     if not lines:
         raise PanelParseError("empty input")
+    if "\ufffd" in lines[0]:
+        raise PanelParseError("text is not valid UTF-8", 1)
     header = [f.strip() for f in lines[0].split(",")]
     if not header or header[0].lower() != "date":
         raise PanelParseError("expected header starting with 'date'", 1)
@@ -281,8 +279,7 @@ def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:
     lines = _read_lines(source)
     if not lines or lines[0].strip().lower() != "date,regime":
         raise PanelParseError("expected header 'date,regime'", 1)
-    dates = []
-    labels = []
+    tokens, labels, line_numbers = [], [], []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -290,9 +287,10 @@ def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:
         if len(fields) != 2:
             raise PanelParseError(f"expected 'date,regime', got {line!r}", i)
         d, z = fields
-        dates.append(_parse_date_token(d, i))
         try:
             labels.append(int(z))
         except ValueError:
             raise PanelParseError(f"malformed regime label {z!r}", i) from None
-    return np.array(dates, dtype="datetime64[D]"), np.array(labels, dtype=int)
+        tokens.append(d.strip())
+        line_numbers.append(i)
+    return _to_dates(tokens, line_numbers), np.array(labels, dtype=int)

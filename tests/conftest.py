@@ -8,13 +8,17 @@ import pytest
 
 from factorregimes import (
     DegenerateDesignError,
+    FactorPanel,
     FTestDistribution,
     HmmParams,
+    PanelParseError,
     SampleSizeError,
+    SchemaError,
     SyntheticSpec,
     f_sf,
     generate,
 )
+from factorregimes.panel import SENTINELS
 
 
 def locate_factor_data():
@@ -174,6 +178,91 @@ def lstsq_bic_table(y, x, mask_builder, L_max):
             row["bic"] = n * np.log(rss_u / n) + (2 * L + 1) * np.log(n)
         table.append(row)
     return table
+
+
+# ---------------------------------------------------------------------------
+# panel reader reference: the line-by-line parser the column-wise one replaced
+
+
+def _reference_parse_date_token(token, line_number):
+    token = token.strip()
+    try:
+        if len(token) == 8 and token.isdigit():
+            iso = f"{token[:4]}-{token[4:6]}-{token[6:8]}"
+        else:
+            iso = token
+        return np.datetime64(iso, "D")
+    except ValueError:
+        raise PanelParseError(f"malformed date token {token!r}", line_number) from None
+
+
+def _reference_looks_like_date(token):
+    token = token.strip()
+    if len(token) == 8 and token.isdigit():
+        return True
+    return len(token) == 10 and token[4] == "-" and token[7] == "-"
+
+
+def reference_parse_lines(lines, expected_columns):
+    """The panel from a daily factor file's lines, one line and one cell at
+    a time: the first row whose first field is not a date ends the daily
+    rows, and a row's cells are read until the first missing, non-finite
+    or sentinel one."""
+    wanted = [str(c) for c in expected_columns]
+    wanted_keys = [c.strip().upper() for c in wanted]
+    if len(set(wanted_keys)) != len(wanted_keys):
+        raise SchemaError(f"requested columns not distinct: {wanted}")
+
+    col_index = None
+    header_line = 0
+    for i, line in enumerate(lines):
+        fields = [f.strip().upper() for f in line.split(",")]
+        if all(key in fields for key in wanted_keys):
+            col_index = {key: fields.index(key) for key in wanted_keys}
+            header_line = i
+            break
+    if col_index is None:
+        raise SchemaError("columns not found in any header row")
+
+    dates = []
+    rows = []
+    for i in range(header_line + 1, len(lines)):
+        line = lines[i].strip()
+        if not line:
+            if dates:
+                break  # footer reached
+            continue
+        first = line.split(",", 1)[0]
+        if not _reference_looks_like_date(first):
+            if dates:
+                break  # footer block (e.g. annual table header)
+            continue  # still in preamble
+        fields = line.split(",")
+        d = _reference_parse_date_token(first, i + 1)
+        row = []
+        ok = True
+        for key in wanted_keys:
+            j = col_index[key]
+            if j >= len(fields):
+                ok = False
+                break
+            try:
+                v = float(fields[j])
+            except ValueError:
+                raise PanelParseError(
+                    f"malformed value {fields[j]!r} in column {key}", i + 1
+                ) from None
+            if not np.isfinite(v) or any(v == s for s in SENTINELS):
+                ok = False
+                break
+            row.append(v)
+        if ok:
+            dates.append(d)
+            rows.append(row)
+
+    returns = np.array(rows, dtype=float).reshape(len(dates), len(wanted))
+    return FactorPanel(np.array(dates, dtype="datetime64[D]"), returns,
+                       tuple(wanted))
 
 
 @pytest.hookimpl(hookwrapper=True)

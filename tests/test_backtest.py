@@ -119,6 +119,24 @@ class TestStrategySignal:
         np.testing.assert_array_equal(sig[11:20], 1.0)
         assert not sig[20:].any()
 
+    def test_matches_day_by_day_definition(self):
+        """On a crisis day t >= window the position is the sign of the HML
+        growth over days t-window..t-1, bit for bit."""
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            T, window = int(rng.integers(0, 120)), int(rng.integers(1, 15))
+            hml = rng.standard_normal(T) * 2.0
+            hml[rng.random(T) < 0.1] = 0.0
+            labels = rng.integers(0, 3, T)
+            growth = np.cumprod(1.0 + hml / 100.0)
+            ref = np.zeros(T)
+            for t in range(window, T):
+                if labels[t] == 2:
+                    prev = growth[t - window - 1] if t > window else 1.0
+                    ref[t] = np.sign(growth[t - 1] / prev - 1.0)
+            got = strategy_signal(hml, labels, 2, window)
+            assert got.tobytes() == ref.tobytes()
+
 
 class TestApplySignal:
     def test_elementwise_product(self):

@@ -7,12 +7,14 @@ import pytest
 
 from factorregimes import (
     CrossLagSpec,
+    EstimationError,
     SyntheticSpec,
     generate,
     read_labels_csv,
     read_panel_csv,
     write_panel_csv,
 )
+from factorregimes import cli
 from factorregimes.cli import main
 
 from conftest import table1_like_params
@@ -164,6 +166,20 @@ class TestFit:
         assert rc == 2
         err = capsys.readouterr().err
         assert "start 2010-01-01 is after end 2009-01-01" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_estimation_failure_exit_3(self, synthetic_files, tmp_path,
+                                       capsys, monkeypatch):
+        _, panel_path, _, _ = synthetic_files
+
+        def failing_fit(*args, **kwargs):
+            raise EstimationError("every EM restart failed")
+
+        monkeypatch.setattr(cli, "em_fit", failing_fit)
+        rc = main(["fit", "--panel", str(panel_path), "--k", "2",
+                   "--seed", "1", "--out", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert "error: every EM restart failed" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     def test_seed_required(self, synthetic_files, tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Panel ingestion, merging, slicing, and aggregation."""
 
+import datetime as dt
 import io
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorregimes import (
     FactorPanel,
@@ -18,6 +22,8 @@ from factorregimes import (
     write_labels_csv,
     write_panel_csv,
 )
+
+from conftest import reference_parse_lines
 
 RAW_FF5 = """This file was created from the daily return database.
 The 1-month TBill return is from an external provider.
@@ -253,3 +259,154 @@ class TestSerialization:
         path.write_bytes(b"date,regime\n2020-01-06,0\n2020-01-07,\xff\n")
         with pytest.raises(PanelParseError, match="line 3"):
             read_labels_csv(path)
+
+    def test_header_non_utf8_byte_reports_line(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"date,A\xff,B\n2020-01-06,0.1,0.2\n")
+        with pytest.raises(PanelParseError,
+                           match="line 1: text is not valid UTF-8"):
+            read_panel_csv(path)
+
+    @pytest.mark.parametrize("token", ["2020-01-07T00", "NaT", "2020"])
+    def test_labels_date_is_yyyymmdd_or_iso(self, token):
+        text = f"date,regime\n2020-01-06,0\n{token},1\n"
+        with pytest.raises(PanelParseError,
+                           match=f"line 3: malformed date token '{token}'"):
+            read_labels_csv(io.StringIO(text))
+
+
+class TestDailyBlockRule:
+    @pytest.mark.parametrize("token", ["2020010x", "2020"])
+    def test_corrupt_date_mid_block_is_an_error(self, token):
+        text = f",X\n20200106,0.1\n{token},0.2\n20200108,0.3\n"
+        with pytest.raises(PanelParseError,
+                           match=f"line 3: malformed date token '{token}'"):
+            parse_ff_daily_csv(io.StringIO(text), ["X"])
+
+    def test_non_utf8_byte_in_date_reports_line(self, tmp_path):
+        path = tmp_path / "x_daily.csv"
+        path.write_bytes(b",X\n20200106,0.1\n2020010\xff,0.2\n20200108,0.3\n")
+        with pytest.raises(PanelParseError, match="line 3: malformed date"):
+            parse_ff_daily_csv(path, ["X"])
+
+    def test_malformed_value_after_sentinel_is_an_error(self):
+        text = ",X,Y\n20200106,0.1,0.2\n20200107,-99.99,oops\n"
+        with pytest.raises(PanelParseError,
+                           match="line 3: malformed value 'oops' in column Y"):
+            parse_ff_daily_csv(io.StringIO(text), ["X", "Y"])
+
+
+# ---------------------------------------------------------------------------
+# the readers against the line-by-line reference parser on drawn files
+
+FACTOR_NAMES = ("Mkt-RF", "SMB", "HML", "RMW", "CMA", "Mom")
+# no 'm' or 'M', which every factor name holds, so no drawn line is a header
+TEXT = st.text(alphabet="abcXYZ019 .,-:", max_size=24)
+# lines that cannot open the daily rows or look like a date to either reader
+PROSE = st.text(alphabet="abcXYZ019 .,:", max_size=24).filter(
+    lambda line: not line.lstrip()[:1].isdigit())
+VALUES = st.one_of(
+    st.floats(-30, 30).map(lambda v: f"{v:.2f}"),
+    st.floats(-30, 30).map(repr),
+    st.sampled_from(["-99.99", "-999", "nan", "inf", "-inf", " 0.5 ", "1e-3",
+                     "-0.00", "+2"]),
+)
+BAD_DATES = st.sampled_from([
+    "2020010x", "2020010\ufffd", "2020", "20200", "202001011", "2020-1-01",
+    "2020/01/02", "2020-13-01", "20200230", "1990-01-02T00", "1e10",
+])
+BAD_VALUES = st.sampled_from(
+    ["oops", "1.2.3", "", " ", "--1", "0x10", "1e", "\ufffd", "0.1\ufffd"])
+
+
+class DailyFile(NamedTuple):
+    before: list[str]    # the lines up to the first daily row, header included
+    header: list[str]
+    rows: list[list[str]]
+    after: list[str]     # the footer
+    requested: list[str]
+
+    def text(self):
+        lines = self.before + [",".join(r) for r in self.rows] + self.after
+        return "\n".join(lines) + "\n"
+
+
+@st.composite
+def daily_files(draw, canonical, min_rows=0):
+    """A raw daily factor file (preamble, shuffled columns in any case, a
+    text column nobody requests, a requested subset) or a canonical one
+    (header `date,<names>`, every column requested), each with sentinels,
+    short rows, YYYYMMDD and ISO dates and an optional footer."""
+    names = draw(st.permutations(FACTOR_NAMES))
+    names = names[:draw(st.integers(1, len(names)))]
+    columns = [draw(st.sampled_from([n, n.upper(), n.lower()])) for n in names]
+    if canonical:
+        header, requested, before = ["date"] + columns, columns, []
+    else:
+        if draw(st.booleans()):
+            columns = draw(st.permutations(columns + ["RF"]))
+        header = [draw(st.sampled_from(["", "Date"]))] + columns
+        requested = draw(st.permutations([n.upper() for n in names]))
+        requested = requested[:draw(st.integers(1, len(requested)))]
+        before = draw(st.lists(TEXT, max_size=4))
+    before = before + [",".join(header)] + draw(st.lists(PROSE, max_size=3))
+
+    n = draw(st.integers(min_rows, 12))
+    gaps = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    rows = []
+    for gap in np.cumsum(gaps, dtype=int):
+        iso = (dt.date(1990, 1, 1) + dt.timedelta(days=int(gap))).isoformat()
+        date = draw(st.sampled_from([iso, iso.replace("-", "")]))
+        row = [draw(st.sampled_from(["", " "])) + date] + [
+            draw(st.sampled_from(["0.01", "n/a", ""]) if c == "RF" else VALUES)
+            for c in header[1:]]
+        if draw(st.integers(0, 4)) == 0:
+            row = row[:draw(st.integers(1, len(row)))]
+        rows.append(row)
+
+    after = []
+    end = draw(st.sampled_from(["none", "blank", "text"])) if rows else "none"
+    if end != "none":
+        first = "" if end == "blank" else draw(PROSE.filter(str.strip))
+        after = [first] + draw(st.lists(
+            st.one_of(TEXT, st.just(",".join(header))), max_size=4))
+    return DailyFile(before, header, rows, after, requested)
+
+
+def read(f: DailyFile, canonical):
+    source = io.StringIO(f.text())
+    if canonical:
+        return read_panel_csv(source)
+    return parse_ff_daily_csv(source, f.requested)
+
+
+class TestReaderProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_well_formed_file_matches_reference(self, data):
+        canonical = data.draw(st.booleans())
+        f = data.draw(daily_files(canonical))
+        got = read(f, canonical)
+        ref = reference_parse_lines(f.text().splitlines(), f.requested)
+        assert got.factor_names == ref.factor_names
+        np.testing.assert_array_equal(got.dates, ref.dates)
+        assert got.returns.shape == ref.returns.shape
+        assert got.returns.tobytes() == ref.returns.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_malformed_cell_names_its_line(self, data):
+        canonical = data.draw(st.booleans())
+        f = data.draw(daily_files(canonical, min_rows=1))
+        k = data.draw(st.integers(0, len(f.rows) - 1))
+        row = f.rows[k]
+        if data.draw(st.booleans()):
+            row[0] = data.draw(BAD_DATES)
+        else:
+            keys = [h.upper() for h in f.header]
+            j = keys.index(data.draw(st.sampled_from(f.requested)).upper())
+            row.extend(["0.5"] * (j + 1 - len(row)))
+            row[j] = data.draw(BAD_VALUES)
+        with pytest.raises(PanelParseError,
+                           match=f"^line {len(f.before) + k + 1}: "):
+            read(f, canonical)
