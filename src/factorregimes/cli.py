@@ -19,7 +19,6 @@ from .errors import (
     DegenerateDesignError,
     EstimationError,
     FactorRegimesError,
-    SampleSizeError,
     SchemaError,
 )
 from .events import (
@@ -30,12 +29,7 @@ from .events import (
     read_event_windows,
     write_validation_csv,
 )
-from .granger import (
-    bic_granger_test,
-    granger_results_to_csv,
-    pairwise_regime_matrix,
-    regime_lag_mask,
-)
+from .granger import granger_results_to_csv, pairwise_regime_matrix, regime_lag_mask
 from .hmm import FitConfig, em_fit, order_regimes, save_model, select_k
 from .panel import (
     FF5_COLUMNS,
@@ -253,14 +247,13 @@ def cmd_robustness(args) -> int:
     source, target = TESTED_PAIR
     y = panel.column(target)
     x = panel.column(source)
-    try:
-        res = bic_granger_test(y, x, lambda L: regime_lag_mask(thr_labels, 1, L),
-                               args.lmax, source=source, target=target,
-                               regime="threshold")
-        print(f"threshold regimes: {source}->{target} lag {res.lag} "
-              f"p={res.p_value:.5e}")
-    except (SampleSizeError, DegenerateDesignError) as exc:
-        print(f"threshold regimes: untestable ({exc})")
+    (thr,) = lag_sweep(y, x, lambda L: regime_lag_mask(thr_labels, 1, L),
+                       [args.lmax])
+    if thr["error"] is None:
+        print(f"threshold regimes: {source}->{target} lag {thr['L_star']} "
+              f"p={thr['p_value']:.5e}")
+    else:
+        print(f"threshold regimes: untestable ({thr['error']})")
 
     sweep = lag_sweep(y, x, lambda L: regime_lag_mask(labels, crisis, L),
                       [5, 10, 15, 20])

@@ -15,17 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDesignError, PanelParseError, SampleSizeError
-from .granger import full_mask, granger_f_test
+from .errors import PanelParseError
+from .granger import _segment_test
 from .numerics import binomial_tail
-from .panel import (
-    TESTED_PAIR,
-    FactorPanel,
-    _open_output,
-    _read_lines,
-    as_date64,
-    slice_dates,
-)
+from .panel import TESTED_PAIR, FactorPanel, _open_output, _read_lines, as_date64
 
 CHECK = "CHECK"
 DIR = "DIR"
@@ -153,35 +146,30 @@ def event_granger_validation(panel: FactorPanel,
     """Directional HML -> SMB Granger classification for each event window.
 
     At fixed lag L, tests HML -> SMB (forward) and the reverse on every
-    day of the window. CHECK means the forward test is significant at
-    `alpha` while the reverse is not; DIR means the forward p is smaller
-    but misses significance; CROSS is anything else. Windows shorter
-    than 2L+12 days (or whose design collapses) are UNTESTABLE. The
-    summary attaches the exact binomial upper tail for the CHECK count
-    among testable events at success probability `alpha`.
+    day of the window: the design rows are its days from the (L+1)th on,
+    with lags read inside the window. CHECK means the forward test is
+    significant at `alpha` while the reverse is not; DIR means the
+    forward p is smaller but misses significance; CROSS is anything
+    else. A window is UNTESTABLE when its design collapses or when it
+    has fewer than 3L+11 days, which would leave under 2L+11 design
+    rows (at L=9, fewer than 38 days). The summary attaches the exact
+    binomial upper tail for the CHECK count among testable events at
+    success probability `alpha`.
     """
     source, target = TESTED_PAIR
+    y_t = panel.column(target)
+    y_s = panel.column(source)
     rows = []
-    min_days = 2 * L + 12
     for w in windows:
-        sub = slice_dates(panel, w.start, w.end)
-        days = sub.n_days
-        if days < min_days:
-            rows.append(EventResult(w.name, days, None, None, UNTESTABLE))
-            continue
-        mask = full_mask(days)
-        y_t = sub.column(target)
-        y_s = sub.column(source)
-        try:
-            fwd = granger_f_test(y_t, y_s, L, mask,
-                                 source=source, target=target, regime=w.name)
-            rev = granger_f_test(y_s, y_t, L, mask,
-                                 source=target, target=source, regime=w.name)
-        except (SampleSizeError, DegenerateDesignError):
-            rows.append(EventResult(w.name, days, None, None, UNTESTABLE))
-            continue
-        cls = _classify(fwd.p_value, rev.p_value, alpha)
-        rows.append(EventResult(w.name, days, fwd.p_value, rev.p_value, cls))
+        idx = _window_indices(panel.dates, w)
+        segment = [(idx[0], idx[-1])] if idx.size else []
+        p_fwd, _ = _segment_test(y_t, y_s, segment, L)
+        p_rev, _ = _segment_test(y_s, y_t, segment, L)
+        if p_fwd is None or p_rev is None:
+            rows.append(EventResult(w.name, idx.size, None, None, UNTESTABLE))
+        else:
+            rows.append(EventResult(w.name, idx.size, p_fwd, p_rev,
+                                    _classify(p_fwd, p_rev, alpha)))
     testable = [r for r in rows if r.classification != UNTESTABLE]
     n_check = sum(1 for r in testable if r.classification == CHECK)
     n_testable = len(testable)

@@ -15,10 +15,11 @@ chain of Householder R factors, one per lag. A column subset of such a
 factor factors that column subset of the design, so one chain per regime
 serves every ordered pair and every lag of the pairwise matrix, one chain
 over (y, x) serves a lag search and the F test at its chosen lag, and a
-fixed-lag or pooled test is a chain whose rows all have that depth. The
-rank, exact-fit and constant-response checks run there once, every
-GrangerResult is assembled by `_granger_result`, and the lag-selection
-policy (smallest BIC, ties to the smaller lag) lives in `_min_bic_lag`.
+fixed-lag test over day segments (`_segment_test`) is a chain whose rows
+all have that depth. The rank, exact-fit and constant-response checks run
+there once, every GrangerResult is assembled by `_granger_result`, and
+the lag-selection policy (smallest BIC, ties to the smaller lag) lives in
+`_bic_lag` alone.
 """
 
 from __future__ import annotations
@@ -94,11 +95,6 @@ def regime_lag_mask(labels, k: int, L: int) -> np.ndarray:
         mask[lag:] &= ok[:-lag]
     mask[: min(L, mask.shape[0])] = False
     return mask
-
-
-def full_mask(n: int) -> np.ndarray:
-    """All-true mask for pooled (regime-free) tests; granger_f_test trims warm-up."""
-    return np.ones(n, dtype=bool)
 
 
 def _check_rows(n: int, L: int) -> None:
@@ -243,39 +239,37 @@ def _lag_fits(series: np.ndarray, rows: np.ndarray, depth: np.ndarray, lags,
     return fits
 
 
-def _bic_rows(fits: dict[int, tuple | Exception]) -> list[dict]:
-    """The select_lag_bic table (lag, n_obs, bic, error) of one pair's fits:
-    BIC = n ln(RSS_u/n) + (2L+1) ln n."""
-    table = []
-    for L in sorted(fits):
-        fit = fits[L]
-        if isinstance(fit, Exception):
-            table.append({"lag": L, "n_obs": None, "bic": None, "error": str(fit)})
-            continue
-        n, rss_u = fit[0], fit[1]
-        table.append({"lag": L, "n_obs": n,
-                      "bic": n * math.log(rss_u / n) + (2 * L + 1) * math.log(n),
-                      "error": None})
-    return table
+def _bic(fit: tuple, L: int) -> float:
+    """BIC of a _lag_fits fit at lag L: n ln(RSS_u/n) + (2L+1) ln n."""
+    n, rss_u = fit[0], fit[1]
+    return n * math.log(rss_u / n) + (2 * L + 1) * math.log(n)
 
 
-def _min_bic_lag(table: list[dict], fits: dict, mask_builder) -> int:
-    """The lag of the table's smallest BIC, the smaller lag on ties.
+def _bic_lag(fits: dict[int, tuple | Exception], L_max: int) -> int:
+    """The lag in 1..L_max of the smallest BIC, the smaller lag on ties.
 
     With no lag feasible, raises a DegenerateDesignError naming the first
-    degenerate lag of the table, or else a SampleSizeError.
+    degenerate lag, or else a SampleSizeError counting the lag-1 rows.
     """
-    feasible = [(row["bic"], row["lag"]) for row in table if row["bic"] is not None]
+    lags = range(1, L_max + 1)
+    feasible = [(_bic(fits[L], L), L) for L in lags
+                if not isinstance(fits[L], Exception)]
     if feasible:
         return min(feasible)[1]
-    for row in table:
-        if isinstance(fits[row["lag"]], DegenerateDesignError):
-            raise DegenerateDesignError(f"no feasible lag in 1..{len(table)}; "
-                                        f"lag {row['lag']}: {row['error']}")
-    rows = int(np.count_nonzero(np.asarray(mask_builder(1), dtype=bool)[1:]))
-    raise SampleSizeError(
-        2 * 1 + 1 + MIN_EXTRA_ROWS, rows, f"no feasible lag in 1..{len(table)}"
-    )
+    for L in lags:
+        if isinstance(fits[L], DegenerateDesignError):
+            raise DegenerateDesignError(f"no feasible lag in 1..{L_max}; "
+                                        f"lag {L}: {fits[L]}")
+    raise SampleSizeError(fits[1].required, fits[1].available,
+                          f"no feasible lag in 1..{L_max}")
+
+
+def _bic_rows(fits: dict[int, tuple | Exception]) -> list[dict]:
+    """The select_lag_bic table (lag, n_obs, bic, error) of one pair's fits."""
+    return [{"lag": L, "n_obs": None, "bic": None, "error": str(fit)}
+            if isinstance(fit, Exception) else
+            {"lag": L, "n_obs": fit[0], "bic": _bic(fit, L), "error": None}
+            for L, fit in sorted(fits.items())]
 
 
 def _granger_result(fit: tuple | Exception, L: int, *, source: str = "x",
@@ -336,10 +330,28 @@ def granger_f_test(y, x, L: int, mask, *, source: str = "x", target: str = "y",
                            bonferroni_threshold=bonferroni_threshold)
 
 
+def _segment_test(y, x, segments, L: int) -> tuple[float | None, int]:
+    """F test at lag L over day segments, pooled into one design.
+
+    Each segment (first, last) contributes design rows first+L..last, so
+    its lags stay inside [first, last]; overlapping segments keep their
+    duplicate rows. Returns (p_value, n_rows); p is None when the pooled
+    design is too small or degenerate.
+    """
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    rows = np.concatenate([np.arange(0), *(np.arange(lo + L, hi + 1)
+                                           for lo, hi in segments)])
+    try:
+        res = _granger_result(_fixed_lag_fit(y, x, rows, L), L)
+    except (SampleSizeError, DegenerateDesignError):
+        return None, rows.size
+    return res.p_value, rows.size
+
+
 def _lag_search(y, x, mask_builder: Callable[[int], np.ndarray],
-                L_max: int) -> tuple[dict, list[dict]]:
-    """The fits of y on (y, x) at every lag 1..L_max and their
-    select_lag_bic table, from one chain."""
+                L_max: int) -> dict[int, tuple | Exception]:
+    """The fits of y on (y, x) at every lag 1..L_max, from one chain."""
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -349,7 +361,7 @@ def _lag_search(y, x, mask_builder: Callable[[int], np.ndarray],
     depth = _lag_depth(mask_builder, L_max, y.shape[0])
     (fits,) = _lag_fits(np.column_stack([y, x]), np.arange(y.shape[0]), depth,
                         range(1, L_max + 1), [(0, 1)])
-    return fits, _bic_rows(fits)
+    return fits
 
 
 def select_lag_bic(y, x, mask_builder: Callable[[int], np.ndarray],
@@ -363,34 +375,8 @@ def select_lag_bic(y, x, mask_builder: Callable[[int], np.ndarray],
     nested, mask_builder(L) a subset of mask_builder(L-1); a ValueError
     names the first L at which they are not.
     """
-    fits, table = _lag_search(y, x, mask_builder, L_max)
-    return _min_bic_lag(table, fits, mask_builder), table
-
-
-def _bic_granger_tests(y, x, mask_builder: Callable[[int], np.ndarray],
-                       bounds, **fields) -> list[GrangerResult | Exception]:
-    """bic_granger_test at each lag bound, or the error it raises, all
-    read from one chain up to the largest bound."""
-    fits, table = _lag_search(y, x, mask_builder, max(bounds))
-    out: list[GrangerResult | Exception] = []
-    for L_max in bounds:
-        try:
-            L = _min_bic_lag(table[:L_max], fits, mask_builder)
-            out.append(_granger_result(fits[L], L, **fields))
-        except (SampleSizeError, DegenerateDesignError) as exc:
-            out.append(exc)
-    return out
-
-
-def bic_granger_test(y, x, mask_builder: Callable[[int], np.ndarray], L_max: int,
-                     **fields) -> GrangerResult:
-    """select_lag_bic over 1..L_max, then the F test at the chosen lag,
-    read from the same fits. `fields` are granger_f_test's keyword
-    arguments."""
-    (res,) = _bic_granger_tests(y, x, mask_builder, [L_max], **fields)
-    if isinstance(res, Exception):
-        raise res
-    return res
+    fits = _lag_search(y, x, mask_builder, L_max)
+    return _bic_lag(fits, L_max), _bic_rows(fits)
 
 
 def pairwise_regime_matrix(panel: FactorPanel, labels, L_max: int = DEFAULT_L_MAX,
@@ -417,13 +403,13 @@ def pairwise_regime_matrix(panel: FactorPanel, labels, L_max: int = DEFAULT_L_MA
     pairs = [(j, i) for i in range(d) for j in range(d) if i != j]  # (target, source)
     cells: dict[tuple[int, int, int], GrangerResult | CellFailure] = {}
     for k in regimes:
-        builder = lambda L, k=k: regime_lag_mask(labels, k, L)
-        depth = _lag_depth(builder, L_max, panel.n_days)
+        depth = _lag_depth(lambda L, k=k: regime_lag_mask(labels, k, L), L_max,
+                           panel.n_days)
         fits = _lag_fits(panel.returns, np.arange(panel.n_days), depth,
                          range(1, L_max + 1), pairs)
         for (j, i), fit in zip(pairs, fits):
             try:
-                L = _min_bic_lag(_bic_rows(fit), fit, builder)
+                L = _bic_lag(fit, L_max)
                 cells[i, j, k] = _granger_result(
                     fit[L], L, source=names[i], target=names[j], regime=k,
                     bonferroni_threshold=threshold)

@@ -7,8 +7,11 @@ row is a complete observation vector.
 
 The panel readers share one rule for the daily rows: after the header, a
 line whose first field starts with a digit is a data row, and the first
-other line after one ends them. A data row's date is YYYYMMDD or
-YYYY-MM-DD; a malformed date or value raises PanelParseError with its line.
+other line after one ends them; once the rows have begun, a line led by
+U+FFFD (a byte that was not UTF-8) is a corrupt data row, not their end.
+A data row's date is YYYYMMDD or YYYY-MM-DD, later than the previous kept
+row's; a malformed or out-of-order date, or a malformed value, raises
+PanelParseError with its line.
 """
 
 from __future__ import annotations
@@ -184,7 +187,9 @@ def _parse_lines(lines: list[str], expected_columns: Sequence[str]) -> FactorPan
 
     block: list[int] = []  # indices of the daily rows
     for i in range(header_line + 1, len(lines)):
-        if lines[i].lstrip()[:1].isdigit():
+        first = lines[i].lstrip()[:1]
+        # U+FFFD replaced a byte that was not UTF-8: a corrupt row, not a footer
+        if first.isdigit() or (block and first == "\ufffd"):
             block.append(i)
         elif block:
             break  # the first other line after the daily rows ends them
@@ -208,6 +213,13 @@ def _parse_lines(lines: list[str], expected_columns: Sequence[str]) -> FactorPan
                     line_numbers[row]) from None
         raise
     keep = np.isfinite(values).all(axis=1) & ~np.isin(values, SENTINELS).any(axis=1)
+    kept = np.flatnonzero(keep)
+    late = np.flatnonzero(dates[kept[1:]] <= dates[kept[:-1]])
+    if late.size:
+        row = kept[late[0] + 1]
+        raise PanelParseError(f"date {dates[row]} is not after the previous "
+                              f"kept row's {dates[kept[late[0]]]}",
+                              line_numbers[row])
     return FactorPanel(dates[keep], values[keep], tuple(wanted))
 
 

@@ -18,9 +18,10 @@ import numpy as np
 from .errors import DegenerateDesignError, SampleSizeError
 from .granger import (
     PairwiseMatrix,
-    _bic_granger_tests,
-    _fixed_lag_fit,
+    _bic_lag,
     _granger_result,
+    _lag_search,
+    _segment_test,
     pairwise_regime_matrix,
 )
 from .panel import TESTED_PAIR, FactorPanel, as_date64, volatility_norm
@@ -57,20 +58,23 @@ def lag_sweep(y, x, mask_builder: Callable[[int], np.ndarray],
     mask_builder(L) gives the lag-complete mask at lag L, as for
     select_lag_bic. Rows keep input order; infeasible bounds record the
     error instead of aborting the sweep. One chain up to the largest
-    bound serves every bound: its BIC table's prefix picks the lag, and
-    its fit at that lag gives the test.
+    bound serves every bound: its fits up to the bound pick the lag by
+    BIC, and its fit at that lag gives the test.
     """
     if any(v < 1 for v in L_max_values):
         raise ValueError("every L_max must be >= 1")
     if not L_max_values:
         return []
+    fits = _lag_search(y, x, mask_builder, max(L_max_values))
     rows = []
-    results = _bic_granger_tests(y, x, mask_builder, L_max_values)
-    for L_max, res in zip(L_max_values, results):
+    for L_max in L_max_values:
         row = {"L_max": L_max, "L_star": None, "f_stat": None,
                "p_value": None, "n_obs": None, "error": None}
-        if isinstance(res, Exception):
-            row["error"] = str(res)
+        try:
+            L = _bic_lag(fits, L_max)
+            res = _granger_result(fits[L], L)
+        except (SampleSizeError, DegenerateDesignError) as exc:
+            row["error"] = str(exc)
         else:
             row.update(L_star=res.lag, f_stat=res.f_stat, p_value=res.p_value,
                        n_obs=res.n_obs)
@@ -121,22 +125,6 @@ class TransitionReport:
     exit: TransitionPair
 
 
-def _pooled_f(y, x, segments, L: int) -> tuple[float | None, int]:
-    """Stacked-design F test over per-transition segments.
-
-    Each segment (lo, hi) contributes design rows lo+L..hi, so lags stay
-    inside [lo, hi]. Returns (p_value, n_rows); p is None when the
-    pooled design is too small or degenerate.
-    """
-    rows = np.concatenate([np.arange(0), *(np.arange(lo + L, hi + 1)
-                                           for lo, hi in segments)])
-    try:
-        res = _granger_result(_fixed_lag_fit(y, x, rows, L), L)
-    except (SampleSizeError, DegenerateDesignError):
-        return None, rows.size
-    return res.p_value, rows.size
-
-
 def _transition_starts(labels, crisis_index, m, entering: bool) -> np.ndarray:
     """Indices t that begin >= m consecutive days of the state (entering:
     crisis, else non-crisis) and follow a day outside it."""
@@ -173,7 +161,7 @@ def transition_window_analysis(panel: FactorPanel, labels, crisis_index: int,
         starts = _transition_starts(labels, crisis_index, m, entering)
         before = [(max(0, t - window), t - 1) for t in starts]
         after = [(t, min(T - 1, t + window - 1)) for t in starts]
-        p_b, n_b = _pooled_f(y, x, before, L)
-        p_a, n_a = _pooled_f(y, x, after, L)
+        p_b, n_b = _segment_test(y, x, before, L)
+        p_a, n_a = _segment_test(y, x, after, L)
         out[name] = TransitionPair(len(starts), p_b, p_a, n_b, n_a)
     return TransitionReport(entry=out["entry"], exit=out["exit"])

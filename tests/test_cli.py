@@ -10,8 +10,11 @@ from factorregimes import (
     EstimationError,
     SyntheticSpec,
     generate,
+    lag_sweep,
     read_labels_csv,
     read_panel_csv,
+    regime_lag_mask,
+    threshold_regimes,
     write_panel_csv,
 )
 from factorregimes import cli
@@ -94,6 +97,16 @@ class TestIngest:
                    str(tmp_path / "panel.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_out_of_order_date_exit_2_with_line(self, tmp_path, capsys):
+        ff5 = tmp_path / "ff5.csv"
+        mom = tmp_path / "mom.csv"
+        ff5.write_text(RAW_FF5.replace("19900105", "19900103"))
+        mom.write_text(RAW_MOM)
+        rc = main(["ingest", str(ff5), str(mom), "--out",
+                   str(tmp_path / "panel.csv")])
+        assert rc == 2
+        assert "line 7: date 1990-01-03 is not after" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["ingest", str(tmp_path / "nope.csv"),
@@ -321,6 +334,27 @@ class TestRobustnessCommand:
         for name in ("threshold_regimes.csv", "lag_sweep.csv",
                      "subsample_split.csv", "transition_windows.csv"):
             assert (outdir / name).exists(), name
+        # the printed threshold line and every lag-sweep row are lag_sweep's
+        panel = read_panel_csv(panel_path)
+        _, crisis_labels = read_labels_csv(labels)
+        thr_labels = threshold_regimes(panel)
+        smb, hml = panel.column("SMB"), panel.column("HML")
+        (thr,) = lag_sweep(smb, hml, lambda L: regime_lag_mask(thr_labels, 1, L),
+                           [4])
+        assert thr["error"] is None
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == (f"threshold regimes: HML->SMB lag {thr['L_star']} "
+                         f"p={thr['p_value']:.5e}")
+        crisis = int(crisis_labels.max())
+        sweep = lag_sweep(smb, hml,
+                          lambda L: regime_lag_mask(crisis_labels, crisis, L),
+                          [5, 10, 15, 20])
+        want = ["L_max,L_star,f_stat,p_value,n_obs,error"]
+        for row in sweep:
+            assert row["error"] is None
+            want.append(f"{row['L_max']},{row['L_star']},{row['f_stat']:.6f},"
+                        f"{row['p_value']:.5e},{row['n_obs']},")
+        assert (outdir / "lag_sweep.csv").read_text().splitlines() == want
 
 
 class TestHelp:

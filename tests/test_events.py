@@ -18,8 +18,10 @@ from factorregimes import (
     detection_rate,
     event_granger_validation,
     first_sustained_detection,
+    granger_f_test,
     lead_time,
     read_event_windows,
+    slice_dates,
     write_validation_csv,
 )
 from factorregimes.events import _classify
@@ -169,6 +171,37 @@ class TestEventGrangerValidation:
         assert report.rows[0].p_fwd is None
         assert report.n_testable == 0
         assert report.binomial_p == 1.0
+
+    def test_window_size_boundary_is_3L_plus_11_days(self):
+        """At L=9 a window needs 38 days: 29 design rows, 2L+11."""
+        panel = build_event_panel(T=200, seed=35)
+        ws = (EventWindow("d37", panel.dates[50], panel.dates[86]),
+              EventWindow("d38", panel.dates[50], panel.dates[87]),
+              EventWindow("none", "1990-01-01", "1990-12-31"))
+        short, enough, outside = event_granger_validation(panel, ws, L=9).rows
+        assert (short.days, short.classification) == (37, UNTESTABLE)
+        assert short.p_fwd is None and short.p_rev is None
+        assert enough.days == 38 and enough.classification != UNTESTABLE
+        assert (outside.days, outside.classification) == (0, UNTESTABLE)
+
+    def test_p_values_equal_tests_on_the_window_alone(self):
+        """Lags are read inside the window: each p is the fixed-lag test
+        on the window's own days, bit for bit."""
+        panel = build_event_panel(T=600, seed=36, coef=0.4, lag=2)
+        ws = tuple(EventWindow(f"e{lo}", panel.dates[lo], panel.dates[lo + n])
+                   for lo, n in ((0, 80), (130, 200), (400, 45)))
+        for w, row in zip(ws, event_granger_validation(panel, ws, L=4).rows):
+            sub = slice_dates(panel, w.start, w.end)
+            smb, hml = sub.column("SMB"), sub.column("HML")
+            rows = np.ones(sub.n_days, dtype=bool)
+            assert row.days == sub.n_days
+            assert row.p_fwd == granger_f_test(smb, hml, 4, rows).p_value
+            assert row.p_rev == granger_f_test(hml, smb, 4, rows).p_value
+
+    def test_lag_below_one_rejected(self):
+        panel = build_event_panel(T=200, seed=37)
+        with pytest.raises(ValueError, match="L must be >= 1"):
+            event_granger_validation(panel, (window_over(panel.dates),), L=0)
 
     def test_day_count_reported(self):
         panel = build_event_panel(T=300, seed=33)

@@ -13,9 +13,7 @@ from factorregimes import (
     DegenerateDesignError,
     FactorPanel,
     SampleSizeError,
-    bic_granger_test,
     f_sf,
-    full_mask,
     granger_f_test,
     granger_results_to_csv,
     pairwise_regime_matrix,
@@ -24,6 +22,7 @@ from factorregimes import (
 )
 import factorregimes
 from factorregimes.granger import (
+    _bic_rows,
     _fixed_lag_fit,
     _granger_result,
     _lag_block,
@@ -73,9 +72,6 @@ class TestMasks:
             mask,
             [False, False, False, True, False, False, False, True, True],
         )
-
-    def test_full_mask(self):
-        assert full_mask(4).all() and full_mask(4).shape == (4,)
 
 
 def brute_force_lag_mask(labels, k, L):
@@ -145,9 +141,10 @@ class TestBuildDesign:
     def test_mask_rows_below_lag_dropped(self):
         T = 20
         y, x = lagged_pair(T, 22)
-        np.testing.assert_array_equal(_lag_depth(lambda L: full_mask(T), 2, T),
+        every_day = np.ones(T, dtype=bool)
+        np.testing.assert_array_equal(_lag_depth(lambda L: every_day, 2, T),
                                       np.minimum(np.arange(T), 2))
-        assert granger_f_test(y, x, 2, full_mask(T)).n_obs == T - 2  # t = 2..T-1
+        assert granger_f_test(y, x, 2, every_day).n_obs == T - 2  # t = 2..T-1
 
     def test_sample_size_enforced(self):
         y = np.arange(20.0)
@@ -166,7 +163,7 @@ class TestGrangerFTest:
         from factorregimes import FTestDistribution
 
         y, x = lagged_pair(400, 5, coef=0.3, lag=1)
-        res = granger_f_test(y, x, 3, full_mask(400))
+        res = granger_f_test(y, x, 3, np.ones(400, dtype=bool))
         dist = FTestDistribution(3, res.n_obs - 7)
         assert res.p_value == pytest.approx(f_sf(res.f_stat, dist),
                                             abs=1e-12)
@@ -174,20 +171,20 @@ class TestGrangerFTest:
     def test_f_stat_nonnegative_under_null(self):
         for seed in range(20):
             y, x = lagged_pair(200, 50 + seed)
-            res = granger_f_test(y, x, 2, full_mask(200))
+            res = granger_f_test(y, x, 2, np.ones(200, dtype=bool))
             assert res.f_stat >= 0.0
 
     def test_affine_rescale_invariance(self):
         y, x = lagged_pair(500, 6, coef=0.4, lag=2)
-        base = granger_f_test(y, x, 3, full_mask(500))
+        base = granger_f_test(y, x, 3, np.ones(500, dtype=bool))
         scaled = granger_f_test(3.0 * y + 7.0, 0.5 * x - 2.0, 3,
-                                full_mask(500))
+                                np.ones(500, dtype=bool))
         assert scaled.f_stat == pytest.approx(base.f_stat, rel=1e-9)
         assert scaled.p_value == pytest.approx(base.p_value, rel=1e-6)
 
     def test_constructed_signal_detected(self):
         y, x = lagged_pair(2000, 7, coef=0.5, lag=2)
-        res = granger_f_test(y, x, 5, full_mask(2000))
+        res = granger_f_test(y, x, 5, np.ones(2000, dtype=bool))
         assert res.p_value < 1e-6
         assert res.r2_increment > 0.0
 
@@ -197,14 +194,14 @@ class TestGrangerFTest:
         ps = []
         for _ in range(100):
             ps.append(granger_f_test(y, rng.permutation(x), 5,
-                                     full_mask(2000)).p_value)
+                                     np.ones(2000, dtype=bool)).p_value)
         assert np.median(ps) > 0.2
 
     def test_bonferroni_flag(self):
         y, x = lagged_pair(2000, 7, coef=0.5, lag=2)
-        sig = granger_f_test(y, x, 5, full_mask(2000),
+        sig = granger_f_test(y, x, 5, np.ones(2000, dtype=bool),
                              bonferroni_threshold=1e-4)
-        insig = granger_f_test(y, x, 5, full_mask(2000),
+        insig = granger_f_test(y, x, 5, np.ones(2000, dtype=bool),
                                bonferroni_threshold=1e-300)
         assert sig.significant_bonferroni and not insig.significant_bonferroni
 
@@ -212,11 +209,11 @@ class TestGrangerFTest:
         y = np.random.default_rng(10).standard_normal(100)
         x = np.zeros(100)
         with pytest.raises(DegenerateDesignError):
-            granger_f_test(y, x, 2, full_mask(100))
+            granger_f_test(y, x, 2, np.ones(100, dtype=bool))
 
     def test_metadata_passthrough(self):
         y, x = lagged_pair(300, 11)
-        res = granger_f_test(y, x, 1, full_mask(300), source="HML",
+        res = granger_f_test(y, x, 1, np.ones(300, dtype=bool), source="HML",
                              target="SMB", regime="2")
         assert (res.source, res.target, res.regime) == ("HML", "SMB", "2")
         assert res.lag == 1
@@ -227,7 +224,7 @@ class TestSelectLagBic:
         hits = 0
         for seed in range(20):
             y, x = lagged_pair(2000, 200 + seed, coef=0.5, lag=2)
-            L, _ = select_lag_bic(y, x, lambda L: full_mask(2000), 15)
+            L, _ = select_lag_bic(y, x, lambda L: np.ones(2000, dtype=bool), 15)
             hits += L == 2
         assert hits >= 18
 
@@ -235,13 +232,13 @@ class TestSelectLagBic:
         hits = 0
         for seed in range(20):
             y, x = lagged_pair(1500, 300 + seed)
-            L, _ = select_lag_bic(y, x, lambda L: full_mask(1500), 10)
+            L, _ = select_lag_bic(y, x, lambda L: np.ones(1500, dtype=bool), 10)
             hits += L == 1
         assert hits >= 15
 
     def test_table_covers_grid(self):
         y, x = lagged_pair(800, 12, coef=0.4, lag=3)
-        L, table = select_lag_bic(y, x, lambda L: full_mask(800), 6)
+        L, table = select_lag_bic(y, x, lambda L: np.ones(800, dtype=bool), 6)
         assert [row["lag"] for row in table] == [1, 2, 3, 4, 5, 6]
         feasible = [r for r in table if r["error"] is None]
         best = min(feasible, key=lambda r: (r["bic"], r["lag"]))
@@ -250,15 +247,23 @@ class TestSelectLagBic:
     def test_all_infeasible_raises(self):
         y = np.arange(12.0)
         x = np.arange(12.0)
-        with pytest.raises(SampleSizeError):
-            select_lag_bic(y, x, lambda L: full_mask(12), 5)
+        # the count is the lag-1 design's rows: days 1..11, or the 11
+        # masked days of a longer series
+        with pytest.raises(SampleSizeError, match=r"^no feasible lag in 1\.\.5: "
+                           r"need at least 13 observations, have 11$"):
+            select_lag_bic(y, x, lambda L: np.ones(12, dtype=bool), 5)
+        mask = np.zeros(40, dtype=bool)
+        mask[5:16] = True
+        with pytest.raises(SampleSizeError, match=r"^no feasible lag in 1\.\.3: "
+                           r"need at least 13 observations, have 11$"):
+            select_lag_bic(np.arange(40.0), np.arange(40.0), lambda L: mask, 3)
 
     def test_non_nested_masks_rejected(self):
         y, x = lagged_pair(300, 21)
         even = np.arange(300) % 2 == 0
 
         def builder(L):
-            return even if L == 2 else full_mask(300)
+            return even if L == 2 else np.ones(300, dtype=bool)
 
         with pytest.raises(ValueError, match=r"mask_builder\(3\) is not a "
                                              r"subset of mask_builder\(2\)"):
@@ -368,7 +373,7 @@ def mask_builder_for(kind, rng, T):
     if kind == "fixed":
         fixed = rng.random(T) < rng.uniform(0.3, 1.0)
         return lambda L: fixed
-    return lambda L: full_mask(T)
+    return lambda L: np.ones(T, dtype=bool)
 
 
 def outcome(fn, *args):
@@ -395,7 +400,7 @@ class TestCoreMatchesLstsq:
         depth = _lag_depth(builder, L_max, T)
         (fits,) = _lag_fits(np.column_stack([y, x]), np.arange(T), depth,
                             range(1, L_max + 1), [(0, 1)])
-        table = _lag_search(y, x, builder, L_max)[1]
+        table = _bic_rows(_lag_search(y, x, builder, L_max))
         ref = lstsq_bic_table(y, x, builder, L_max)
         assert len(table) == len(ref) == L_max
         for row, want in zip(table, ref):
@@ -465,7 +470,7 @@ class TestCoreMatchesLstsq:
         rng = np.random.default_rng(40)
         T = 200
         y, x = rng.standard_normal(T), rng.standard_normal(T)
-        mask, L = full_mask(T), 2
+        mask, L = np.ones(T, dtype=bool), 2
         if case == "zero_regressor":
             x = np.zeros(T)
         elif case == "constant_regressor":
@@ -481,7 +486,8 @@ class TestCoreMatchesLstsq:
         assert outcome(granger_f_test, y, x, L, mask) == want
         # the lag search records the reference's error at every lag
         builder = lambda _: mask
-        assert [row["error"] for row in _lag_search(y, x, builder, 4)[1]] == \
+        table = _bic_rows(_lag_search(y, x, builder, 4))
+        assert [row["error"] for row in table] == \
             [row["error"] for row in lstsq_bic_table(y, x, builder, 4)]
 
     def test_near_constant_response_is_degenerate(self):
@@ -496,14 +502,14 @@ class TestCoreMatchesLstsq:
         with pytest.raises(DegenerateDesignError,
                            match="response is constant on the selected rows"):
             granger_f_test(y, x, 1, mask)
-        table = _lag_search(y, x, lambda _: mask, 4)[1]
+        table = _bic_rows(_lag_search(y, x, lambda _: mask, 4))
         assert table[0]["error"] == "response is constant on the selected rows"
         assert all(row["bic"] is None for row in table)
         # with no lag feasible, the lag search names the degenerate lag
         with pytest.raises(DegenerateDesignError,
                            match=r"no feasible lag in 1\.\.4; lag 1: response "
                                  r"is constant on the selected rows"):
-            bic_granger_test(y, x, lambda _: mask, 4)
+            select_lag_bic(y, x, lambda _: mask, 4)
 
 
 GRANGER_DETERMINISM_SCRIPT = """

@@ -289,6 +289,40 @@ class TestDailyBlockRule:
         with pytest.raises(PanelParseError, match="line 3: malformed date"):
             parse_ff_daily_csv(path, ["X"])
 
+    def test_corrupt_first_byte_mid_block_is_an_error(self):
+        text = ",X\n20200106,0.1\n\ufffd0200107,0.2\n20200108,0.3\n"
+        with pytest.raises(PanelParseError,
+                           match="line 3: malformed date token '\ufffd0200107'"):
+            parse_ff_daily_csv(io.StringIO(text), ["X"])
+
+    def test_non_utf8_first_byte_in_raw_file_reports_line(self, tmp_path):
+        path = tmp_path / "x_daily.csv"
+        path.write_bytes(b",X\n20200106,0.1\n \xff0200107,0.2\n20200108,0.3\n")
+        with pytest.raises(PanelParseError, match="line 3: malformed date"):
+            parse_ff_daily_csv(path, ["X"])
+
+    def test_ufffd_lines_outside_the_rows_are_not_rows(self):
+        text = (",X\n\ufffd preamble\n20200106,0.1\n20200107,0.2\n\n"
+                "\ufffd footer\n")
+        panel = parse_ff_daily_csv(io.StringIO(text), ["X"])
+        assert panel.dates.tolist() == [dt.date(2020, 1, 6), dt.date(2020, 1, 7)]
+
+    @pytest.mark.parametrize("rows, line, date", [
+        ("20200106,0.1\n20200106,0.2\n", 3, "2020-01-06"),
+        ("20200106,0.1\n20200108,0.2\n20200107,0.3\n", 4, "2020-01-07"),
+        # the sentinel row is dropped before the check, as it is from the panel
+        ("20200106,0.1\n20200109,-99.99\n20200107,0.2\n20200105,0.3\n", 5,
+         "2020-01-05"),
+    ])
+    def test_out_of_order_date_reports_line(self, rows, line, date):
+        with pytest.raises(PanelParseError,
+                           match=f"line {line}: date {date} is not after"):
+            parse_ff_daily_csv(io.StringIO(",X\n" + rows), ["X"])
+        iso = rows.replace("202001", "2020-01-")
+        with pytest.raises(PanelParseError,
+                           match=f"line {line}: date {date} is not after"):
+            read_panel_csv(io.StringIO("date,X\n" + iso))
+
     def test_malformed_value_after_sentinel_is_an_error(self):
         text = ",X,Y\n20200106,0.1,0.2\n20200107,-99.99,oops\n"
         with pytest.raises(PanelParseError,

@@ -7,18 +7,17 @@ from factorregimes import (
     DegenerateDesignError,
     FactorPanel,
     SampleSizeError,
-    full_mask,
     granger_f_test,
-    bic_granger_test,
     lag_sweep,
     regime_lag_mask,
+    select_lag_bic,
     subsample_split,
     threshold_regimes,
     transition_window_analysis,
     volatility_norm,
 )
-from factorregimes.granger import _lag_block
-from factorregimes.robustness import _pooled_f, _transition_starts
+from factorregimes.granger import _lag_block, _segment_test
+from factorregimes.robustness import _transition_starts
 
 from conftest import lstsq_nested_f, reference_design
 
@@ -89,7 +88,7 @@ class TestLagSweep:
 
     def test_stable_choice_across_bounds(self):
         y, x = self.lagged(3000, 53)
-        rows = lag_sweep(y, x, lambda L: full_mask(3000), [5, 10, 15, 20])
+        rows = lag_sweep(y, x, lambda L: np.ones(3000, dtype=bool), [5, 10, 15, 20])
         assert [r["L_max"] for r in rows] == [5, 10, 15, 20]
         assert all(r["error"] is None for r in rows)
         assert len({r["L_star"] for r in rows}) == 1
@@ -97,13 +96,13 @@ class TestLagSweep:
 
     def test_bound_caps_selection(self):
         y, x = self.lagged(2000, 54, lag=4)
-        rows = lag_sweep(y, x, lambda L: full_mask(2000), [2, 8])
+        rows = lag_sweep(y, x, lambda L: np.ones(2000, dtype=bool), [2, 8])
         assert rows[0]["L_star"] <= 2
         assert rows[1]["L_star"] == 4
 
     def test_rows_identical_once_bound_exceeds_choice(self):
         y, x = self.lagged(2500, 55, lag=2)
-        rows = lag_sweep(y, x, lambda L: full_mask(2500), [10, 15, 20])
+        rows = lag_sweep(y, x, lambda L: np.ones(2500, dtype=bool), [10, 15, 20])
         first = rows[0]
         for row in rows[1:]:
             assert row["L_star"] == first["L_star"]
@@ -112,11 +111,11 @@ class TestLagSweep:
 
     def test_infeasible_bound_recorded(self):
         y, x = self.lagged(30, 56)
-        rows = lag_sweep(y, x, lambda L: full_mask(30), [3, 50])
+        rows = lag_sweep(y, x, lambda L: np.ones(30, dtype=bool), [3, 50])
         assert rows[0]["error"] is None
         assert rows[1]["error"] is None or rows[1]["L_star"] is not None
         # a bound with no feasible lag at all
-        rows2 = lag_sweep(y[:12], x[:12], lambda L: full_mask(12), [5])
+        rows2 = lag_sweep(y[:12], x[:12], lambda L: np.ones(12, dtype=bool), [5])
         assert rows2[0]["error"] is not None
 
     def test_callable_mask(self):
@@ -134,38 +133,45 @@ class TestLagSweep:
         y, x = self.lagged(T, 66, lag=3)
         labels = (rng.random(T) < 0.9).astype(int)
         cases = [
-            (y, x, lambda L: full_mask(T), [7, 1, 4, 12]),
+            (y, x, lambda L: np.ones(T, dtype=bool), [7, 1, 4, 12]),
             (y, x, lambda L: regime_lag_mask(labels, 1, L), [2, 9, 5, 15]),
-            (y[:25], x[:25], lambda L: full_mask(25), [1, 3, 8]),  # lags 5..8 too long
-            (y[:12], x[:12], lambda L: full_mask(12), [2, 5]),  # no feasible lag
+            # lags 5..8 too long
+            (y[:25], x[:25], lambda L: np.ones(25, dtype=bool), [1, 3, 8]),
+            # no feasible lag
+            (y[:12], x[:12], lambda L: np.ones(12, dtype=bool), [2, 5]),
         ]
         for yy, xx, builder, bounds in cases:
             for row, bound in zip(lag_sweep(yy, xx, builder, bounds), bounds):
-                want = {"L_max": bound, "L_star": None, "f_stat": None,
-                        "p_value": None, "n_obs": None, "error": None}
+                want = {"L_max": bound, "L_star": None, "n_obs": None,
+                        "error": None}
                 try:
-                    res = bic_granger_test(yy, xx, builder, bound)
+                    L, _ = select_lag_bic(yy, xx, builder, bound)
                 except (SampleSizeError, DegenerateDesignError) as exc:
-                    want["error"] = str(exc)
+                    want.update(f_stat=None, p_value=None, error=str(exc))
                 else:
-                    want.update(L_star=res.lag, f_stat=res.f_stat,
-                                p_value=res.p_value, n_obs=res.n_obs)
-                if row["error"] is None:
-                    fixed = granger_f_test(yy, xx, row["L_star"],
-                                           builder(row["L_star"]))
+                    fixed = granger_f_test(yy, xx, L, builder(L))
+                    want.update(L_star=L, n_obs=fixed.n_obs)
+                    # a chain up to another bound, or the fixed-lag chain,
+                    # orders its columns and folds its rows differently: F
+                    # agrees to rounding, and p to F's error times the
+                    # tail's log-slope (about 140 at p = 1e-79)
                     assert row["f_stat"] == pytest.approx(fixed.f_stat, rel=1e-12)
                     assert row["p_value"] == pytest.approx(fixed.p_value, rel=1e-10)
-                if bound == max(bounds):
-                    assert row == want  # the same chain, bit for bit
-                    continue
-                # a chain up to a smaller bound orders its columns and folds
-                # its rows differently: F agrees to rounding, and p to F's
-                # error times the tail's log-slope (about 140 at p = 1e-79)
-                exact = ("L_max", "L_star", "n_obs", "error")
-                assert {k: row[k] for k in exact} == {k: want[k] for k in exact}
-                if want["error"] is None:
-                    assert row["f_stat"] == pytest.approx(want["f_stat"], rel=1e-12)
-                    assert row["p_value"] == pytest.approx(want["p_value"], rel=1e-10)
+                assert {k: row[k] for k in want} == want
+
+    def test_bound_row_equals_sweep_ending_at_that_bound(self):
+        """One bound's row is the same bit for bit whether it is swept
+        alone or as the largest of several bounds."""
+        rng = np.random.default_rng(69)
+        T = 1500
+        y, x = self.lagged(T, 70, lag=3)
+        labels = (rng.random(T) < 0.9).astype(int)
+        for builder in (lambda L: np.ones(T, dtype=bool),
+                        lambda L: regime_lag_mask(labels, 1, L)):
+            for bounds in ([3, 1, 12], [12, 5], [2, 9, 4]):
+                b = max(bounds)
+                (alone,) = lag_sweep(y, x, builder, [b])
+                assert lag_sweep(y, x, builder, bounds)[bounds.index(b)] == alone
 
     def test_one_bic_table_for_all_bounds(self, monkeypatch):
         import factorregimes.granger as granger
@@ -179,14 +185,14 @@ class TestLagSweep:
 
         monkeypatch.setattr(granger, "_lag_fits", counted)
         y, x = self.lagged(1000, 67)
-        lag_sweep(y, x, lambda L: full_mask(1000), [5, 10, 15, 20])
+        lag_sweep(y, x, lambda L: np.ones(1000, dtype=bool), [5, 10, 15, 20])
         # one chain over lags 1..20 gives every bound's table and F test
         assert chains == [list(range(1, 21))]
 
     def test_rejects_bad_bound(self):
         y, x = self.lagged(100, 58)
         with pytest.raises(ValueError):
-            lag_sweep(y, x, lambda L: full_mask(100), [0, 5])
+            lag_sweep(y, x, lambda L: np.ones(100, dtype=bool), [0, 5])
 
 
 class TestSubsampleSplit:
@@ -323,15 +329,15 @@ class TestTransitionWindows:
             np.testing.assert_array_equal(Z[:, 2 * L + 1], Y_ref)
             np.testing.assert_array_equal(Z[:, :2 * L + 1], X_u)
             np.testing.assert_array_equal(Z[:, :L + 1], X_r)
-            p, n_rows = _pooled_f(y, x, segments, L)
+            p, n_rows = _segment_test(y, x, segments, L)
             assert n_rows == Y_ref.size
             # the SVD two-fit reference on the stacked reference design
             assert p == pytest.approx(lstsq_nested_f(Y_ref, X_u, L)[1], rel=1e-9)
 
     def test_pooled_too_few_rows_is_none(self):
         y = x = np.arange(50.0)
-        assert _pooled_f(y, x, [], 3) == (None, 0)
-        assert _pooled_f(y, x, [(0, 10)], 3) == (None, 8)
+        assert _segment_test(y, x, [], 3) == (None, 0)
+        assert _segment_test(y, x, [(0, 10)], 3) == (None, 8)
 
     def test_no_transitions_reports_empty(self):
         panel = noise_panel(300, seed=65, names=("HML", "SMB"))
