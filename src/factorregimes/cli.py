@@ -166,6 +166,8 @@ def cmd_granger(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.lag < 1:
+        raise ValueError("L must be >= 1")
     panel, labels = _load_aligned(args.panel, args.labels)
     windows = _event_windows(args)
     crisis = int(labels.max())
@@ -237,6 +239,8 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_robustness(args) -> int:
+    if args.lmax < 1:
+        raise ValueError("every L_max must be >= 1")
     panel, labels = _load_aligned(args.panel, args.labels)
     crisis = int(labels.max())
     os.makedirs(args.out, exist_ok=True)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import EstimationError, SampleSizeError
 from .numerics import digamma, log_gamma
@@ -165,7 +164,7 @@ def _emission_terms(X, mu, Sigma, nu, family):
             L = np.linalg.cholesky(Sigma[k])
         except np.linalg.LinAlgError:
             raise EstimationError(f"Sigma[{k}] lost positive definiteness") from None
-        Z = solve_triangular(L, (X - mu[k]).T, lower=True)
+        Z = np.linalg.solve(L, (X - mu[k]).T)
         dk = np.einsum("ij,ij->j", Z, Z)
         delta[:, k] = dk
         logdet = 2.0 * np.sum(np.log(np.diag(L)))

@@ -274,6 +274,18 @@ class TestValidate:
         assert rc == 0
         assert "UNTESTABLE" in out.read_text()
 
+    def test_lag_below_one_rejected_before_any_output(self, fitted, tmp_path,
+                                                      capsys):
+        panel_path, _, labels = fitted
+        rc = main(["validate", "--panel", str(panel_path),
+                   "--labels", str(labels), "--lag", "0",
+                   "--out", str(tmp_path / "validation.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: L must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBacktest:
     def test_report_json(self, fitted, tmp_path):
@@ -355,6 +367,18 @@ class TestRobustnessCommand:
             want.append(f"{row['L_max']},{row['L_star']},{row['f_stat']:.6f},"
                         f"{row['p_value']:.5e},{row['n_obs']},")
         assert (outdir / "lag_sweep.csv").read_text().splitlines() == want
+
+    def test_lmax_below_one_rejected_before_any_output(self, fitted, tmp_path,
+                                                       capsys):
+        panel_path, _, labels = fitted
+        rc = main(["robustness", "--panel", str(panel_path),
+                   "--labels", str(labels), "--lmax", "0",
+                   "--out", str(tmp_path / "robust")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: every L_max must be >= 1\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHelp:

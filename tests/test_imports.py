@@ -1,8 +1,11 @@
 """Every package module uses each name it imports (`__init__.py` imports
-to re-export, so it is left out)."""
+to re-export, so it is left out), and the runtime imports numpy only."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +44,41 @@ def test_checker_flags_only_unread_names():
               "def f(g: Callable) -> None:\n"
               "    raise SchemaError(np.pi)\n")
     assert unused_imports(source) == [(2, "os"), (4, "SampleSizeError")]
+
+
+RUNTIME_PROBE = """
+import pathlib, sys
+import numpy as np
+import factorregimes, factorregimes.cli
+from factorregimes import FactorPanel, write_labels_csv, write_panel_csv
+
+out = pathlib.Path(sys.argv[1])
+rng = np.random.default_rng(0)
+dates = np.datetime64("2000-01-03") + np.arange(400)
+labels = (np.arange(400) // 50) % 2
+write_panel_csv(FactorPanel(dates, rng.standard_normal((400, 3)),
+                            ("A", "B", "C")), out / "panel.csv")
+write_labels_csv(dates, labels, out / "labels.csv")
+main = factorregimes.cli.main
+assert main(["granger", "--panel", str(out / "panel.csv"),
+             "--labels", str(out / "labels.csv"), "--lmax", "3",
+             "--out", str(out / "granger.csv")]) == 0
+assert main(["fit", "--panel", str(out / "panel.csv"), "--k", "2",
+             "--seed", "1", "--restarts", "1",
+             "--out", str(out / "model.json")]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"{len(loaded)} scipy modules, first {loaded[:3]}"
+"""
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """The package and a granger and a fit stage run in a fresh process
+    without loading scipy, so numpy is the only runtime dependency."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "granger.csv").exists()
+    assert (tmp_path / "model.json").exists()

@@ -1,7 +1,8 @@
-"""Special functions against frozen high-precision oracle values.
+"""Special functions against high-precision oracle values.
 
-Reference constants were computed offline with an arbitrary-precision
-library at 40 decimal digits and are embedded verbatim.
+The reference constants were computed offline with an arbitrary-precision
+library at 40 decimal digits and are embedded verbatim. The relative-error
+grids at the end compute their references with mpmath at 50 digits.
 """
 
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from factorregimes import (
+    EstimationError,
     FTestDistribution,
     binomial_tail,
     digamma,
@@ -143,6 +145,65 @@ class TestFsf:
             FTestDistribution(0, 10)
         with pytest.raises(ValueError):
             FTestDistribution(3, 0)
+
+
+class TestRelativeOracles:
+    """Relative error against 50-digit mpmath over the ranges the package
+    uses: F tails for df1 1-20 and df2 11-9000 down to p of about 1e-280."""
+
+    DF2 = (11, 17, 30, 60, 150, 400, 1000, 2500, 5000, 9000)
+    LOG10_P = (-280, -200, -120, -60, -20, -8, -4, -2, -1, -0.3)
+
+    def test_f_sf_relative_tail(self):
+        mp = pytest.importorskip("mpmath")
+        worst, smallest = 0.0, 1.0
+        with mp.workdps(50):
+            for df1 in range(1, 21):
+                b = mp.mpf(df1) / 2
+                for df2 in self.DF2:
+                    a = mp.mpf(df2) / 2
+                    log_ab = mp.log(a) + mp.log(mp.beta(a, b))
+                    for log10_p in self.LOG10_P:
+                        # t where the leading term t^a / (a B(a, b)) is p
+                        t = mp.exp((log10_p * mp.log(10) + log_ab) / a)
+                        if not 0 < t < 1:
+                            continue
+                        f = float(df2 * (1 - t) / (df1 * t))
+                        t = mp.mpf(df2) / (df2 + df1 * mp.mpf(f))
+                        ref = mp.betainc(a, b, 0, t, regularized=True)
+                        if ref < mp.mpf("1e-280"):
+                            continue
+                        got = f_sf(f, FTestDistribution(df1, df2))
+                        worst = max(worst, float(abs(got - ref) / ref))
+                        smallest = min(smallest, float(ref))
+        assert smallest < 1e-250
+        assert worst <= 1e-10, f"F tail relative error {worst:.3e}"
+
+    def test_digamma(self):
+        mp = pytest.importorskip("mpmath")
+        xs = np.append(np.geomspace(0.01, 1000.0, 500)[1:], [0.5, 6.0, 10.0])
+        with mp.workdps(50):
+            worst = max(
+                float(abs(digamma(x) - ref) / max(abs(ref), 1))
+                for x, ref in ((float(x), mp.digamma(float(x))) for x in xs)
+            )
+        assert worst <= 1e-13, f"digamma error {worst:.3e}"
+
+    def test_log_gamma(self):
+        mp = pytest.importorskip("mpmath")
+        xs = np.append(np.geomspace(0.01, 1e4, 500)[1:], [0.5, 1.0, 2.0])
+        with mp.workdps(50):
+            worst = max(
+                float(abs(log_gamma(x) - ref) / max(abs(ref), 1))
+                for x, ref in ((float(x), mp.loggamma(float(x))) for x in xs)
+            )
+        assert worst <= 1e-13, f"log_gamma error {worst:.3e}"
+
+    def test_unconverged_fraction_raises(self):
+        """At a = b = 1e12 the continued fraction needs some 10^5 terms,
+        past the cap: an error, never an unconverged value."""
+        with pytest.raises(EstimationError, match="did not converge"):
+            regularized_incomplete_beta(1e12, 1e12, 0.5)
 
 
 class TestBinomialTail:
