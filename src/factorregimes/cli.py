@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .panel import (
     FF5_COLUMNS,
     MOMENTUM_COLUMNS,
     TESTED_PAIR,
+    _write_table,
     parse_ff_daily_csv,
     merge_on_dates,
     read_labels_csv,
@@ -223,17 +225,13 @@ def cmd_backtest(args) -> int:
 def cmd_plotdata(args) -> int:
     panel, labels = _load_aligned(args.panel, args.labels)
     windows = _event_windows(args)
-    norm = volatility_norm(panel)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("date,volatility_norm,regime,event\n")
-        for t in range(panel.n_days):
-            d = panel.dates[t]
-            marker = ""
-            for w in windows:
-                if w.start <= d <= w.end:
-                    marker = w.name
-                    break
-            fh.write(f"{d},{norm[t]:.6f},{int(labels[t])},{marker}\n")
+    markers = np.full(panel.n_days, "", dtype=object)
+    for w in reversed(windows):  # a day in two windows takes the first's name
+        markers[(w.start <= panel.dates) & (panel.dates <= w.end)] = w.name
+    _write_table(args.out, "date,volatility_norm,regime,event".split(","),
+                 ("", ".6f", "", ""),
+                 zip(np.datetime_as_string(panel.dates).tolist(),
+                     volatility_norm(panel).tolist(), labels.tolist(), markers))
     print(f"timeline ({panel.n_days} rows) -> {args.out}")
     return 0
 
@@ -262,35 +260,28 @@ def cmd_robustness(args) -> int:
     sweep = lag_sweep(y, x, lambda L: regime_lag_mask(labels, crisis, L),
                       [5, 10, 15, 20])
     sweep_path = os.path.join(args.out, "lag_sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8") as fh:
-        fh.write("L_max,L_star,f_stat,p_value,n_obs,error\n")
-        for row in sweep:
-            if row["error"] is not None:
-                fh.write(f"{row['L_max']},,,,,{row['error']}\n")
-            else:
-                fh.write(f"{row['L_max']},{row['L_star']},{row['f_stat']:.6f},"
-                         f"{row['p_value']:.5e},{row['n_obs']},\n")
+    for row in sweep:  # cells are not quoted: an error text keeps no comma
+        row["error"] = row["error"] and row["error"].replace(",", ";")
+    _write_table(sweep_path, "L_max,L_star,f_stat,p_value,n_obs,error".split(","),
+                 ("", "", ".6f", ".5e", "", ""), (row.values() for row in sweep))
     print(f"lag sweep -> {sweep_path}")
 
     pre, post = subsample_split(panel, labels, args.split, args.lmax, args.alpha)
     split_path = os.path.join(args.out, "subsample_split.csv")
-    with open(split_path, "w", encoding="utf-8") as fh:
-        fh.write("side,source,target,regime,lag,f_stat,p_value,n_obs\n")
-        for side, matrix in (("pre", pre), ("post", post)):
-            for r in matrix.results:
-                fh.write(f"{side},{r.source},{r.target},{r.regime},{r.lag},"
-                         f"{r.f_stat:.6f},{r.p_value:.5e},{r.n_obs}\n")
+    _write_table(split_path,
+                 "side,source,target,regime,lag,f_stat,p_value,n_obs".split(","),
+                 ("", "", "", "", "", ".6f", ".5e", ""),
+                 ((side, *astuple(r)[:7])
+                  for side, matrix in (("pre", pre), ("post", post))
+                  for r in matrix.results))
     print(f"subsample split at {args.split} -> {split_path}")
 
     rep = transition_window_analysis(panel, labels, crisis)
     trans_path = os.path.join(args.out, "transition_windows.csv")
-    with open(trans_path, "w", encoding="utf-8") as fh:
-        fh.write("direction,n_transitions,p_before,p_after,n_before,n_after\n")
-        for name, pair in (("entry", rep.entry), ("exit", rep.exit)):
-            pb = "" if pair.p_before is None else f"{pair.p_before:.5e}"
-            pa = "" if pair.p_after is None else f"{pair.p_after:.5e}"
-            fh.write(f"{name},{pair.n_transitions},{pb},{pa},"
-                     f"{pair.n_before},{pair.n_after}\n")
+    _write_table(trans_path, ("direction,n_transitions,p_before,p_after,"
+                              "n_before,n_after").split(","),
+                 ("", "", ".5e", ".5e", "", ""),
+                 [("entry", *astuple(rep.entry)), ("exit", *astuple(rep.exit))])
     print(f"transition windows -> {trans_path}")
     return 0
 

@@ -10,7 +10,7 @@ show the expected pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import PanelParseError
 from .granger import _segment_test
 from .numerics import binomial_tail
-from .panel import TESTED_PAIR, FactorPanel, _open_output, _read_lines, as_date64
+from .panel import TESTED_PAIR, FactorPanel, _read_lines, _write_table, as_date64
 
 CHECK = "CHECK"
 DIR = "DIR"
@@ -179,18 +179,12 @@ def event_granger_validation(panel: FactorPanel,
 
 def write_validation_csv(report: ValidationReport, path_or_buf) -> None:
     """Canonical validation CSV plus a binomial footer row."""
-    with _open_output(path_or_buf) as fh:
-        fh.write("event,days,p_fwd,p_rev,classification\n")
-        for r in report.rows:
-            p_f = "" if r.p_fwd is None else f"{r.p_fwd:.5e}"
-            p_r = "" if r.p_rev is None else f"{r.p_rev:.5e}"
-            fh.write(f"{r.event},{r.days},{p_f},{p_r},{r.classification}\n")
-        p = np.format_float_positional(report.alpha, min_digits=2)
-        fh.write(
-            f"# binomial: {report.n_check}/{report.n_testable} CHECK; "
-            f"exact tail at p={p} = {report.binomial_p:.5e} "
-            f"(exact sum, not an approximate method)\n"
-        )
+    p = np.format_float_positional(report.alpha, min_digits=2)
+    _write_table(path_or_buf, "event,days,p_fwd,p_rev,classification".split(","),
+                 ("", "", ".5e", ".5e", ""), map(astuple, report.rows),
+                 footer=f"# binomial: {report.n_check}/{report.n_testable} CHECK; "
+                        f"exact tail at p={p} = {report.binomial_p:.5e} "
+                        f"(exact sum, not an approximate method)\n")
 
 
 def read_event_windows(source) -> tuple[EventWindow, ...]:

@@ -25,14 +25,14 @@ the lag-selection policy (smallest BIC, ties to the smaller lag) lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DegenerateDesignError, SampleSizeError
 from .numerics import FTestDistribution, f_sf
-from .panel import FactorPanel, _open_output
+from .panel import FactorPanel, _write_table
 
 DEFAULT_L_MAX = 15
 DEFAULT_ALPHA = 0.01
@@ -425,12 +425,6 @@ def pairwise_regime_matrix(panel: FactorPanel, labels, L_max: int = DEFAULT_L_MA
 def granger_results_to_csv(results: Iterable[GrangerResult], path_or_buf) -> None:
     """Write results in the canonical CSV layout; p-values in scientific
     notation with 6 significant digits."""
-    with _open_output(path_or_buf) as fh:
-        fh.write("source,target,regime,lag,f_stat,p_value,n_obs,"
-                 "r2_increment,significant\n")
-        for r in results:
-            fh.write(
-                f"{r.source},{r.target},{r.regime},{r.lag},{r.f_stat:.6f},"
-                f"{r.p_value:.5e},{r.n_obs},{r.r2_increment:.6f},"
-                f"{r.significant_bonferroni}\n"
-            )
+    _write_table(path_or_buf, ("source,target,regime,lag,f_stat,p_value,"
+                               "n_obs,r2_increment,significant").split(","),
+                 ("", "", "", "", ".6f", ".5e", "", ".6f", ""), map(astuple, results))

@@ -12,15 +12,21 @@ U+FFFD (a byte that was not UTF-8) is a corrupt data row, not their end.
 A data row's date is YYYYMMDD or YYYY-MM-DD, later than the previous kept
 row's; a malformed or out-of-order date, or a malformed value, raises
 PanelParseError with its line.
+
+Every CSV table goes through one writer: a header line, then per row the
+cells format(value, spec), or empty for None, joined by commas, unquoted;
+a comma or a line break (as str.splitlines finds them) in a column name
+or a cell raises ValueError, and nothing is written.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date as _date
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -107,6 +113,9 @@ class FactorPanel:
 
 # A date token is exactly YYYYMMDD or YYYY-MM-DD.
 _DATE_TOKEN = re.compile(r"[0-9]{8}|[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# the characters at which str.splitlines, and so every reader here, ends a line
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_TABLE_BLOCK_ROWS = 1024  # rows the table writer formats at once
 
 
 def _to_dates(tokens: list[str], line_numbers: list[int]) -> np.ndarray:
@@ -139,17 +148,6 @@ def _read_lines(source) -> list[str]:
             f"expected a path or a text stream, got {type(source).__name__}")
     with open(source, "r", encoding="utf-8", errors="replace") as fh:
         return fh.read().splitlines()
-
-
-@contextmanager
-def _open_output(target):
-    """A text stream to write to: `target` itself when it has a write
-    method, else the file at that path, opened here and closed on exit."""
-    if hasattr(target, "write"):
-        yield target
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            yield fh
 
 
 def parse_ff_daily_csv(source, expected_columns: Sequence[str]) -> FactorPanel:
@@ -252,12 +250,35 @@ def volatility_norm(p: FactorPanel) -> np.ndarray:
     return np.linalg.norm(p.returns, axis=1)
 
 
+def _write_table(target, header: Sequence[str], specs: Sequence[str], rows,
+                 footer: str = "") -> None:
+    """Write a CSV table and then `footer` to a path or a text stream, by the
+    module docstring's rule, formatting and checking a block of rows at once."""
+    rows, parts = iter(rows), []
+    block, block_specs = [tuple(header)], [""] * len(header)
+    while block:
+        cells = [["" if v is None else format(v, spec) for v in column]
+                 for spec, column in zip(block_specs, zip(*block))]
+        text = "\n".join(map(",".join, zip(*cells))) + "\n"
+        if (text.count(",") != len(block) * (len(header) - 1)
+                or len(_LINE_BREAK.findall(text)) != len(block)):
+            bad = [f"column {name!r}: {cell!r} holds a comma or line break"
+                   for name, column in zip(header, cells) for cell in column
+                   if "," in cell or _LINE_BREAK.search(cell)]
+            raise ValueError((bad or ["a row's cells do not match the header"])[0])
+        parts.append(text)
+        block, block_specs = list(islice(rows, _TABLE_BLOCK_ROWS)), specs
+    with (nullcontext(target) if hasattr(target, "write")
+          else open(target, "w", encoding="utf-8")) as fh:
+        fh.writelines([*parts, footer])
+
+
 def write_panel_csv(p: FactorPanel, path_or_buf) -> None:
     """Write the canonical form: header `date,<names>`, ISO dates, 6 decimals."""
-    with _open_output(path_or_buf) as fh:
-        fh.write("date," + ",".join(p.factor_names) + "\n")
-        for d, row in zip(p.dates, p.returns):
-            fh.write(str(d) + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
+    _write_table(path_or_buf, ("date", *p.factor_names),
+                 ("",) + (".6f",) * p.n_factors,
+                 zip(np.datetime_as_string(p.dates).tolist(),
+                     *p.returns.T.tolist()))
 
 
 def read_panel_csv(source) -> FactorPanel:
@@ -279,10 +300,9 @@ def read_panel_csv(source) -> FactorPanel:
 
 def write_labels_csv(dates: np.ndarray, labels: np.ndarray, path) -> None:
     """Sidecar regime-label series: header `date,regime`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("date,regime\n")
-        for d, z in zip(dates, labels):
-            fh.write(f"{d},{int(z)}\n")
+    _write_table(path, ("date", "regime"), ("", "d"),
+                 zip(np.datetime_as_string(dates).tolist(),
+                     np.asarray(labels).astype(int).tolist()))
 
 
 def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:

@@ -265,6 +265,23 @@ def reference_parse_lines(lines, expected_columns):
                        tuple(wanted))
 
 
+# ---------------------------------------------------------------------------
+# table writer reference: the row-by-row f-string loop the column-wise one
+# replaced
+
+
+def reference_table(header, specs, rows) -> str:
+    """A CSV table one row at a time, the way each artifact writer built
+    it: the header line, then per row one f-string cell per column, the
+    value formatted by the column's spec as it comes (numpy scalars too),
+    blank for None."""
+    text = ",".join(header) + "\n"
+    for row in rows:
+        text += ",".join("" if v is None else f"{v:{spec}}"
+                         for v, spec in zip(row, specs)) + "\n"
+    return text
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from factorregimes import (
+    SIX_FACTOR_NAMES,
     CrossLagSpec,
     EstimationError,
+    FactorPanel,
     SyntheticSpec,
     generate,
     lag_sweep,
@@ -15,6 +17,7 @@ from factorregimes import (
     read_panel_csv,
     regime_lag_mask,
     threshold_regimes,
+    write_labels_csv,
     write_panel_csv,
 )
 from factorregimes import cli
@@ -55,8 +58,6 @@ def synthetic_files(tmp_path_factory):
                                coefficient=0.6),
     )
     panel, labels = generate(spec)
-    from factorregimes import FactorPanel, SIX_FACTOR_NAMES
-
     panel = FactorPanel(panel.dates, panel.returns, SIX_FACTOR_NAMES)
     panel_path = tmp / "panel.csv"
     write_panel_csv(panel, panel_path)
@@ -334,6 +335,26 @@ class TestPlotdata:
         assert len(lines) == 1 + panel.n_days
         assert any(line.endswith(",ep") for line in lines[11:42])
 
+    def test_event_markers(self, fitted, tmp_path):
+        """The first listed window holding a day names it, both bounds are
+        inclusive, a day in no window is blank, and a window outside the
+        panel marks nothing."""
+        panel_path, _, labels = fitted
+        d = read_panel_csv(panel_path).dates
+        events = tmp_path / "events.csv"
+        events.write_text(f"early,{d[10]},{d[30]}\nlate,{d[20]},{d[40]}\n"
+                          "before,1900-01-02,1900-12-31\n"
+                          "after,2200-01-02,2200-12-31\n")
+        out = tmp_path / "plot.csv"
+        assert main(["plotdata", "--panel", str(panel_path),
+                     "--labels", str(labels), "--events", str(events),
+                     "--out", str(out)]) == 0
+        markers = [line.split(",")[3]
+                   for line in out.read_text().splitlines()[1:]]
+        assert len(markers) == d.size
+        assert markers[:42] == [""] * 10 + ["early"] * 21 + ["late"] * 10 + [""]
+        assert set(markers[42:]) == {""}
+
 
 class TestRobustnessCommand:
     def test_writes_battery_outputs(self, fitted, tmp_path, capsys):
@@ -367,6 +388,25 @@ class TestRobustnessCommand:
             want.append(f"{row['L_max']},{row['L_star']},{row['f_stat']:.6f},"
                         f"{row['p_value']:.5e},{row['n_obs']},")
         assert (outdir / "lag_sweep.csv").read_text().splitlines() == want
+
+    def test_lag_sweep_error_rows_keep_six_fields(self, tmp_path):
+        """A crisis run too short for any lag leaves the error text in the
+        last cell, its comma written as a semicolon."""
+        rng = np.random.default_rng(0)
+        dates = np.datetime64("2005-01-03") + np.arange(400)
+        write_panel_csv(FactorPanel(dates, rng.normal(size=(400, 6)),
+                                    SIX_FACTOR_NAMES), tmp_path / "panel.csv")
+        labels = np.zeros(400, dtype=int)
+        labels[200:206] = 1
+        write_labels_csv(dates, labels, tmp_path / "labels.csv")
+        assert main(["robustness", "--panel", str(tmp_path / "panel.csv"),
+                     "--labels", str(tmp_path / "labels.csv"),
+                     "--split", "2005-06-01",
+                     "--out", str(tmp_path / "robust")]) == 0
+        lines = (tmp_path / "robust" / "lag_sweep.csv").read_text().splitlines()
+        assert lines[1:] == [
+            f"{L},,,,,no feasible lag in 1..{L}: need at least 13 "
+            f"observations; have 5" for L in (5, 10, 15, 20)]
 
     def test_lmax_below_one_rejected_before_any_output(self, fitted, tmp_path,
                                                        capsys):

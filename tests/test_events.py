@@ -11,6 +11,7 @@ from factorregimes import (
     DEFAULT_EVENT_WINDOWS,
     DIR,
     UNTESTABLE,
+    EventResult,
     EventWindow,
     FactorPanel,
     PanelParseError,
@@ -21,6 +22,7 @@ from factorregimes import (
     granger_f_test,
     lead_time,
     read_event_windows,
+    ValidationReport,
     slice_dates,
     write_validation_csv,
 )
@@ -239,8 +241,6 @@ class TestValidationCsv:
         assert f"{report.n_check}/{report.n_testable} CHECK" in lines[-1]
 
     def test_five_of_six_footer_notes_exact_tail(self):
-        from factorregimes import EventResult, ValidationReport
-
         rows = tuple(
             EventResult(f"e{i}", 100, 0.01, 0.5,
                         CHECK if i < 5 else CROSS)
@@ -254,6 +254,13 @@ class TestValidationCsv:
         assert "5.5" in footer and "e-05" in footer
         assert "approximate" in footer  # flags the common ~1e-3 misreading
 
+
+    def test_event_name_with_comma_rejected(self):
+        rows = (EventResult("Crash, 1987", 40, 0.01, 0.5, CHECK),)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="column 'event': 'Crash, 1987'"):
+            write_validation_csv(ValidationReport(rows, 1, 1, 0.1), buf)
+        assert buf.getvalue() == ""
 
     def test_footer_reports_the_alpha_used(self):
         panel = build_event_panel(T=500, seed=36, coef=0.8, lag=2)

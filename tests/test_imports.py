@@ -1,5 +1,6 @@
 """Every package module uses each name it imports (`__init__.py` imports
-to re-export, so it is left out), and the runtime imports numpy only."""
+to re-export, so it is left out), the command-line driver opens no file
+itself, and the runtime imports numpy only."""
 
 import ast
 import os
@@ -44,6 +45,18 @@ def test_checker_flags_only_unread_names():
               "def f(g: Callable) -> None:\n"
               "    raise SchemaError(np.pi)\n")
     assert unused_imports(source) == [(2, "os"), (4, "SampleSizeError")]
+
+
+def test_cli_opens_no_file():
+    """Artifact formats live in the library: `cli.py` calls no `open`
+    (builtin, `io.open` or `os.open`), so every file it writes goes through
+    a library writer."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None) == "open"
+                  or getattr(node.func, "attr", None) == "open")]
+    assert calls == []
 
 
 RUNTIME_PROBE = """

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import io
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +24,9 @@ from factorregimes import (
     write_panel_csv,
 )
 
-from conftest import reference_parse_lines
+from factorregimes.panel import _write_table
+
+from conftest import reference_parse_lines, reference_table
 
 RAW_FF5 = """This file was created from the daily return database.
 The 1-month TBill return is from an external provider.
@@ -444,3 +447,91 @@ class TestReaderProperties:
         with pytest.raises(PanelParseError,
                            match=f"^line {len(f.before) + k + 1}: "):
             read(f, canonical)
+
+
+# the cells where two formatters are most likely to differ: nan, both
+# infinities, a negative zero, subnormals, 300 integer digits, and None
+SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                  -0.0, 5e-324, -2.5e-310, 1e300, -1e300,
+                                  None])
+CELLS = {".6f": st.one_of(st.floats(), SPECIAL_FLOATS),
+         ".5e": st.one_of(st.floats(), SPECIAL_FLOATS),
+         "d": st.one_of(st.integers(), st.none())}
+
+
+def written(header, specs, rows) -> str:
+    buf = io.StringIO()
+    _write_table(buf, header, specs, rows)
+    return buf.getvalue()
+
+
+class TestTableWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_writer(self, data):
+        specs = data.draw(st.lists(st.sampled_from(sorted(CELLS)),
+                                   min_size=1, max_size=5))
+        rows = data.draw(st.lists(st.tuples(*(CELLS[s] for s in specs)),
+                                  max_size=20))
+        header = [f"c{j}" for j in range(len(specs))]
+        assert written(header, specs, rows) == \
+            reference_table(header, specs, rows)
+
+    def test_rows_across_blocks(self):
+        """A long table is written a block at a time; a bad cell in a late
+        block still leaves nothing written."""
+        rows = [(i, i / 7, None if i % 5 else -0.0, f"r{i}") for i in range(2500)]
+        header, specs = ["i", "x", "y", "name"], ["d", ".6f", ".5e", ""]
+        assert written(header, specs, rows) == reference_table(header, specs, rows)
+        rows[2400] = (2400, 0.0, None, "bad,cell")
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="column 'name': 'bad,cell'"):
+            _write_table(buf, header, specs, rows)
+        assert buf.getvalue() == ""
+
+    def test_empty_table_is_its_header(self):
+        assert written(["a", "b"], [".6f", "d"], []) == "a,b\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_panel_and_labels_match_the_row_loop(self, data):
+        T = data.draw(st.integers(0, 12))
+        values = st.one_of(st.floats(-1e300, 1e300),
+                           st.sampled_from([-0.0, 5e-324, -2.5e-310]))
+        returns = np.array(data.draw(st.lists(values, min_size=2 * T,
+                                              max_size=2 * T))).reshape(T, 2)
+        p = make_panel(returns) if T else FactorPanel(
+            np.array([], "datetime64[D]"), np.zeros((0, 2)), ("A", "B"))
+        labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=T,
+                                             max_size=T)), dtype=int)
+        buf = io.StringIO()
+        write_panel_csv(p, buf)
+        # the loop iterated the arrays, so it formatted numpy scalars
+        assert buf.getvalue() == reference_table(
+            ("date", "A", "B"), ("", ".6f", ".6f"), zip(p.dates, *p.returns.T))
+        buf = io.StringIO()
+        write_labels_csv(p.dates, labels, buf)
+        assert buf.getvalue() == reference_table(
+            ("date", "regime"), ("", ""), zip(p.dates, labels))
+
+    @pytest.mark.parametrize("cell", ["x,y", "x\ny", ",", "x\r", "x\u2028y"])
+    def test_comma_or_newline_in_a_cell_rejected(self, cell):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(f"column 'name': {cell!r}")):
+            _write_table(buf, ["n", "name"], ["d", ""], [(1, "ok"), (2, cell)])
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("name", ["A,B", "A\rB"])
+    def test_factor_name_with_comma_or_line_break_rejected(self, tmp_path,
+                                                           name):
+        p = make_panel([[0.1, 0.2]], names=(name, "C"))
+        path = tmp_path / "panel.csv"
+        with pytest.raises(ValueError, match=re.escape(f"column {name!r}")):
+            write_panel_csv(p, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header, rows", [(["a"], [(1, 2)]),
+                                              (["a", "b"], [(1, 2), (3,)])])
+    def test_row_of_another_length_rejected(self, header, rows):
+        with pytest.raises(ValueError, match="cells do not match the header"):
+            written(header, ["d", "d"], rows)
