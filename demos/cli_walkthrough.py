@@ -6,7 +6,7 @@ Every library capability is also reachable through the factor-regimes
 binary. This script fabricates a raw-format factor file pair, then
 drives the full subcommand chain the way a shell user would:
 
-    ingest -> fit -> granger -> validate -> backtest -> robustness
+    ingest -> fit -> granger -> validate -> backtest -> robustness -> plotdata
 
 Everything lands in ./demo_out. Run with:
 
@@ -97,6 +97,9 @@ run(["backtest", "--panel", str(out / "panel.csv"),
 run(["robustness", "--panel", str(out / "panel.csv"),
      "--labels", str(out / "labels.csv"), "--lmax", "8",
      "--split", "1997-01-01", "--out", str(out / "robust")])
+run(["plotdata", "--panel", str(out / "panel.csv"),
+     "--labels", str(out / "labels.csv"), "--events", str(out / "events.csv"),
+     "--out", str(out / "timeline.csv")])
 
 model = json.loads((out / "model.json").read_text())
 print(f"\nchosen K={model['K']}, BIC={model['bic']:.1f}")

@@ -4,6 +4,10 @@ Subcommands: ingest, fit, granger, validate, backtest, plotdata,
 robustness. Every command is deterministic given its flags; anything
 stochastic requires an explicit --seed. Exit codes: 0 success, 2 input
 or validation error, 3 computation failure.
+
+`main` reads the panel and labels of the downstream stages. Every stage
+computes all of its results before it writes a file or prints a line:
+one that fails in computation writes no file and no line to stdout.
 """
 
 from __future__ import annotations
@@ -122,6 +126,7 @@ def cmd_fit(args) -> int:
     panel = _date_range(read_panel_csv(args.panel), args)
     family = FAMILY_MAP[args.family]
     config = FitConfig(seed=args.seed, n_restarts=args.restarts)
+    table = []
     if args.k_range:
         lo, _, hi = args.k_range.partition(":")
         try:
@@ -129,6 +134,11 @@ def cmd_fit(args) -> int:
         except ValueError:
             raise SchemaError(f"--k-range must look like A:B, got {args.k_range!r}")
         best_k, table = select_k(panel, ks, family, config)
+        fit = next(row["fit"] for row in table if row["k"] == best_k)
+    else:
+        fit = em_fit(panel, args.k, family, config)
+    fit = order_regimes(fit, panel)
+    if table:
         print("k  n_free      loglik            bic")
         for row in table:
             if row["error"] is not None:
@@ -137,10 +147,6 @@ def cmd_fit(args) -> int:
                 print(f"{row['k']}  {row['n_free_params']:6d}  "
                       f"{row['loglik']:14.4f}  {row['bic']:14.4f}")
         print(f"selected K={best_k} by BIC")
-        fit = next(row["fit"] for row in table if row["k"] == best_k)
-    else:
-        fit = em_fit(panel, args.k, family, config)
-    fit = order_regimes(fit, panel)
     _print_fit_summary(fit, panel)
     save_model(fit, args.out)
     labels_path = args.labels or (os.path.splitext(args.out)[0] + ".labels.csv")
@@ -150,8 +156,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_granger(args) -> int:
-    panel, labels = _load_aligned(args.panel, args.labels)
+def cmd_granger(panel, labels, args) -> int:
     matrix = pairwise_regime_matrix(panel, labels, args.lmax, args.alpha)
     granger_results_to_csv(matrix.results, args.out)
     hits = [r for r in matrix.results if r.significant_bonferroni]
@@ -167,28 +172,27 @@ def cmd_granger(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    if args.lag < 1:
-        raise ValueError("L must be >= 1")
-    panel, labels = _load_aligned(args.panel, args.labels)
+def cmd_validate(panel, labels, args) -> int:
     windows = _event_windows(args)
     crisis = int(labels.max())
     norm = volatility_norm(panel)
-    print("event                 detection  first_detect  peak_date    lead")
+    detections = ["event                 detection  first_detect  peak_date    lead"]
     for w in windows:
         try:
             rate = detection_rate(labels, panel.dates, w, crisis)
         except ValueError:
-            print(f"{w.name:<22}no overlap")
+            detections.append(f"{w.name:<22}no overlap")
             continue
         lt = lead_time(labels, panel.dates, norm, w, args.window,
                        crisis_index=crisis)
         if lt is None:
-            print(f"{w.name:<22}{rate:9.3f}  (no sustained detection)")
+            detections.append(f"{w.name:<22}{rate:9.3f}  (no sustained detection)")
         else:
-            print(f"{w.name:<22}{rate:9.3f}  {lt.detection}    {lt.peak}  "
-                  f"{lt.lead_days:4d}d")
+            detections.append(f"{w.name:<22}{rate:9.3f}  {lt.detection}    "
+                              f"{lt.peak}  {lt.lead_days:4d}d")
     report = event_granger_validation(panel, windows, args.lag)
+    write_validation_csv(report, args.out)
+    print(*detections, sep="\n")
     print("event                 days    p_fwd      p_rev      class")
     for r in report.rows:
         pf = "     -   " if r.p_fwd is None else f"{r.p_fwd:.3e}"
@@ -196,13 +200,11 @@ def cmd_validate(args) -> int:
         print(f"{r.event:<22}{r.days:4d}  {pf}  {pr}  {r.classification}")
     print(f"binomial: {report.n_check}/{report.n_testable} CHECK, exact tail "
           f"{report.binomial_p:.5e}")
-    write_validation_csv(report, args.out)
     print(f"report -> {args.out}")
     return 0
 
 
-def cmd_backtest(args) -> int:
-    panel, labels = _load_aligned(args.panel, args.labels)
+def cmd_backtest(panel, labels, args) -> int:
     crisis = int(labels.max())
     strat, bench = run_backtest(
         panel, labels, crisis, window=args.window,
@@ -222,8 +224,7 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def cmd_plotdata(args) -> int:
-    panel, labels = _load_aligned(args.panel, args.labels)
+def cmd_plotdata(panel, labels, args) -> int:
     windows = _event_windows(args)
     markers = np.full(panel.n_days, "", dtype=object)
     for w in reversed(windows):  # a day in two windows takes the first's name
@@ -236,29 +237,28 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
-def cmd_robustness(args) -> int:
-    if args.lmax < 1:
-        raise ValueError("every L_max must be >= 1")
-    panel, labels = _load_aligned(args.panel, args.labels)
+def cmd_robustness(panel, labels, args) -> int:
     crisis = int(labels.max())
-    os.makedirs(args.out, exist_ok=True)
-
-    thr_labels = threshold_regimes(panel)
-    thr_path = os.path.join(args.out, "threshold_regimes.csv")
-    write_labels_csv(panel.dates, thr_labels, thr_path)
     source, target = TESTED_PAIR
     y = panel.column(target)
     x = panel.column(source)
+    thr_labels = threshold_regimes(panel)
     (thr,) = lag_sweep(y, x, lambda L: regime_lag_mask(thr_labels, 1, L),
                        [args.lmax])
+    sweep = lag_sweep(y, x, lambda L: regime_lag_mask(labels, crisis, L),
+                      [5, 10, 15, 20])
+    pre, post = subsample_split(panel, labels, args.split, args.lmax, args.alpha)
+    rep = transition_window_analysis(panel, labels, crisis)
+
+    os.makedirs(args.out, exist_ok=True)
+    write_labels_csv(panel.dates, thr_labels,
+                     os.path.join(args.out, "threshold_regimes.csv"))
     if thr["error"] is None:
         print(f"threshold regimes: {source}->{target} lag {thr['L_star']} "
               f"p={thr['p_value']:.5e}")
     else:
         print(f"threshold regimes: untestable ({thr['error']})")
 
-    sweep = lag_sweep(y, x, lambda L: regime_lag_mask(labels, crisis, L),
-                      [5, 10, 15, 20])
     sweep_path = os.path.join(args.out, "lag_sweep.csv")
     for row in sweep:  # cells are not quoted: an error text keeps no comma
         row["error"] = row["error"] and row["error"].replace(",", ";")
@@ -266,7 +266,6 @@ def cmd_robustness(args) -> int:
                  ("", "", ".6f", ".5e", "", ""), (row.values() for row in sweep))
     print(f"lag sweep -> {sweep_path}")
 
-    pre, post = subsample_split(panel, labels, args.split, args.lmax, args.alpha)
     split_path = os.path.join(args.out, "subsample_split.csv")
     _write_table(split_path,
                  "side,source,target,regime,lag,f_stat,p_value,n_obs".split(","),
@@ -276,7 +275,6 @@ def cmd_robustness(args) -> int:
                   for r in matrix.results))
     print(f"subsample split at {args.split} -> {split_path}")
 
-    rep = transition_window_analysis(panel, labels, crisis)
     trans_path = os.path.join(args.out, "transition_windows.csv")
     _write_table(trans_path, ("direction,n_transitions,p_before,p_after,"
                               "n_before,n_after").split(","),
@@ -296,6 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Regime-switching factor dynamics pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the downstream stages' inputs, which main reads and hands to the stage
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--panel", required=True)
+    inputs.add_argument("--labels", required=True)
+    inputs.set_defaults(loads_inputs=True)
 
     p = sub.add_parser("ingest", help="parse, merge, and clean raw factor files")
     p.add_argument("ff5", help="five-factor daily CSV")
@@ -320,17 +323,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="labels CSV to write (default: next to the model)")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("granger", help="pairwise regime-conditioned tests")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("granger", parents=[inputs],
+                       help="pairwise regime-conditioned tests")
     p.add_argument("--lmax", type=int, default=15)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_granger)
 
-    p = sub.add_parser("validate", help="event-window validation report")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("validate", parents=[inputs],
+                       help="event-window validation report")
     p.add_argument("--events", default=None,
                    help="event config CSV (default: built-in windows)")
     p.add_argument("--window", type=int, default=90,
@@ -340,9 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("backtest", help="crisis-gated strategy evaluation")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("backtest", parents=[inputs],
+                       help="crisis-gated strategy evaluation")
     p.add_argument("--window", type=int, default=9,
                    help="trailing signal window in trading days")
     p.add_argument("--start", default="1995-01-01")
@@ -352,17 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write daily strategy/benchmark returns")
     p.set_defaults(func=cmd_backtest)
 
-    p = sub.add_parser("plotdata", help="timeline export for external plotting")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("plotdata", parents=[inputs],
+                       help="timeline export for external plotting")
     p.add_argument("--events", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plotdata)
 
-    p = sub.add_parser("robustness", help="threshold, lag-sweep, split, and "
-                                          "transition analyses")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--labels", required=True)
+    p = sub.add_parser("robustness", parents=[inputs],
+                       help="threshold, lag-sweep, split, and transition analyses")
     p.add_argument("--lmax", type=int, default=15)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--split", default="2008-01-01")
@@ -381,6 +378,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "loads_inputs", False):
+            return args.func(*_load_aligned(args.panel, args.labels), args)
         return args.func(args)
     except (EstimationError, DegenerateDesignError) as exc:
         # first: DegenerateDesignError is a ValueError too

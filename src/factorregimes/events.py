@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PanelParseError
-from .granger import _segment_test
+from .granger import _run_lengths, _segment_test
 from .numerics import binomial_tail
 from .panel import TESTED_PAIR, FactorPanel, _read_lines, _write_table, as_date64
 
@@ -76,15 +76,10 @@ def first_sustained_detection(labels, dates, w: EventWindow, m: int = 3, *,
         raise ValueError("m must be >= 1")
     labels = np.asarray(labels)
     dates = np.asarray(dates, dtype="datetime64[D]")
-    crisis = (labels == crisis_index).astype(int)
-    T = labels.shape[0]
-    if T < m:
-        return None
-    runs = np.convolve(crisis, np.ones(m, dtype=int), mode="valid") == m
-    for t in _window_indices(dates, w):
-        if t <= T - m and runs[t]:
-            return dates[t]
-    return None
+    ahead = _run_lengths((labels == crisis_index)[::-1])[::-1]  # the run from t on
+    idx = _window_indices(dates, w)
+    hits = idx[ahead[idx] >= m]
+    return dates[hits[0]] if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -102,14 +97,15 @@ def lead_time(labels, dates, vol, w: EventWindow, horizon: int = 90, *,
     trading days starting at the detection day, so the lead is never
     negative. None when the window has no sustained detection.
     """
+    if horizon < 0:
+        raise ValueError(f"the peak-search horizon must be >= 0, got {horizon}")
     dates = np.asarray(dates, dtype="datetime64[D]")
     vol = np.asarray(vol, dtype=float)
     det = first_sustained_detection(labels, dates, w, m, crisis_index=crisis_index)
     if det is None:
         return None
     t_d = int(np.searchsorted(dates, det))
-    hi = min(dates.shape[0] - 1, t_d + horizon)
-    peak_idx = t_d + int(np.argmax(vol[t_d:hi + 1]))
+    peak_idx = t_d + int(np.argmax(vol[t_d:t_d + horizon + 1]))
     lead = int((dates[peak_idx] - det) / np.timedelta64(1, "D"))
     return LeadTime(detection=det, peak=dates[peak_idx], lead_days=lead)
 

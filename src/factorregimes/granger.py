@@ -88,13 +88,14 @@ def regime_lag_mask(labels, k: int, L: int) -> np.ndarray:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    labels = np.asarray(labels)
-    ok = labels == k
-    mask = ok.copy()
-    for lag in range(1, L + 1):
-        mask[lag:] &= ok[:-lag]
-    mask[: min(L, mask.shape[0])] = False
-    return mask
+    return _run_lengths(np.asarray(labels) == k) > L
+
+
+def _run_lengths(state) -> np.ndarray:
+    """For each day, the number of consecutive true days of `state`
+    ending there (0 on a false day)."""
+    days = np.arange(len(state))
+    return days - np.maximum.accumulate(np.where(state, -1, days))
 
 
 def _check_rows(n: int, L: int) -> None:
@@ -394,6 +395,8 @@ def pairwise_regime_matrix(panel: FactorPanel, labels, L_max: int = DEFAULT_L_MA
         raise ValueError("need at least two factors for pairwise tests")
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     labels = np.asarray(labels)
     if labels.shape[0] != panel.n_days:
         raise ValueError("labels must align with the panel rows")

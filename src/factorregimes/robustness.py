@@ -21,6 +21,7 @@ from .granger import (
     _bic_lag,
     _granger_result,
     _lag_search,
+    _run_lengths,
     _segment_test,
     pairwise_regime_matrix,
 )
@@ -128,13 +129,12 @@ class TransitionReport:
 def _transition_starts(labels, crisis_index, m, entering: bool) -> np.ndarray:
     """Indices t that begin >= m consecutive days of the state (entering:
     crisis, else non-crisis) and follow a day outside it."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     crisis = labels == crisis_index
     state = crisis if entering else ~crisis
-    T = labels.shape[0]
-    if T < m + 1:
-        return np.zeros(0, dtype=np.int64)
-    runs = np.convolve(state.astype(int), np.ones(m, dtype=int), "valid") == m
-    return np.flatnonzero(runs[1:] & ~state[:T - m]) + 1
+    ahead = _run_lengths(state[::-1])[::-1]  # the run from t on
+    return np.flatnonzero((ahead[1:] >= m) & ~state[:-1]) + 1
 
 
 def transition_window_analysis(panel: FactorPanel, labels, crisis_index: int,

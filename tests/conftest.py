@@ -282,6 +282,46 @@ def reference_table(header, specs, rows) -> str:
     return text
 
 
+def reference_regime_lag_mask(labels, k, L):
+    """Days in regime k whose previous L days are too: one shifted AND per
+    lag, the first L days false."""
+    labels = np.asarray(labels)
+    ok = labels == k
+    mask = ok.copy()
+    for lag in range(1, L + 1):
+        mask[lag:] &= ok[:-lag]
+    mask[: min(L, mask.shape[0])] = False
+    return mask
+
+
+def reference_first_sustained_detection(labels, dates, w, m, crisis_index):
+    """The first window day that starts m crisis days inside the series,
+    from a length-m convolution and a scan over the window's days."""
+    labels = np.asarray(labels)
+    dates = np.asarray(dates, dtype="datetime64[D]")
+    crisis = (labels == crisis_index).astype(int)
+    T = labels.shape[0]
+    if T < m:
+        return None
+    runs = np.convolve(crisis, np.ones(m, dtype=int), mode="valid") == m
+    for t in np.flatnonzero((dates >= w.start) & (dates <= w.end)):
+        if t <= T - m and runs[t]:
+            return dates[t]
+    return None
+
+
+def reference_transition_starts(labels, crisis_index, m, entering):
+    """Days that start m days of the state (crisis when entering, else not
+    crisis) after a day outside it, from a length-m convolution."""
+    crisis = labels == crisis_index
+    state = crisis if entering else ~crisis
+    T = labels.shape[0]
+    if T < m + 1:
+        return np.zeros(0, dtype=np.int64)
+    runs = np.convolve(state.astype(int), np.ones(m, dtype=int), "valid") == m
+    return np.flatnonzero(runs[1:] & ~state[:T - m]) + 1
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

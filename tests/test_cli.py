@@ -196,6 +196,23 @@ class TestFit:
         assert "error: every EM restart failed" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_failed_ordering_after_k_selection_prints_nothing(
+            self, synthetic_files, tmp_path, capsys, monkeypatch):
+        _, panel_path, _, _ = synthetic_files
+
+        def failing_order(*args, **kwargs):
+            raise ValueError("ordering failed")
+
+        monkeypatch.setattr(cli, "order_regimes", failing_order)
+        rc = main(["fit", "--panel", str(panel_path), "--k-range", "2:2",
+                   "--seed", "1", "--restarts", "1",
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ordering failed\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_required(self, synthetic_files, tmp_path, capsys):
         _, panel_path, _, _ = synthetic_files
         with pytest.raises(SystemExit):
@@ -286,6 +303,24 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == "error: L must be >= 1\n"
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_negative_window_rejected_before_any_output(self, fitted, tmp_path,
+                                                        capsys):
+        panel_path, _, labels = fitted
+        d = read_panel_csv(panel_path).dates
+        events = tmp_path / "events.csv"
+        events.write_text(f"stress,{d[200]},{d[500]}\n")
+        out = tmp_path / "out"
+        rc = main(["validate", "--panel", str(panel_path),
+                   "--labels", str(labels), "--events", str(events),
+                   "--window", "-5", "--out", str(out / "validation.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the peak-search horizon must be >= 0, "
+                                "got -5\n")
+        assert not out.exists()
 
 
 class TestBacktest:
@@ -419,6 +454,68 @@ class TestRobustnessCommand:
         assert captured.out == ""
         assert captured.err == "error: every L_max must be >= 1\n"
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_bad_split_date_rejected_before_any_output(self, fitted, tmp_path,
+                                                       capsys):
+        panel_path, _, labels = fitted
+        rc = main(["robustness", "--panel", str(panel_path),
+                   "--labels", str(labels), "--lmax", "4",
+                   "--split", "garbage", "--out", str(tmp_path / "robust")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "garbage" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0", "1", "5", "nan"])
+@pytest.mark.parametrize("command,out", [("granger", "granger.csv"),
+                                         ("robustness", "robust")])
+def test_alpha_outside_unit_interval_exit_2(fitted, tmp_path, capsys,
+                                            command, out, alpha):
+    panel_path, _, labels = fitted
+    rc = main([command, "--panel", str(panel_path), "--labels", str(labels),
+               "--lmax", "3", f"--alpha={alpha}", "--out", str(tmp_path / out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: alpha must be in (0, 1), got ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each downstream stage and the call in `cli` that does its last computation.
+LAST_COMPUTATION = [
+    ("granger", "pairwise_regime_matrix", "granger.csv", []),
+    ("validate", "event_granger_validation", "validation.csv", []),
+    ("backtest", "run_backtest", "backtest.json",
+     ["--returns-csv", "returns.csv"]),
+    ("robustness", "transition_window_analysis", "robust", []),
+    ("plotdata", "volatility_norm", "timeline.csv", []),
+]
+
+
+@pytest.mark.parametrize("command,call,out,extra", LAST_COMPUTATION,
+                         ids=[row[0] for row in LAST_COMPUTATION])
+def test_failed_computation_leaves_no_output(fitted, tmp_path, capsys,
+                                             monkeypatch, command, call, out,
+                                             extra):
+    """A stage whose last computation fails writes no file and prints
+    nothing to stdout: it computes everything before it emits."""
+    panel_path, _, labels = fitted
+
+    def failing(*args, **kwargs):
+        raise ValueError(f"{call} failed")
+
+    monkeypatch.setattr(cli, call, failing)
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, "--panel", str(panel_path), "--labels", str(labels),
+               "--out", out, *extra])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {call} failed\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestHelp:

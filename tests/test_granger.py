@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from factorregimes import (
     DegenerateDesignError,
+    EventWindow,
     FactorPanel,
     SampleSizeError,
     f_sf,
+    first_sustained_detection,
     granger_f_test,
     granger_results_to_csv,
     pairwise_regime_matrix,
@@ -29,9 +31,18 @@ from factorregimes.granger import (
     _lag_depth,
     _lag_fits,
     _lag_search,
+    _run_lengths,
 )
+from factorregimes.robustness import _transition_starts
 
-from conftest import lstsq_bic_table, lstsq_nested_f, reference_design
+from conftest import (
+    lstsq_bic_table,
+    lstsq_nested_f,
+    reference_design,
+    reference_first_sustained_detection,
+    reference_regime_lag_mask,
+    reference_transition_starts,
+)
 
 
 def make_panel(X, names=None):
@@ -86,6 +97,37 @@ def test_regime_lag_mask_matches_brute_force(labels, k, L):
     labels = np.array(labels, dtype=int)
     np.testing.assert_array_equal(regime_lag_mask(labels, k, L),
                                   brute_force_lag_mask(labels, k, L))
+
+
+def test_run_lengths():
+    state = np.array([True, True, False, True, True, True, False])
+    np.testing.assert_array_equal(_run_lengths(state), [1, 2, 0, 1, 2, 3, 0])
+    assert _run_lengths(np.zeros(0, dtype=bool)).size == 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(labels=st.lists(st.integers(0, 2), max_size=39), k=st.integers(0, 2),
+       m=st.integers(1, 7), first=st.integers(-10, 45), span=st.integers(0, 30))
+def test_run_length_rules_match_references(labels, k, m, first, span):
+    """The lag mask, the first sustained detection and the transition
+    starts, all read from run lengths, equal the shift-and-convolve
+    bodies they replaced, dtypes included, for windows inside, across
+    and outside the series."""
+    labels = np.array(labels, dtype=np.int64)
+    day0 = np.datetime64("2001-01-01")
+    dates = day0 + np.arange(labels.size)
+    w = EventWindow("w", day0 + first, day0 + first + span)
+    got, want = regime_lag_mask(labels, k, m), reference_regime_lag_mask(labels, k, m)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    got = first_sustained_detection(labels, dates, w, m, crisis_index=k)
+    want = reference_first_sustained_detection(labels, dates, w, m, k)
+    assert got == want and type(got) is type(want)
+    for entering in (True, False):
+        got = _transition_starts(labels, k, m, entering)
+        want = reference_transition_starts(labels, k, m, entering)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def pair_design(y, x, L, rows):
@@ -318,6 +360,12 @@ class TestPairwiseMatrix:
         assert cell.lag == L_star
         assert cell.f_stat == pytest.approx(direct.f_stat, rel=1e-12)
         assert cell.p_value == pytest.approx(direct.p_value, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 5.0, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        panel = make_panel(np.random.default_rng(18).standard_normal((300, 2)))
+        with pytest.raises(ValueError, match="alpha must be in \\(0, 1\\)"):
+            pairwise_regime_matrix(panel, np.zeros(300, dtype=int), 3, alpha)
 
     def test_sparse_regime_recorded_as_failure(self):
         rng = np.random.default_rng(17)

@@ -1,6 +1,7 @@
 """Every package module uses each name it imports (`__init__.py` imports
 to re-export, so it is left out), the command-line driver opens no file
-itself, and the runtime imports numpy only."""
+itself and reads the downstream stages' inputs in `main` alone, and the
+runtime imports numpy only."""
 
 import ast
 import os
@@ -57,6 +58,23 @@ def test_cli_opens_no_file():
              and (getattr(node.func, "id", None) == "open"
                   or getattr(node.func, "attr", None) == "open")]
     assert calls == []
+
+
+def test_main_alone_loads_stage_inputs():
+    """The downstream stages take their panel and labels from `main`: only
+    `main` calls `_load_aligned`, and no `cmd_*` but ingest's and fit's
+    reads a panel or labels file."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    callers = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, set()).add(fn.name)
+    assert callers["_load_aligned"] == {"main"}
+    readers = (callers.get("read_panel_csv", set())
+               | callers.get("read_labels_csv", set()))
+    assert readers <= {"_load_aligned", "cmd_fit"}
 
 
 RUNTIME_PROBE = """

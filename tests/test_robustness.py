@@ -249,6 +249,10 @@ class TestTransitionStarts:
         labels = np.array([1] * 10 + [0] * 10)
         assert _transition_starts(labels, 1, 5, True).tolist() == []
 
+    def test_run_length_below_one_rejected(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            _transition_starts(np.array([0, 1, 1]), 1, 0, True)
+
     def test_matches_day_by_day_definition(self):
         """A start opens m days in the state and follows a day outside it."""
         rng = np.random.default_rng(67)
