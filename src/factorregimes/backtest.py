@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import TESTED_PAIR, FactorPanel, as_date64, write_panel_csv
+from .panel import FactorPanel, _aligned, _in_range, _tested_pair, write_panel_csv
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -115,21 +115,12 @@ def run_backtest(panel: FactorPanel, labels, crisis_index: int, *,
     execution_lag=1 applies each signal to the following day's return,
     removing even the same-day convention's timing assumption.
     """
-    labels = np.asarray(labels).reshape(-1)
-    if labels.shape[0] != panel.n_days:
-        raise ValueError("labels must align with the panel rows")
-    dates = panel.dates
-    keep = np.ones(panel.n_days, dtype=bool)
-    if start is not None:
-        keep &= dates >= as_date64(start)
-    if end is not None:
-        keep &= dates <= as_date64(end)
+    labels = _aligned(np.asarray(labels).reshape(-1), panel.n_days, "labels")
+    keep = _in_range(panel.dates, start, end)
     if not keep.any():
         raise ValueError("date range selects no rows")
-    sub_dates = dates[keep]
-    hml, smb = TESTED_PAIR
-    hml_r = panel.column(hml)[keep]
-    smb_r = panel.column(smb)[keep]
+    sub_dates = panel.dates[keep]
+    smb_r, hml_r = (series[keep] for series in _tested_pair(panel))
     sub_labels = labels[keep]
     signal = strategy_signal(hml_r, sub_labels, crisis_index, window)
     if execution_lag:

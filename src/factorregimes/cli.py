@@ -40,6 +40,8 @@ from .panel import (
     FF5_COLUMNS,
     MOMENTUM_COLUMNS,
     TESTED_PAIR,
+    _in_range,
+    _tested_pair,
     _write_table,
     parse_ff_daily_csv,
     merge_on_dates,
@@ -71,15 +73,11 @@ def _load_aligned(panel_path, labels_path):
     return panel, labels
 
 
-def _date_range(panel, args):
-    """The panel cut to --start/--end when either is given."""
-    if args.start or args.end:
-        panel = slice_dates(
-            panel,
-            args.start or panel.dates[0],
-            args.end or panel.dates[-1],
-        )
-    return panel
+def _check_out_dirs(*paths):
+    """Fail before any output when an output file's directory is missing."""
+    for path in filter(None, paths):  # None: a file not written
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"no directory for the output file {path}")
 
 
 def _event_windows(args):
@@ -95,7 +93,9 @@ def _event_windows(args):
 def cmd_ingest(args) -> int:
     ff5 = parse_ff_daily_csv(args.ff5, FF5_COLUMNS)
     mom = parse_ff_daily_csv(args.momentum, MOMENTUM_COLUMNS)
-    panel = _date_range(merge_on_dates(ff5, mom), args)
+    panel = slice_dates(merge_on_dates(ff5, mom), args.start, args.end)
+    if not panel.n_days:
+        raise ValueError("date range selects no rows")
     write_panel_csv(panel, args.out)
     print(
         f"panel: T={panel.n_days} d={panel.n_factors} "
@@ -123,7 +123,9 @@ def _print_fit_summary(fit, panel):
 
 
 def cmd_fit(args) -> int:
-    panel = _date_range(read_panel_csv(args.panel), args)
+    labels_path = args.labels or (os.path.splitext(args.out)[0] + ".labels.csv")
+    _check_out_dirs(args.out, labels_path)
+    panel = slice_dates(read_panel_csv(args.panel), args.start, args.end)
     family = FAMILY_MAP[args.family]
     config = FitConfig(seed=args.seed, n_restarts=args.restarts)
     table = []
@@ -149,7 +151,6 @@ def cmd_fit(args) -> int:
         print(f"selected K={best_k} by BIC")
     _print_fit_summary(fit, panel)
     save_model(fit, args.out)
-    labels_path = args.labels or (os.path.splitext(args.out)[0] + ".labels.csv")
     write_labels_csv(panel.dates, fit.labels, labels_path)
     print(f"model -> {args.out}")
     print(f"labels -> {labels_path}")
@@ -178,13 +179,14 @@ def cmd_validate(panel, labels, args) -> int:
     norm = volatility_norm(panel)
     detections = ["event                 detection  first_detect  peak_date    lead"]
     for w in windows:
+        # first: lead_time rejects a bad horizon even for a window off the panel
+        lt = lead_time(labels, panel.dates, norm, w, args.window,
+                       crisis_index=crisis)
         try:
             rate = detection_rate(labels, panel.dates, w, crisis)
         except ValueError:
             detections.append(f"{w.name:<22}no overlap")
             continue
-        lt = lead_time(labels, panel.dates, norm, w, args.window,
-                       crisis_index=crisis)
         if lt is None:
             detections.append(f"{w.name:<22}{rate:9.3f}  (no sustained detection)")
         else:
@@ -205,6 +207,7 @@ def cmd_validate(panel, labels, args) -> int:
 
 
 def cmd_backtest(panel, labels, args) -> int:
+    _check_out_dirs(args.out, args.returns_csv)
     crisis = int(labels.max())
     strat, bench = run_backtest(
         panel, labels, crisis, window=args.window,
@@ -228,7 +231,7 @@ def cmd_plotdata(panel, labels, args) -> int:
     windows = _event_windows(args)
     markers = np.full(panel.n_days, "", dtype=object)
     for w in reversed(windows):  # a day in two windows takes the first's name
-        markers[(w.start <= panel.dates) & (panel.dates <= w.end)] = w.name
+        markers[_in_range(panel.dates, w.start, w.end)] = w.name
     _write_table(args.out, "date,volatility_norm,regime,event".split(","),
                  ("", ".6f", "", ""),
                  zip(np.datetime_as_string(panel.dates).tolist(),
@@ -239,9 +242,7 @@ def cmd_plotdata(panel, labels, args) -> int:
 
 def cmd_robustness(panel, labels, args) -> int:
     crisis = int(labels.max())
-    source, target = TESTED_PAIR
-    y = panel.column(target)
-    x = panel.column(source)
+    y, x = _tested_pair(panel)
     thr_labels = threshold_regimes(panel)
     (thr,) = lag_sweep(y, x, lambda L: regime_lag_mask(thr_labels, 1, L),
                        [args.lmax])
@@ -254,7 +255,7 @@ def cmd_robustness(panel, labels, args) -> int:
     write_labels_csv(panel.dates, thr_labels,
                      os.path.join(args.out, "threshold_regimes.csv"))
     if thr["error"] is None:
-        print(f"threshold regimes: {source}->{target} lag {thr['L_star']} "
+        print(f"threshold regimes: {'->'.join(TESTED_PAIR)} lag {thr['L_star']} "
               f"p={thr['p_value']:.5e}")
     else:
         print(f"threshold regimes: untestable ({thr['error']})")

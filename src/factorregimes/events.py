@@ -18,7 +18,8 @@ import numpy as np
 from .errors import PanelParseError
 from .granger import _run_lengths, _segment_test
 from .numerics import binomial_tail
-from .panel import TESTED_PAIR, FactorPanel, _read_lines, _write_table, as_date64
+from .panel import (FactorPanel, _aligned, _in_range, _read_lines, _tested_pair,
+                    _write_table, as_date64)
 
 CHECK = "CHECK"
 DIR = "DIR"
@@ -52,13 +53,13 @@ DEFAULT_EVENT_WINDOWS: tuple[EventWindow, ...] = (
 
 
 def _window_indices(dates: np.ndarray, w: EventWindow) -> np.ndarray:
-    return np.flatnonzero((dates >= w.start) & (dates <= w.end))
+    return np.flatnonzero(_in_range(dates, w.start, w.end))
 
 
 def detection_rate(labels, dates, w: EventWindow, crisis_index: int) -> float:
     """Fraction of the window's trading days labeled as the crisis regime."""
-    labels = np.asarray(labels)
     dates = np.asarray(dates, dtype="datetime64[D]")
+    labels = _aligned(labels, dates.shape[0], "labels")
     idx = _window_indices(dates, w)
     if idx.size == 0:
         raise ValueError(f"window {w.name!r} has no overlap with the panel")
@@ -74,8 +75,8 @@ def first_sustained_detection(labels, dates, w: EventWindow, m: int = 3, *,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    labels = np.asarray(labels)
     dates = np.asarray(dates, dtype="datetime64[D]")
+    labels = _aligned(labels, dates.shape[0], "labels")
     ahead = _run_lengths((labels == crisis_index)[::-1])[::-1]  # the run from t on
     idx = _window_indices(dates, w)
     hits = idx[ahead[idx] >= m]
@@ -100,7 +101,7 @@ def lead_time(labels, dates, vol, w: EventWindow, horizon: int = 90, *,
     if horizon < 0:
         raise ValueError(f"the peak-search horizon must be >= 0, got {horizon}")
     dates = np.asarray(dates, dtype="datetime64[D]")
-    vol = np.asarray(vol, dtype=float)
+    vol = _aligned(np.asarray(vol, dtype=float), dates.shape[0], "volatility norms")
     det = first_sustained_detection(labels, dates, w, m, crisis_index=crisis_index)
     if det is None:
         return None
@@ -152,9 +153,7 @@ def event_granger_validation(panel: FactorPanel,
     binomial upper tail for the CHECK count among testable events at
     success probability `alpha`.
     """
-    source, target = TESTED_PAIR
-    y_t = panel.column(target)
-    y_s = panel.column(source)
+    y_t, y_s = _tested_pair(panel)
     rows = []
     for w in windows:
         idx = _window_indices(panel.dates, w)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateDesignError, SampleSizeError
 from .numerics import FTestDistribution, f_sf
-from .panel import FactorPanel, _write_table
+from .panel import FactorPanel, _aligned, _write_table
 
 DEFAULT_L_MAX = 15
 DEFAULT_ALPHA = 0.01
@@ -397,9 +397,7 @@ def pairwise_regime_matrix(panel: FactorPanel, labels, L_max: int = DEFAULT_L_MA
         raise ValueError("L_max must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    labels = np.asarray(labels)
-    if labels.shape[0] != panel.n_days:
-        raise ValueError("labels must align with the panel rows")
+    labels = _aligned(labels, panel.n_days, "labels")
     threshold = alpha / (d * (d - 1))
     regimes = [int(k) for k in np.unique(labels)]
     names = panel.factor_names

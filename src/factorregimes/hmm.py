@@ -28,6 +28,8 @@ NU_LOWER = 2.1
 NU_UPPER = 200.0
 RIDGE_EPS = 1e-8
 MAX_CONSECUTIVE_REGULARIZATIONS = 3
+EM_TOL = 1e-6
+EM_MAX_ITERS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +110,10 @@ class FitConfig:
 
     seed: int
     n_restarts: int = 10
-    tol: float = 1e-6
-    max_iters: int = 500
 
     def __post_init__(self):
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,6 @@ class HmmFit:
     n_free_params: int
     loglik_history: tuple[float, ...] = ()
     config: FitConfig | None = None
-    restart_index: int = 0
 
 
 def n_free_params(K: int, d: int, family: str) -> int:
@@ -400,27 +397,28 @@ def _chol_ok(S: np.ndarray) -> bool:
         return False
 
 
-def _m_step(X, gamma, xi_sum, delta, mu, Sigma, nu, A, pi, family):
-    """One parameter update sweep. Returns the new arrays plus a flag
-    saying whether any scale matrix needed the ridge path."""
+def _m_step(X, gamma, xi_sum, delta, p: HmmParams):
+    """One parameter update sweep from p. Returns the new HmmParams plus a
+    flag saying whether any scale matrix needed the ridge path."""
     T, d = X.shape
     K = gamma.shape[1]
-    new_pi = gamma[0].copy()
-    new_pi /= new_pi.sum()
+    student_t = p.family == "student_t"
+    pi = gamma[0].copy()
+    pi /= pi.sum()
     rowsum = xi_sum.sum(axis=1, keepdims=True)
-    new_A = np.where(rowsum > 0, xi_sum / np.where(rowsum > 0, rowsum, 1.0), A)
-    new_A /= new_A.sum(axis=1, keepdims=True)
-    new_mu = np.empty_like(mu)
-    new_Sigma = np.empty_like(Sigma)
-    new_nu = None if nu is None else np.empty_like(nu)
+    A = np.where(rowsum > 0, xi_sum / np.where(rowsum > 0, rowsum, 1.0), p.A)
+    A /= A.sum(axis=1, keepdims=True)
+    mu = np.empty_like(p.mu)
+    Sigma = np.empty_like(p.Sigma)
+    nu = np.empty_like(p.nu) if student_t else None
     regularized = False
     for k in range(K):
         gk = gamma[:, k]
         s1 = gk.sum()
         if s1 <= 0:
             raise EstimationError(f"regime {k} collapsed to zero posterior mass")
-        if family == "student_t":
-            u = (nu[k] + d) / (nu[k] + delta[:, k])
+        if student_t:
+            u = (p.nu[k] + d) / (p.nu[k] + delta[:, k])
             w = gk * u
         else:
             w = gk
@@ -439,12 +437,12 @@ def _m_step(X, gamma, xi_sum, delta, mu, Sigma, nu, A, pi, family):
                 raise EstimationError(
                     f"regime {k} scale matrix singular even after regularization"
                 )
-        new_mu[k] = mk
-        new_Sigma[k] = Sk
-        if family == "student_t":
+        mu[k] = mk
+        Sigma[k] = Sk
+        if student_t:
             s2 = float(gk @ (np.log(u) - u))
-            new_nu[k] = solve_nu(float(s1), s2, d)
-    return new_mu, new_Sigma, new_nu, new_A, new_pi, regularized
+            nu[k] = solve_nu(float(s1), s2, d)
+    return replace(p, pi=pi, A=A, mu=mu, Sigma=Sigma, nu=nu), regularized
 
 
 # ---------------------------------------------------------------------------
@@ -503,23 +501,22 @@ def _initial_params(X, K, family, restart: int, rng: np.random.Generator):
         np.fill_diagonal(A, 0.95)
     pi = np.full(K, 1.0 / K)
     nu = np.full(K, 10.0) if family == "student_t" else None
-    return mu, Sigma, nu, A, pi
+    return HmmParams(pi=pi, A=A, mu=mu, Sigma=Sigma, nu=nu, family=family)
 
 
 # ---------------------------------------------------------------------------
 # EM driver
 
 
-def _run_em(X, init, family, config: FitConfig):
-    mu, Sigma, nu, A, pi = init
-    logB, delta = _emission_terms(X, mu, Sigma, nu, family)
-    loglik, gamma, xi_sum = _forward_backward_core(pi, A, logB)
+def _run_em(X, p: HmmParams):
+    """EM from p until a step gains less than EM_TOL * max(|loglik|, 1) or
+    EM_MAX_ITERS steps have run. Returns (params, loglik, gamma, history)."""
+    logB, delta = _emission_terms(X, p.mu, p.Sigma, p.nu, p.family)
+    loglik, gamma, xi_sum = _forward_backward_core(p.pi, p.A, logB)
     history = [loglik]
     consecutive = 0
-    for _ in range(config.max_iters):
-        mu, Sigma, nu, A, pi, regularized = _m_step(
-            X, gamma, xi_sum, delta, mu, Sigma, nu, A, pi, family
-        )
+    for _ in range(EM_MAX_ITERS):
+        p, regularized = _m_step(X, gamma, xi_sum, delta, p)
         if regularized:
             consecutive += 1
             if consecutive >= MAX_CONSECUTIVE_REGULARIZATIONS:
@@ -529,14 +526,14 @@ def _run_em(X, init, family, config: FitConfig):
                 )
         else:
             consecutive = 0
-        logB, delta = _emission_terms(X, mu, Sigma, nu, family)
-        new_loglik, gamma, xi_sum = _forward_backward_core(pi, A, logB)
+        logB, delta = _emission_terms(X, p.mu, p.Sigma, p.nu, p.family)
+        new_loglik, gamma, xi_sum = _forward_backward_core(p.pi, p.A, logB)
         history.append(new_loglik)
-        if new_loglik - loglik < config.tol * max(abs(loglik), 1.0):
+        if new_loglik - loglik < EM_TOL * max(abs(loglik), 1.0):
             loglik = new_loglik
             break
         loglik = new_loglik
-    return (mu, Sigma, nu, A, pi), loglik, gamma, history
+    return p, loglik, gamma, history
 
 
 def em_fit(panel: FactorPanel, K: int, family: str = "student_t",
@@ -563,21 +560,18 @@ def em_fit(panel: FactorPanel, K: int, family: str = "student_t",
     for r in range(config.n_restarts):
         rng = np.random.default_rng(children[r])
         try:
-            init = _initial_params(X, K, family, r, rng)
-            arrays, loglik, gamma, history = _run_em(X, init, family, config)
+            run = _run_em(X, _initial_params(X, K, family, r, rng))
         except EstimationError as exc:
             last_error = exc
             continue
-        if best is None or loglik > best[1]:
-            best = (arrays, loglik, gamma, history, r)
+        if best is None or run[1] > best[1]:
+            best = run
     if best is None:
         raise EstimationError(
             f"all {config.n_restarts} restarts failed; last error: {last_error}"
         )
-    (mu, Sigma, nu, A, pi), loglik, gamma, history, r = best
-    pi = pi / pi.sum()
-    A = A / A.sum(axis=1, keepdims=True)
-    params = HmmParams(pi=pi, A=A, mu=mu, Sigma=Sigma, nu=nu, family=family)
+    p, loglik, gamma, history = best
+    params = replace(p, pi=p.pi / p.pi.sum(), A=p.A / p.A.sum(axis=1, keepdims=True))
     nfree = n_free_params(K, d, family)
     bic = -2.0 * loglik + nfree * math.log(T)
     labels = np.argmax(gamma, axis=1)
@@ -590,7 +584,6 @@ def em_fit(panel: FactorPanel, K: int, family: str = "student_t",
         n_free_params=nfree,
         loglik_history=tuple(history),
         config=config,
-        restart_index=r,
     )
 
 

@@ -233,14 +233,41 @@ def merge_on_dates(a: FactorPanel, b: FactorPanel) -> FactorPanel:
     return FactorPanel(common, returns, a.factor_names + b.factor_names)
 
 
-def slice_dates(p: FactorPanel, start, end) -> FactorPanel:
-    """Rows with start <= date <= end, order preserved. May be empty."""
-    start = as_date64(start)
-    end = as_date64(end)
-    if start > end:
-        raise ValueError(f"start {start} is after end {end}")
-    keep = (p.dates >= start) & (p.dates <= end)
+def _in_range(dates: np.ndarray, start=None, end=None) -> np.ndarray:
+    """Mask of start <= date <= end; a None bound leaves its side open."""
+    keep = np.ones(dates.shape, dtype=bool)
+    if start is not None:
+        keep &= dates >= as_date64(start)
+    if end is not None:
+        keep &= dates <= as_date64(end)
+    return keep
+
+
+def slice_dates(p: FactorPanel, start=None, end=None) -> FactorPanel:
+    """Rows with start <= date <= end, order preserved; a None bound leaves
+    its side open, so slice_dates(p, start) keeps every row from start on.
+    May be empty."""
+    if start is not None and end is not None:
+        start, end = as_date64(start), as_date64(end)
+        if start > end:
+            raise ValueError(f"start {start} is after end {end}")
+    keep = _in_range(p.dates, start, end)
     return FactorPanel(p.dates[keep], p.returns[keep], p.factor_names)
+
+
+def _aligned(values, n: int, what: str) -> np.ndarray:
+    """values as an array with one entry per panel row, else a ValueError."""
+    values = np.asarray(values)
+    if values.shape[0] != n:
+        raise ValueError(f"{what} must align with the panel rows: "
+                         f"{values.shape[0]} {what} for {n} days")
+    return values
+
+
+def _tested_pair(p: FactorPanel) -> tuple[np.ndarray, np.ndarray]:
+    """The target and source series of TESTED_PAIR, in that order."""
+    source, target = TESTED_PAIR
+    return p.column(target), p.column(source)
 
 
 def volatility_norm(p: FactorPanel) -> np.ndarray:

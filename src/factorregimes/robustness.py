@@ -25,7 +25,7 @@ from .granger import (
     _segment_test,
     pairwise_regime_matrix,
 )
-from .panel import TESTED_PAIR, FactorPanel, as_date64, volatility_norm
+from .panel import FactorPanel, _aligned, _in_range, _tested_pair, volatility_norm
 
 
 def threshold_regimes(panel: FactorPanel, window: int = 21,
@@ -92,20 +92,13 @@ def subsample_split(panel: FactorPanel, labels, split_date,
     A side without enough usable rows simply reports its cells as
     failures (or nothing at all when empty).
     """
-    labels = np.asarray(labels)
-    if labels.shape[0] != panel.n_days:
-        raise ValueError("labels must align with the panel rows")
-    split = as_date64(split_date)
-    pre_keep = panel.dates < split
-    post_keep = ~pre_keep
+    labels = _aligned(labels, panel.n_days, "labels")
+    post = _in_range(panel.dates, split_date)
     sides = []
-    for keep in (pre_keep, post_keep):
-        sub = FactorPanel(panel.dates[keep], panel.returns[keep],
-                          panel.factor_names)
-        if sub.n_days == 0:
-            sides.append(PairwiseMatrix((), ()))
-            continue
-        sides.append(pairwise_regime_matrix(sub, labels[keep], L_max, alpha))
+    for keep in (~post, post):
+        sub = FactorPanel(panel.dates[keep], panel.returns[keep], panel.factor_names)
+        sides.append(pairwise_regime_matrix(sub, labels[keep], L_max, alpha)
+                     if sub.n_days else PairwiseMatrix((), ()))
     return sides[0], sides[1]
 
 
@@ -149,12 +142,8 @@ def transition_window_analysis(panel: FactorPanel, labels, crisis_index: int,
     into one stacked regression per side. Returns pooled p-values; a
     direction with no transitions reports an empty pair.
     """
-    labels = np.asarray(labels)
-    if labels.shape[0] != panel.n_days:
-        raise ValueError("labels must align with the panel rows")
-    source, target = TESTED_PAIR
-    y = panel.column(target)
-    x = panel.column(source)
+    labels = _aligned(labels, panel.n_days, "labels")
+    y, x = _tested_pair(panel)
     T = panel.n_days
     out = {}
     for name, entering in (("entry", True), ("exit", False)):

@@ -322,6 +322,40 @@ def reference_transition_starts(labels, crisis_index, m, entering):
     return np.flatnonzero(runs[1:] & ~state[:T - m]) + 1
 
 
+# ---------------------------------------------------------------------------
+# date-range references: the per-caller masks the one range rule replaced
+
+
+def reference_optional_bounds(dates, start, end):
+    """run_backtest's mask: each bound applied only when given."""
+    keep = np.ones(dates.shape[0], dtype=bool)
+    if start is not None:
+        keep &= dates >= np.datetime64(start, "D")
+    if end is not None:
+        keep &= dates <= np.datetime64(end, "D")
+    return keep
+
+
+def reference_window(dates, start, end):
+    """The two-bound mask of slice_dates, the event windows and the
+    timeline markers."""
+    start, end = np.datetime64(start, "D"), np.datetime64(end, "D")
+    return (start <= dates) & (dates <= end)
+
+
+def reference_post_split(dates, split):
+    """subsample_split's post side: every row not before the split."""
+    return ~(dates < np.datetime64(split, "D"))
+
+
+def reference_cli_date_range(dates, start, end):
+    """The CLI's --start/--end cut: a missing bound became the panel's own
+    first or last date, and a cut with neither kept every row."""
+    if not (start or end):
+        return np.ones(dates.shape[0], dtype=bool)
+    return reference_window(dates, start or dates[0], end or dates[-1])
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

@@ -89,6 +89,34 @@ class TestIngest:
         assert rc == 0
         assert read_panel_csv(out).n_days == 3
 
+    def test_start_alone_keeps_every_later_row(self, tmp_path):
+        """An open --end keeps the rows up to the panel's last, which the
+        CLI used to pass as the end itself."""
+        ff5, mom = tmp_path / "ff5.csv", tmp_path / "mom.csv"
+        ff5.write_text(RAW_FF5)
+        mom.write_text(RAW_MOM)
+        outs = []
+        for name, bounds in (("open", []), ("closed", ["--end", "1990-01-08"])):
+            outs.append(tmp_path / f"{name}.csv")
+            rc = main(["ingest", str(ff5), str(mom), "--out", str(outs[-1]),
+                       "--start", "1990-01-04", *bounds])
+            assert rc == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert read_panel_csv(outs[0]).dates.astype(str).tolist() == [
+            "1990-01-04", "1990-01-05", "1990-01-08"]
+
+    def test_range_past_the_panel_exit_2(self, tmp_path, capsys):
+        ff5, mom = tmp_path / "ff5.csv", tmp_path / "mom.csv"
+        ff5.write_text(RAW_FF5)
+        mom.write_text(RAW_MOM)
+        rc = main(["ingest", str(ff5), str(mom), "--out",
+                   str(tmp_path / "panel.csv"), "--start", "1991-01-01"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: date range selects no rows\n"
+        assert not (tmp_path / "panel.csv").exists()
+
     def test_missing_column_exit_2(self, tmp_path, capsys):
         ff5 = tmp_path / "ff5.csv"
         mom = tmp_path / "mom.csv"
@@ -213,6 +241,39 @@ class TestFit:
         assert captured.err == "error: ordering failed\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_end_alone_fits_the_rows_up_to_it(self, synthetic_files, tmp_path,
+                                              capsys):
+        """An open --start fits from the panel's first row, which the CLI
+        used to pass as the start itself."""
+        _, panel_path, panel, _ = synthetic_files
+        end = str(panel.dates[599])
+        for name, bounds in (("open", []), ("closed", ["--start", str(panel.dates[0])])):
+            rc = main(["fit", "--panel", str(panel_path), "--k", "2",
+                       "--seed", "1", "--restarts", "1", "--end", end, *bounds,
+                       "--out", str(tmp_path / f"{name}.json")])
+            assert rc == 0
+        for suffix in (".json", ".labels.csv"):
+            assert ((tmp_path / f"open{suffix}").read_bytes()
+                    == (tmp_path / f"closed{suffix}").read_bytes())
+        dates, _ = read_labels_csv(tmp_path / "open.labels.csv")
+        np.testing.assert_array_equal(dates, panel.dates[:600])
+
+    @pytest.mark.parametrize("out,labels", [("m.json", "nodir/l.csv"),
+                                            ("nodir/m.json", None)])
+    def test_missing_output_directory_exit_2_before_any_output(
+            self, synthetic_files, tmp_path, capsys, monkeypatch, out, labels):
+        _, panel_path, _, _ = synthetic_files
+        monkeypatch.chdir(tmp_path)
+        rc = main(["fit", "--panel", str(panel_path), "--k", "2", "--seed", "1",
+                   "--restarts", "1", "--out", out,
+                   *(["--labels", labels] if labels else [])])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        missing = labels or out
+        assert captured.err == f"error: no directory for the output file {missing}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_required(self, synthetic_files, tmp_path, capsys):
         _, panel_path, _, _ = synthetic_files
         with pytest.raises(SystemExit):
@@ -323,7 +384,38 @@ class TestValidate:
         assert not out.exists()
 
 
+    def test_negative_window_rejected_without_overlapping_windows(
+            self, fitted, tmp_path, capsys):
+        """The panel ends in 2001, before every built-in window: the horizon
+        is still checked."""
+        panel_path, _, labels = fitted
+        rc = main(["validate", "--panel", str(panel_path),
+                   "--labels", str(labels), "--window", "-5",
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the peak-search horizon must be >= 0, "
+                                "got -5\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBacktest:
+    @pytest.mark.parametrize("out,returns", [("b.json", "nodir/r.csv"),
+                                             ("nodir/b.json", "r.csv")])
+    def test_missing_output_directory_exit_2_before_any_output(
+            self, fitted, tmp_path, capsys, monkeypatch, out, returns):
+        panel_path, _, labels = fitted
+        monkeypatch.chdir(tmp_path)
+        rc = main(["backtest", "--panel", str(panel_path), "--labels", str(labels),
+                   "--out", out, "--returns-csv", returns])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        missing = out if out.startswith("nodir") else returns
+        assert captured.err == f"error: no directory for the output file {missing}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_json(self, fitted, tmp_path):
         panel_path, _, labels = fitted
         out = tmp_path / "backtest.json"

@@ -130,6 +130,42 @@ class TestLeadTime:
                          crisis_index=1) is None
 
 
+class TestSeriesAlignment:
+    """Labels and volatility norms must have one entry per date: 14 July
+    days against a July window, with series of another length."""
+
+    DATES = np.arange("2011-07-01", "2011-07-15", dtype="datetime64[D]")
+    JULY = EventWindow("July", "2011-07-01", "2011-07-31")
+
+    @staticmethod
+    def calls(labels, dates, vol, w):
+        return (lambda: detection_rate(labels, dates, w, 1),
+                lambda: first_sustained_detection(labels, dates, w, crisis_index=1),
+                lambda: lead_time(labels, dates, vol, w, crisis_index=1))
+
+    @pytest.mark.parametrize("n", [10, 20])
+    @pytest.mark.parametrize("call", range(3))
+    def test_labels_of_another_length_rejected(self, n, call):
+        fn = self.calls(np.ones(n, dtype=int), self.DATES, np.ones(14),
+                        self.JULY)[call]
+        with pytest.raises(ValueError, match="^labels must align with the panel "
+                                             f"rows: {n} labels for 14 days$"):
+            fn()
+
+    def test_short_volatility_norm_rejected(self):
+        with pytest.raises(ValueError, match="^volatility norms must align with "
+                                             "the panel rows: 5 volatility norms "
+                                             "for 14 days$"):
+            lead_time(np.ones(14, dtype=int), self.DATES, np.ones(5), self.JULY,
+                      crisis_index=1)
+
+    def test_aligned_series_accepted(self):
+        fns = self.calls(np.ones(14, dtype=int), self.DATES, np.ones(14), self.JULY)
+        assert fns[0]() == 1.0
+        assert fns[1]() == self.DATES[0]
+        assert fns[2]().detection == self.DATES[0]
+
+
 class TestClassify:
     def test_check(self):
         assert _classify(0.02, 0.60, 0.10) == CHECK

@@ -1,5 +1,6 @@
 """HMM emissions, forward-backward, EM, model selection, persistence."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -33,7 +34,13 @@ from factorregimes import (
     solve_nu,
 )
 import factorregimes
-from factorregimes.hmm import _emission_terms, _forward_backward_core
+from factorregimes import hmm
+from factorregimes.hmm import (
+    _emission_terms,
+    _forward_backward_core,
+    _initial_params,
+    _m_step,
+)
 
 from conftest import table1_like_params
 
@@ -457,6 +464,28 @@ class TestEmFit:
             "fitting K=2 regimes: need at least 21 observations, have 20")
         assert info.value.required == 21
         assert info.value.available == 20
+
+    def test_iteration_cap_ends_each_restart(self, synthetic_3regime,
+                                             monkeypatch):
+        panel, _ = synthetic_3regime
+        uncapped = em_fit(panel, 3, "student_t", FitConfig(seed=3, n_restarts=1))
+        assert len(uncapped.loglik_history) > 3
+        monkeypatch.setattr(hmm, "EM_MAX_ITERS", 2)
+        fit = em_fit(panel, 3, "student_t", FitConfig(seed=3, n_restarts=2))
+        assert len(fit.loglik_history) <= 3
+
+    def test_settings_and_m_step_carry_params(self, synthetic_3regime):
+        """FitConfig holds only the seed and the restart count, and one EM
+        step maps an HmmParams to an HmmParams of the same family."""
+        assert [f.name for f in dataclasses.fields(FitConfig)] == ["seed", "n_restarts"]
+        assert "restart_index" not in {f.name for f in dataclasses.fields(hmm.HmmFit)}
+        X = synthetic_3regime[0].returns
+        p = _initial_params(X, 3, "student_t", 0, np.random.default_rng(0))
+        logB, delta = _emission_terms(X, p.mu, p.Sigma, p.nu, p.family)
+        _, gamma, xi_sum = _forward_backward_core(p.pi, p.A, logB)
+        q, regularized = _m_step(X, gamma, xi_sum, delta, p)
+        assert isinstance(q, HmmParams) and q.family == p.family
+        assert q.nu.shape == (3,) and regularized is False
 
     def test_seed_reproducibility(self, synthetic_3regime):
         panel, _ = synthetic_3regime

@@ -1,6 +1,7 @@
 """Every package module uses each name it imports (`__init__.py` imports
 to re-export, so it is left out), the command-line driver opens no file
-itself and reads the downstream stages' inputs in `main` alone, and the
+itself and reads the downstream stages' inputs in `main` alone, one
+function each owns the date-range rule and the alignment check, and the
 runtime imports numpy only."""
 
 import ast
@@ -75,6 +76,43 @@ def test_main_alone_loads_stage_inputs():
     readers = (callers.get("read_panel_csv", set())
                | callers.get("read_labels_csv", set()))
     assert readers <= {"_load_aligned", "cmd_fit"}
+
+
+def _is_dates(node) -> bool:
+    """A `dates` name or attribute, or a subscript of one."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return (getattr(node, "id", None) == "dates"
+            or getattr(node, "attr", None) == "dates")
+
+
+def test_only_panel_compares_dates_with_a_bound():
+    """Date ranges are cut by `panel._in_range` alone: no other module
+    orders a `dates` array against a bound."""
+    order = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "panel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, order) for op in node.ops)
+                    and any(map(_is_dates, [node.left, *node.comparators]))):
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
+def test_one_function_raises_the_alignment_error():
+    """Every series-against-panel length check goes through
+    `panel._aligned`, the only function that holds its message."""
+    holders = []
+    for path in PACKAGE.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                holders += [(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Constant)
+                            and "must align with the panel rows" in str(node.value)]
+    assert holders == [("panel.py", "_aligned")]
 
 
 RUNTIME_PROBE = """

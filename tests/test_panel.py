@@ -24,9 +24,16 @@ from factorregimes import (
     write_panel_csv,
 )
 
-from factorregimes.panel import _write_table
+from factorregimes.panel import _in_range, _write_table
 
-from conftest import reference_parse_lines, reference_table
+from conftest import (
+    reference_cli_date_range,
+    reference_optional_bounds,
+    reference_parse_lines,
+    reference_post_split,
+    reference_table,
+    reference_window,
+)
 
 RAW_FF5 = """This file was created from the daily return database.
 The 1-month TBill return is from an external provider.
@@ -199,6 +206,48 @@ class TestSlice:
         p = make_panel([[1.0]], names=("A",))
         with pytest.raises(ValueError):
             slice_dates(p, "2021-01-01", "2020-01-01")
+
+    def test_one_open_bound(self):
+        p = make_panel([[1.0], [2.0], [3.0], [4.0]], names=("A",))
+        np.testing.assert_array_equal(slice_dates(p, p.dates[1]).dates,
+                                      p.dates[1:])
+        np.testing.assert_array_equal(slice_dates(p, end=p.dates[2]).dates,
+                                      p.dates[:3])
+        np.testing.assert_allclose(slice_dates(p, None, "2020-01-07").returns,
+                                   [[1.0], [2.0]])
+        assert slice_dates(p).n_days == 4
+        assert slice_dates(p, "2030-01-01").n_days == 0
+
+
+class TestRangeRule:
+    """_in_range, the one date-range rule, against the masks it replaced."""
+
+    BASE = np.datetime64("2020-01-01")
+
+    @settings(max_examples=500, deadline=None)
+    @given(offsets=st.sets(st.integers(0, 400), max_size=40),
+           start=st.none() | st.integers(-50, 450),
+           end=st.none() | st.integers(-50, 450))
+    def test_matches_the_replaced_masks(self, offsets, start, end):
+        dates = self.BASE + np.array(sorted(offsets), dtype="timedelta64[D]")
+        start = None if start is None else self.BASE + start
+        end = None if end is None else self.BASE + end
+        keep = _in_range(dates, start, end)
+        assert keep.dtype == bool and keep.shape == dates.shape
+        np.testing.assert_array_equal(keep, reference_optional_bounds(dates, start, end))
+        if start is not None and end is not None:
+            np.testing.assert_array_equal(keep, reference_window(dates, start, end))
+        if end is None and start is not None:
+            np.testing.assert_array_equal(keep, reference_post_split(dates, start))
+        if dates.size:
+            np.testing.assert_array_equal(
+                keep, reference_cli_date_range(dates, start, end))
+
+    def test_bounds_are_inclusive_and_accept_strings(self):
+        dates = self.BASE + np.arange(5)
+        np.testing.assert_array_equal(_in_range(dates, "2020-01-02", "2020-01-04"),
+                                      [False, True, True, True, False])
+        assert _in_range(dates).all()
 
 
 class TestVolatilityNorm:
