@@ -98,7 +98,7 @@ for k in range(3):
 # cruder (two states, lagging response) but if the HMM crisis regime is
 # real, the two labelings should overlap heavily on crisis days.
 
-thr = threshold_regimes(panel, window=21, quantile=0.90)
+thr = threshold_regimes(panel)
 crisis_hmm = fit.labels == 2
 overlap = (thr[crisis_hmm] == 1).mean()
 print(f"\nthreshold detector agrees on {overlap:.0%} of HMM crisis days")

@@ -5,7 +5,9 @@ robustness. Every command is deterministic given its flags; anything
 stochastic requires an explicit --seed. Exit codes: 0 success, 2 input
 or validation error, 3 computation failure.
 
-`main` reads the panel and labels of the downstream stages. Every stage
+Dates are cut once, by `ingest --start/--end`; `fit` reads its panel as
+given. `main` reads the panel and labels of the downstream stages and
+rejects a panel with no rows or labels on other dates. Every stage
 computes all of its results before it writes a file or prints a line:
 one that fails in computation writes no file and no line to stdout.
 """
@@ -63,8 +65,11 @@ FAMILY_MAP = {"student-t": "student_t", "gaussian": "gaussian"}
 
 
 def _load_aligned(panel_path, labels_path):
-    """Panel plus a label series that must cover exactly the same dates."""
+    """A panel with at least one row plus a label series that must cover
+    exactly the same dates."""
     panel = read_panel_csv(panel_path)
+    if not panel.n_days:
+        raise SchemaError(f"panel {panel_path} has no rows")
     dates, labels = read_labels_csv(labels_path)
     if not np.array_equal(dates, panel.dates):
         raise SchemaError(
@@ -125,7 +130,7 @@ def _print_fit_summary(fit, panel):
 def cmd_fit(args) -> int:
     labels_path = args.labels or (os.path.splitext(args.out)[0] + ".labels.csv")
     _check_out_dirs(args.out, labels_path)
-    panel = slice_dates(read_panel_csv(args.panel), args.start, args.end)
+    panel = read_panel_csv(args.panel)
     family = FAMILY_MAP[args.family]
     config = FitConfig(seed=args.seed, n_restarts=args.restarts)
     table = []
@@ -317,8 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(FAMILY_MAP), default="student-t")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--start", default=None)
-    p.add_argument("--end", default=None)
     p.add_argument("--out", required=True, help="model JSON to write")
     p.add_argument("--labels", default=None,
                    help="labels CSV to write (default: next to the model)")

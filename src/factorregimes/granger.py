@@ -309,14 +309,13 @@ def _fixed_lag_fit(y, x, rows: np.ndarray, L: int) -> tuple | Exception:
                      [(0, 1)])[0][L]
 
 
-def granger_f_test(y, x, L: int, mask, *, source: str = "x", target: str = "y",
-                   regime: int | str = "pooled",
-                   bonferroni_threshold: float = DEFAULT_ALPHA / 30.0) -> GrangerResult:
+def granger_f_test(y, x, L: int, mask) -> GrangerResult:
     """F test of the null that lags of x add nothing to the AR model of y.
 
     The rows are the masked positions with t >= L. F = ((RSS_r -
     RSS_u)/L) / (RSS_u/(n - 2L - 1)), upper-tail p-value from the
-    F(L, n-2L-1) distribution.
+    F(L, n-2L-1) distribution. The result is labeled source "x", target
+    "y", regime "pooled", and flagged significant below DEFAULT_ALPHA / 30.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -326,9 +325,7 @@ def granger_f_test(y, x, L: int, mask, *, source: str = "x", target: str = "y",
     if L < 1:
         raise ValueError("L must be >= 1")
     sel = np.flatnonzero(mask)
-    return _granger_result(_fixed_lag_fit(y, x, sel[sel >= L], L), L,
-                           source=source, target=target, regime=regime,
-                           bonferroni_threshold=bonferroni_threshold)
+    return _granger_result(_fixed_lag_fit(y, x, sel[sel >= L], L), L)
 
 
 def _segment_test(y, x, segments, L: int) -> tuple[float | None, int]:

@@ -126,8 +126,8 @@ class HmmFit:
     gamma: np.ndarray
     labels: np.ndarray
     n_free_params: int
-    loglik_history: tuple[float, ...] = ()
-    config: FitConfig | None = None
+    loglik_history: tuple[float, ...]
+    config: FitConfig
 
 
 def n_free_params(K: int, d: int, family: str) -> int:
@@ -536,16 +536,13 @@ def _run_em(X, p: HmmParams):
     return p, loglik, gamma, history
 
 
-def em_fit(panel: FactorPanel, K: int, family: str = "student_t",
-           config: FitConfig | None = None) -> HmmFit:
+def em_fit(panel: FactorPanel, K: int, family: str, config: FitConfig) -> HmmFit:
     """Fit a K-regime HMM by EM with deterministic multi-restart.
 
     The best restart by log-likelihood wins; ties go to the lower
     restart index. Restarts that degenerate are dropped, and the fit
     fails only if every restart does.
     """
-    if config is None:
-        raise ValueError("config with an explicit seed is required")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if K < 1:
@@ -587,8 +584,7 @@ def em_fit(panel: FactorPanel, K: int, family: str = "student_t",
     )
 
 
-def select_k(panel: FactorPanel, k_range, family: str = "student_t",
-             config: FitConfig | None = None):
+def select_k(panel: FactorPanel, k_range, family: str, config: FitConfig):
     """Fit every K in k_range with the same restart budget; pick min BIC.
 
     Returns (best_k, table) where table rows are dicts with keys
@@ -673,8 +669,8 @@ def save_model(fit: HmmFit, path) -> None:
         "nu": None if p.nu is None else p.nu.tolist(),
         "loglik": fit.loglik,
         "bic": fit.bic,
-        "seed": None if fit.config is None else fit.config.seed,
-        "restarts": None if fit.config is None else fit.config.n_restarts,
+        "seed": fit.config.seed,
+        "restarts": fit.config.n_restarts,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

@@ -14,6 +14,11 @@ range are reproducible exactly.
   Bessel functions of complex arguments and order", J. Comput. Phys. 64,
   1986; Numerical Recipes, 3rd ed., section 6.4), with the prefactor
   x^a (1-x)^b / (a B(a, b)) formed in log space.
+- ln B(a, b) with max(a, b) >= 10 takes ln Gamma(g) - ln Gamma(g + s)
+  (g the larger argument, s the smaller) from the difference of the two
+  Stirling series, with log1p(s/g) for the ratio of the leading terms, as
+  `algdiv` does (DiDonato & Morris, "Algorithm 708", ACM TOMS 18, 1992);
+  the difference of two `math.lgamma` values would cancel for a large g.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from .errors import EstimationError
 _CF_MAX_ITERS = 10_000
 _CF_EPS = 2.0 ** -52  # double-precision machine epsilon
 _CF_TINY = 1e-300
+_STIRLING_MIN = 10.0  # ln B takes the Stirling difference from here on
+# B_2k / (2k (2k - 1)), the coefficients of ln Gamma's Stirling remainder in
+# z^-(2k-1); at z >= 10 the first term left out is below 1e-16
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156)
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,26 @@ def digamma(x: float) -> float:
     return float(shift + math.log(x) - 0.5 / x - series)
 
 
+def _stirling_remainder(z: float) -> float:
+    """ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2), for z >= 10."""
+    r = 1.0 / (z * z)
+    total = 0.0
+    for c in reversed(_STIRLING):
+        total = total * r + c
+    return total / z
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b) for a, b > 0."""
+    s, g = min(a, b), max(a, b)
+    if g < _STIRLING_MIN:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    # ln Gamma(g) - ln Gamma(g + s), by the difference of Stirling's series
+    ratio = (g + s - 0.5) * math.log1p(s / g) + s * (math.log(g) - 1.0)
+    tail = _stirling_remainder(g) - _stirling_remainder(g + s)
+    return math.lgamma(s) + tail - ratio
+
+
 def _beta_fraction(a: float, b: float, x: float) -> float:
     """Continued fraction of I_x(a, b) by modified Lentz; converges fast
     for x < (a+1)/(a+b+2). Raises EstimationError if it does not converge
@@ -104,8 +134,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
         return float(x)
-    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                 + a * math.log(x) + b * math.log1p(-x))
+    log_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(log_front) * _beta_fraction(a, b, x) / a
     return 1.0 - math.exp(log_front) * _beta_fraction(b, a, 1.0 - x) / b

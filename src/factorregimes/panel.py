@@ -138,6 +138,17 @@ def _to_dates(tokens: list[str], line_numbers: list[int]) -> np.ndarray:
                 f"malformed date token {token!r}", line_number) from None
 
 
+def _check_order(dates: np.ndarray, line_numbers: np.ndarray,
+                 previous: str) -> None:
+    """PanelParseError at the line of the first date that is not after the
+    date before it."""
+    late = np.flatnonzero(dates[1:] <= dates[:-1])
+    if late.size:
+        i = late[0] + 1
+        raise PanelParseError(f"date {dates[i]} is not after the {previous} "
+                              f"{dates[i - 1]}", int(line_numbers[i]))
+
+
 def _read_lines(source) -> list[str]:
     """The lines of a text stream, or of the file at a path (str or
     os.PathLike), whatever its name."""
@@ -211,13 +222,7 @@ def _parse_lines(lines: list[str], expected_columns: Sequence[str]) -> FactorPan
                     line_numbers[row]) from None
         raise
     keep = np.isfinite(values).all(axis=1) & ~np.isin(values, SENTINELS).any(axis=1)
-    kept = np.flatnonzero(keep)
-    late = np.flatnonzero(dates[kept[1:]] <= dates[kept[:-1]])
-    if late.size:
-        row = kept[late[0] + 1]
-        raise PanelParseError(f"date {dates[row]} is not after the previous "
-                              f"kept row's {dates[kept[late[0]]]}",
-                              line_numbers[row])
+    _check_order(dates[keep], np.array(line_numbers)[keep], "previous kept row's")
     return FactorPanel(dates[keep], values[keep], tuple(wanted))
 
 
@@ -334,7 +339,8 @@ def write_labels_csv(dates: np.ndarray, labels: np.ndarray, path) -> None:
 
 def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:
     """Read a label series (the output format of write_labels_csv) from a
-    path (str or os.PathLike) or a text stream."""
+    path (str or os.PathLike) or a text stream. Each date must be later
+    than the previous row's, as in the panel readers."""
     lines = _read_lines(source)
     if not lines or lines[0].strip().lower() != "date,regime":
         raise PanelParseError("expected header 'date,regime'", 1)
@@ -352,4 +358,6 @@ def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:
             raise PanelParseError(f"malformed regime label {z!r}", i) from None
         tokens.append(d.strip())
         line_numbers.append(i)
-    return _to_dates(tokens, line_numbers), np.array(labels, dtype=int)
+    dates = _to_dates(tokens, line_numbers)
+    _check_order(dates, np.array(line_numbers), "previous row's")
+    return dates, np.array(labels, dtype=int)

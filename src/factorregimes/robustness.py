@@ -27,28 +27,30 @@ from .granger import (
 )
 from .panel import FactorPanel, _aligned, _in_range, _tested_pair, volatility_norm
 
+THRESHOLD_WINDOW = 21  # trading days of the detector's realized volatility
+THRESHOLD_QUANTILE = 0.90  # full-sample cutoff of the detector's crisis days
+TRANSITION_MIN_RUN = 5  # days a state must last for a transition into it
+TRANSITION_WINDOW = 60  # days tested on each side of a transition
 
-def threshold_regimes(panel: FactorPanel, window: int = 21,
-                      quantile: float = 0.90) -> np.ndarray:
+
+def threshold_regimes(panel: FactorPanel) -> np.ndarray:
     """Two-state labels from a rolling realized-volatility threshold.
 
-    Realized volatility is the trailing `window`-day mean of the daily
-    volatility norm. Days where it strictly exceeds the full-sample
-    quantile are labeled 1 (crisis), all others 0, including the warm-up
-    days that have no complete window. A constant series yields zero
-    crisis days because the comparison is strict.
+    Realized volatility is the trailing THRESHOLD_WINDOW-day mean of the
+    daily volatility norm. Days where it strictly exceeds the full-sample
+    THRESHOLD_QUANTILE quantile are labeled 1 (crisis), all others 0,
+    including the warm-up days that have no complete window. A constant
+    series yields zero crisis days because the comparison is strict.
     """
-    if not 0.0 < quantile < 1.0:
-        raise ValueError("quantile must be in (0, 1)")
-    T = panel.n_days
-    if T <= window:
-        raise SampleSizeError(window + 1, T, f"a {window}-day window")
+    T, w = panel.n_days, THRESHOLD_WINDOW
+    if T <= w:
+        raise SampleSizeError(w + 1, T, f"a {w}-day window")
     norm = volatility_norm(panel)
     csum = np.concatenate([[0.0], np.cumsum(norm)])
-    realized = (csum[window:] - csum[:-window]) / window  # ends at t = window-1..T-1
-    cutoff = np.quantile(realized, quantile)
+    realized = (csum[w:] - csum[:-w]) / w  # ends at t = w-1..T-1
+    cutoff = np.quantile(realized, THRESHOLD_QUANTILE)
     labels = np.zeros(T, dtype=np.int64)
-    labels[window - 1:] = (realized > cutoff).astype(np.int64)
+    labels[w - 1:] = (realized > cutoff).astype(np.int64)
     return labels
 
 
@@ -131,25 +133,25 @@ def _transition_starts(labels, crisis_index, m, entering: bool) -> np.ndarray:
 
 
 def transition_window_analysis(panel: FactorPanel, labels, crisis_index: int,
-                               m: int = 5, window: int = 60, L: int = 9
-                               ) -> TransitionReport:
+                               L: int = 9) -> TransitionReport:
     """Does the HML -> SMB relation switch on at crisis entry?
 
-    Entries are first days of >= m consecutive crisis labels preceded by
-    a non-crisis day; exits are the mirror image. For each transition the
-    `window` days before and the `window` days starting at the transition
-    form separate design segments (lags never cross the boundary), pooled
-    into one stacked regression per side. Returns pooled p-values; a
-    direction with no transitions reports an empty pair.
+    Entries are first days of >= TRANSITION_MIN_RUN crisis days preceded
+    by a non-crisis day; exits are the mirror image. The TRANSITION_WINDOW
+    days before each transition and from it on form separate design
+    segments (lags never cross the boundary), pooled into one regression
+    per side at lag L. Returns pooled p-values; a direction with no
+    transitions reports an empty pair.
     """
     labels = _aligned(labels, panel.n_days, "labels")
     y, x = _tested_pair(panel)
-    T = panel.n_days
+    T, w = panel.n_days, TRANSITION_WINDOW
     out = {}
     for name, entering in (("entry", True), ("exit", False)):
-        starts = _transition_starts(labels, crisis_index, m, entering)
-        before = [(max(0, t - window), t - 1) for t in starts]
-        after = [(t, min(T - 1, t + window - 1)) for t in starts]
+        starts = _transition_starts(labels, crisis_index,
+                                    TRANSITION_MIN_RUN, entering)
+        before = [(max(0, t - w), t - 1) for t in starts]
+        after = [(t, min(T - 1, t + w - 1)) for t in starts]
         p_b, n_b = _segment_test(y, x, before, L)
         p_a, n_a = _segment_test(y, x, after, L)
         out[name] = TransitionPair(len(starts), p_b, p_a, n_b, n_a)

@@ -200,15 +200,19 @@ class TestFit:
         doc = json.loads(model.read_text())
         assert doc["family"] == "gaussian" and doc["nu"] is None
 
-    def test_start_after_end_exit_2(self, synthetic_files, tmp_path, capsys):
+    @pytest.mark.parametrize("option", ["--start", "--end"])
+    def test_no_date_range_option(self, synthetic_files, tmp_path, capsys,
+                                  option):
+        """fit reads the panel as given: ingest alone cuts dates."""
         _, panel_path, _, _ = synthetic_files
-        rc = main(["fit", "--panel", str(panel_path), "--k", "2",
-                   "--seed", "1", "--start", "2010-01-01",
-                   "--end", "2009-01-01", "--out", str(tmp_path / "m.json")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "start 2010-01-01 is after end 2009-01-01" in err
-        assert not (tmp_path / "m.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--panel", str(panel_path), "--k", "2", "--seed", "1",
+                  option, "2000-06-01", "--out", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option} 2000-06-01" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_estimation_failure_exit_3(self, synthetic_files, tmp_path,
                                        capsys, monkeypatch):
@@ -240,23 +244,6 @@ class TestFit:
         assert captured.out == ""
         assert captured.err == "error: ordering failed\n"
         assert list(tmp_path.iterdir()) == []
-
-    def test_end_alone_fits_the_rows_up_to_it(self, synthetic_files, tmp_path,
-                                              capsys):
-        """An open --start fits from the panel's first row, which the CLI
-        used to pass as the start itself."""
-        _, panel_path, panel, _ = synthetic_files
-        end = str(panel.dates[599])
-        for name, bounds in (("open", []), ("closed", ["--start", str(panel.dates[0])])):
-            rc = main(["fit", "--panel", str(panel_path), "--k", "2",
-                       "--seed", "1", "--restarts", "1", "--end", end, *bounds,
-                       "--out", str(tmp_path / f"{name}.json")])
-            assert rc == 0
-        for suffix in (".json", ".labels.csv"):
-            assert ((tmp_path / f"open{suffix}").read_bytes()
-                    == (tmp_path / f"closed{suffix}").read_bytes())
-        dates, _ = read_labels_csv(tmp_path / "open.labels.csv")
-        np.testing.assert_array_equal(dates, panel.dates[:600])
 
     @pytest.mark.parametrize("out,labels", [("m.json", "nodir/l.csv"),
                                             ("nodir/m.json", None)])
@@ -608,6 +595,26 @@ def test_failed_computation_leaves_no_output(fitted, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == f"error: {call} failed\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,out,extra", [
+    (command, out, extra) for command, _, out, extra in LAST_COMPUTATION],
+    ids=[row[0] for row in LAST_COMPUTATION])
+def test_empty_panel_exit_2_before_any_output(tmp_path, capsys, monkeypatch,
+                                              command, out, extra):
+    """A header-only panel and labels file: every downstream stage names
+    the panel and exits 2 with no file written and nothing on stdout."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "panel.csv").write_text("date," + ",".join(SIX_FACTOR_NAMES) + "\n")
+    (tmp_path / "labels.csv").write_text("date,regime\n")
+    rc = main([command, "--panel", "panel.csv", "--labels", "labels.csv",
+               "--out", out, *extra])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: panel panel.csv has no rows\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.csv",
+                                                          "panel.csv"]
 
 
 class TestHelp:

@@ -239,26 +239,11 @@ class TestGrangerFTest:
                                      np.ones(2000, dtype=bool)).p_value)
         assert np.median(ps) > 0.2
 
-    def test_bonferroni_flag(self):
-        y, x = lagged_pair(2000, 7, coef=0.5, lag=2)
-        sig = granger_f_test(y, x, 5, np.ones(2000, dtype=bool),
-                             bonferroni_threshold=1e-4)
-        insig = granger_f_test(y, x, 5, np.ones(2000, dtype=bool),
-                               bonferroni_threshold=1e-300)
-        assert sig.significant_bonferroni and not insig.significant_bonferroni
-
     def test_constant_regressor_degenerate(self):
         y = np.random.default_rng(10).standard_normal(100)
         x = np.zeros(100)
         with pytest.raises(DegenerateDesignError):
             granger_f_test(y, x, 2, np.ones(100, dtype=bool))
-
-    def test_metadata_passthrough(self):
-        y, x = lagged_pair(300, 11)
-        res = granger_f_test(y, x, 1, np.ones(300, dtype=bool), source="HML",
-                             target="SMB", regime="2")
-        assert (res.source, res.target, res.regime) == ("HML", "SMB", "2")
-        assert res.lag == 1
 
 
 class TestSelectLagBic:

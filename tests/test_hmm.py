@@ -495,11 +495,6 @@ class TestEmFit:
         assert f1.loglik == f2.loglik
         np.testing.assert_array_equal(f1.labels, f2.labels)
 
-    def test_config_required(self, synthetic_3regime):
-        panel, _ = synthetic_3regime
-        with pytest.raises(ValueError):
-            em_fit(panel, 2, "student_t", None)
-
 
 class TestNFreeParams:
     def test_student_t_count(self):

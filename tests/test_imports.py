@@ -1,5 +1,6 @@
 """Every package module uses each name it imports (`__init__.py` imports
-to re-export, so it is left out), the command-line driver opens no file
+to re-export, so it is checked against `__all__` instead), the
+command-line driver opens no file
 itself and reads the downstream stages' inputs in `main` alone, one
 function each owns the date-range rule and the alignment check, and the
 runtime imports numpy only."""
@@ -36,6 +37,20 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_init_exports_exactly_what_it_imports():
+    """`__init__.py` imports the names of `__all__`, each once: no export
+    is left unimported and no import is left unexported."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["__all__"]]
+    assert len(set(exported)) == len(exported)
+    assert len(set(imported)) == len(imported)
+    assert sorted(imported) == sorted(exported)
 
 
 def test_checker_flags_only_unread_names():

@@ -179,6 +179,25 @@ class TestRelativeOracles:
         assert smallest < 1e-250
         assert worst <= 1e-10, f"F tail relative error {worst:.3e}"
 
+    def test_f_sf_large_df2(self):
+        """ln B(df2/2, df1/2) for a large df2 is a Stirling difference, not
+        the difference of two log-gamma values, which cancels."""
+        mp = pytest.importorskip("mpmath")
+        worst = (0.0, None)
+        with mp.workdps(50):
+            for df1 in (1, 2, 3, 5, 9, 15, 20, 30):
+                for df2 in (11, 20, 50, 200, 1000, 3000, 9000):
+                    for f in (0.1, 0.5, 1, 2, 5, 20, 60, 200):
+                        t = mp.mpf(df2) / (df2 + df1 * mp.mpf(f))
+                        ref = mp.betainc(mp.mpf(df2) / 2, mp.mpf(df1) / 2, 0, t,
+                                         regularized=True)
+                        if ref < mp.mpf("1e-280"):
+                            continue
+                        got = f_sf(float(f), FTestDistribution(df1, df2))
+                        worst = max(worst, (float(abs(got - ref) / ref),
+                                            (df1, df2, f)))
+        assert worst[0] <= 1e-12, f"F tail relative error {worst}"
+
     def test_digamma(self):
         mp = pytest.importorskip("mpmath")
         xs = np.append(np.geomspace(0.01, 1000.0, 500)[1:], [0.5, 6.0, 10.0])

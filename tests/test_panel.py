@@ -326,6 +326,19 @@ class TestSerialization:
                            match=f"line 3: malformed date token '{token}'"):
             read_labels_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("dates,line,previous", [
+        (["2000-01-04", "2000-01-03", "2000-01-03"], 3, "2000-01-04"),
+        (["2000-01-03", "2000-01-04", "2000-01-04"], 4, "2000-01-04"),
+    ])
+    def test_labels_dates_must_increase(self, dates, line, previous):
+        """The panel readers' rule: each date is after the previous row's."""
+        text = "date,regime\n" + "".join(f"{d},0\n" for d in dates)
+        with pytest.raises(PanelParseError) as exc:
+            read_labels_csv(io.StringIO(text))
+        assert str(exc.value) == (f"line {line}: date {dates[line - 2]} is not "
+                                  f"after the previous row's {previous}")
+        assert exc.value.line_number == line
+
 
 class TestDailyBlockRule:
     @pytest.mark.parametrize("token", ["2020010x", "2020"])

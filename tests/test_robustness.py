@@ -37,7 +37,7 @@ def noise_panel(T, d=2, seed=0, scale=1.0, names=None):
 class TestThresholdRegimes:
     def test_crisis_share_near_complement_of_quantile(self):
         panel = noise_panel(5000, seed=50)
-        labels = threshold_regimes(panel, window=21, quantile=0.90)
+        labels = threshold_regimes(panel)
         share = labels.mean()
         # about 10% of realized-vol days exceed their own 0.90 quantile,
         # diluted slightly by the warm-up zeros
@@ -54,7 +54,7 @@ class TestThresholdRegimes:
         X = rng.standard_normal((100, 2))
         X[:30] *= 20.0  # violent start would exceed any cutoff
         panel = FactorPanel(dated(100), X, ("A", "B"))
-        labels = threshold_regimes(panel, window=21)
+        labels = threshold_regimes(panel)
         assert not labels[:20].any()
 
     def test_flags_the_volatile_block(self):
@@ -62,7 +62,7 @@ class TestThresholdRegimes:
         X = rng.standard_normal((1000, 2))
         X[600:700] *= 8.0
         panel = FactorPanel(dated(1000), X, ("A", "B"))
-        labels = threshold_regimes(panel, window=21)
+        labels = threshold_regimes(panel)
         # interior of the block, past the window rebuild, must be flagged
         assert labels[640:700].all()
         assert not labels[:600].any()
@@ -70,12 +70,7 @@ class TestThresholdRegimes:
     def test_too_short_raises(self):
         panel = noise_panel(15)
         with pytest.raises(SampleSizeError):
-            threshold_regimes(panel, window=21)
-
-    def test_bad_quantile(self):
-        panel = noise_panel(100)
-        with pytest.raises(ValueError):
-            threshold_regimes(panel, quantile=1.0)
+            threshold_regimes(panel)
 
 
 class TestLagSweep:
@@ -288,8 +283,7 @@ class TestTransitionWindows:
 
     def test_counts_transitions(self):
         panel, labels = self.make_panel_with_transitions()
-        report = transition_window_analysis(panel, labels, 1, m=5,
-                                            window=60, L=3)
+        report = transition_window_analysis(panel, labels, 1, L=3)
         assert report.entry.n_transitions == 3
         assert report.exit.n_transitions == 3
         assert report.entry.n_after > 0
@@ -297,8 +291,7 @@ class TestTransitionWindows:
 
     def test_relation_switches_on_at_entry(self):
         panel, labels = self.make_panel_with_transitions(seed=64, coef=0.9)
-        report = transition_window_analysis(panel, labels, 1, m=5,
-                                            window=60, L=3)
+        report = transition_window_analysis(panel, labels, 1, L=3)
         assert report.entry.p_after < 0.01
         assert report.entry.p_before > 0.01
 
@@ -306,8 +299,7 @@ class TestTransitionWindows:
         rejected = 0
         for seed in range(5):
             panel, labels = self.make_panel_with_transitions(seed=70 + seed)
-            report = transition_window_analysis(panel, labels, 1, m=5,
-                                                window=60, L=3)
+            report = transition_window_analysis(panel, labels, 1, L=3)
             for p in (report.entry.p_before, report.entry.p_after,
                       report.exit.p_before, report.exit.p_after):
                 if p is not None and p < 0.05:
