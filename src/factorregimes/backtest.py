@@ -17,6 +17,7 @@ import numpy as np
 from .panel import FactorPanel, _aligned, _in_range, _tested_pair, write_panel_csv
 
 TRADING_DAYS_PER_YEAR = 252
+SIGNAL_WINDOW = 9  # trading days of the strategy's trailing HML return
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,8 @@ class BacktestReport:
     n_active_days: int
 
 
-def strategy_signal(hml, labels, crisis_index: int, window: int = 9) -> np.ndarray:
+def strategy_signal(hml, labels, crisis_index: int,
+                    window: int = SIGNAL_WINDOW) -> np.ndarray:
     """Position series in {-1, 0, +1}.
 
     On a crisis-labeled day t (with t >= window), the position is the
@@ -108,8 +110,8 @@ def performance_metrics(returns, dates=None, n_active_days: int | None = None
 
 
 def run_backtest(panel: FactorPanel, labels, crisis_index: int, *,
-                 window: int = 9, start=None, end=None, execution_lag: int = 0
-                 ) -> tuple[BacktestReport, BacktestReport]:
+                 window: int = SIGNAL_WINDOW, start=None, end=None,
+                 execution_lag: int = 0) -> tuple[BacktestReport, BacktestReport]:
     """Strategy and buy-and-hold benchmark over an optional date range.
 
     execution_lag=1 applies each signal to the following day's return,

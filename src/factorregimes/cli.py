@@ -7,9 +7,12 @@ or validation error, 3 computation failure.
 
 Dates are cut once, by `ingest --start/--end`; `fit` reads its panel as
 given. `main` reads the panel and labels of the downstream stages and
-rejects a panel with no rows or labels on other dates. Every stage
-computes all of its results before it writes a file or prints a line:
-one that fails in computation writes no file and no line to stdout.
+rejects a panel with no rows or labels on other dates.
+
+Every stage computes all of its results, then writes every file it owns,
+then returns its report as a list of lines, and `main` alone prints
+that report. A stage that fails in computation writes no file, and a
+stage that fails at all prints nothing to stdout.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import astuple
 
 import numpy as np
 
-from .backtest import run_backtest, write_backtest_json, write_returns_csv
+from .backtest import (SIGNAL_WINDOW, run_backtest, write_backtest_json,
+                       write_returns_csv)
 from .errors import (
     DegenerateDesignError,
     EstimationError,
@@ -30,17 +34,20 @@ from .errors import (
 )
 from .events import (
     DEFAULT_EVENT_WINDOWS,
+    PEAK_HORIZON,
     detection_rate,
     event_granger_validation,
     lead_time,
     read_event_windows,
     write_validation_csv,
 )
-from .granger import granger_results_to_csv, pairwise_regime_matrix, regime_lag_mask
+from .granger import (DEFAULT_ALPHA, DEFAULT_L_MAX, granger_results_to_csv,
+                      pairwise_regime_matrix, regime_lag_mask)
 from .hmm import FitConfig, em_fit, order_regimes, save_model, select_k
 from .panel import (
     FF5_COLUMNS,
     MOMENTUM_COLUMNS,
+    TESTED_LAG,
     TESTED_PAIR,
     _in_range,
     _tested_pair,
@@ -95,39 +102,37 @@ def _event_windows(args):
 # subcommands
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> list[str]:
     ff5 = parse_ff_daily_csv(args.ff5, FF5_COLUMNS)
     mom = parse_ff_daily_csv(args.momentum, MOMENTUM_COLUMNS)
     panel = slice_dates(merge_on_dates(ff5, mom), args.start, args.end)
     if not panel.n_days:
         raise ValueError("date range selects no rows")
     write_panel_csv(panel, args.out)
-    print(
-        f"panel: T={panel.n_days} d={panel.n_factors} "
-        f"span={panel.dates[0]}..{panel.dates[-1]} -> {args.out}"
-    )
-    return 0
+    return [f"panel: T={panel.n_days} d={panel.n_factors} "
+            f"span={panel.dates[0]}..{panel.dates[-1]} -> {args.out}"]
 
 
-def _print_fit_summary(fit, panel):
+def _fit_summary(fit, panel) -> list[str]:
     labels = fit.labels
     norm = volatility_norm(panel)
     K = fit.params.n_regimes
     T = panel.n_days
-    print(f"family={fit.params.family} K={K} loglik={fit.loglik:.4f} "
-          f"bic={fit.bic:.4f}")
-    print("regime    days  proportion  mean_norm        nu  self_trans")
+    lines = [f"family={fit.params.family} K={K} loglik={fit.loglik:.4f} "
+             f"bic={fit.bic:.4f}",
+             "regime    days  proportion  mean_norm        nu  self_trans"]
     for k in range(K):
         sel = labels == k
         days = int(sel.sum())
         prop = 100.0 * days / T
         mnorm = norm[sel].mean() if days else float("nan")
         nu = "       -" if fit.params.nu is None else f"{fit.params.nu[k]:8.1f}"
-        print(f"{k:6d}  {days:6d}  {prop:9.1f}%  {mnorm:9.2f}  {nu}  "
-              f"{fit.params.A[k, k]:10.3f}")
+        lines.append(f"{k:6d}  {days:6d}  {prop:9.1f}%  {mnorm:9.2f}  {nu}  "
+                     f"{fit.params.A[k, k]:10.3f}")
+    return lines
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> list[str]:
     labels_path = args.labels or (os.path.splitext(args.out)[0] + ".labels.csv")
     _check_out_dirs(args.out, labels_path)
     panel = read_panel_csv(args.panel)
@@ -145,44 +150,41 @@ def cmd_fit(args) -> int:
     else:
         fit = em_fit(panel, args.k, family, config)
     fit = order_regimes(fit, panel)
-    if table:
-        print("k  n_free      loglik            bic")
-        for row in table:
-            if row["error"] is not None:
-                print(f"{row['k']}  {row['n_free_params']:6d}  failed: {row['error']}")
-            else:
-                print(f"{row['k']}  {row['n_free_params']:6d}  "
-                      f"{row['loglik']:14.4f}  {row['bic']:14.4f}")
-        print(f"selected K={best_k} by BIC")
-    _print_fit_summary(fit, panel)
     save_model(fit, args.out)
     write_labels_csv(panel.dates, fit.labels, labels_path)
-    print(f"model -> {args.out}")
-    print(f"labels -> {labels_path}")
-    return 0
+    lines = []
+    if table:
+        lines.append("k  n_free      loglik            bic")
+        for row in table:
+            if row["error"] is not None:
+                lines.append(f"{row['k']}  {row['n_free_params']:6d}  "
+                             f"failed: {row['error']}")
+            else:
+                lines.append(f"{row['k']}  {row['n_free_params']:6d}  "
+                             f"{row['loglik']:14.4f}  {row['bic']:14.4f}")
+        lines.append(f"selected K={best_k} by BIC")
+    return [*lines, *_fit_summary(fit, panel),
+            f"model -> {args.out}", f"labels -> {labels_path}"]
 
 
-def cmd_granger(panel, labels, args) -> int:
+def cmd_granger(panel, labels, args) -> list[str]:
     matrix = pairwise_regime_matrix(panel, labels, args.lmax, args.alpha)
     granger_results_to_csv(matrix.results, args.out)
-    hits = [r for r in matrix.results if r.significant_bonferroni]
+    hits = [f"  significant: {r.source}->{r.target} regime {r.regime} "
+            f"lag {r.lag} p={r.p_value:.5e}"
+            for r in matrix.results if r.significant_bonferroni]
     d = panel.n_factors
-    print(f"{len(matrix.results)} cells tested, {len(matrix.failures)} "
-          f"infeasible; Bonferroni threshold {args.alpha / (d * (d - 1)):.3e}")
-    for r in hits:
-        print(f"  significant: {r.source}->{r.target} regime {r.regime} "
-              f"lag {r.lag} p={r.p_value:.5e}")
-    if not hits:
-        print("  no Bonferroni-significant cells")
-    print(f"results -> {args.out}")
-    return 0
+    return [f"{len(matrix.results)} cells tested, {len(matrix.failures)} "
+            f"infeasible; Bonferroni threshold {args.alpha / (d * (d - 1)):.3e}",
+            *(hits or ["  no Bonferroni-significant cells"]),
+            f"results -> {args.out}"]
 
 
-def cmd_validate(panel, labels, args) -> int:
+def cmd_validate(panel, labels, args) -> list[str]:
     windows = _event_windows(args)
     crisis = int(labels.max())
     norm = volatility_norm(panel)
-    detections = ["event                 detection  first_detect  peak_date    lead"]
+    lines = ["event                 detection  first_detect  peak_date    lead"]
     for w in windows:
         # first: lead_time rejects a bad horizon even for a window off the panel
         lt = lead_time(labels, panel.dates, norm, w, args.window,
@@ -190,28 +192,27 @@ def cmd_validate(panel, labels, args) -> int:
         try:
             rate = detection_rate(labels, panel.dates, w, crisis)
         except ValueError:
-            detections.append(f"{w.name:<22}no overlap")
+            lines.append(f"{w.name:<22}no overlap")
             continue
         if lt is None:
-            detections.append(f"{w.name:<22}{rate:9.3f}  (no sustained detection)")
+            lines.append(f"{w.name:<22}{rate:9.3f}  (no sustained detection)")
         else:
-            detections.append(f"{w.name:<22}{rate:9.3f}  {lt.detection}    "
-                              f"{lt.peak}  {lt.lead_days:4d}d")
+            lines.append(f"{w.name:<22}{rate:9.3f}  {lt.detection}    "
+                         f"{lt.peak}  {lt.lead_days:4d}d")
     report = event_granger_validation(panel, windows, args.lag)
     write_validation_csv(report, args.out)
-    print(*detections, sep="\n")
-    print("event                 days    p_fwd      p_rev      class")
+    lines.append("event                 days    p_fwd      p_rev      class")
     for r in report.rows:
         pf = "     -   " if r.p_fwd is None else f"{r.p_fwd:.3e}"
         pr = "     -   " if r.p_rev is None else f"{r.p_rev:.3e}"
-        print(f"{r.event:<22}{r.days:4d}  {pf}  {pr}  {r.classification}")
-    print(f"binomial: {report.n_check}/{report.n_testable} CHECK, exact tail "
-          f"{report.binomial_p:.5e}")
-    print(f"report -> {args.out}")
-    return 0
+        lines.append(f"{r.event:<22}{r.days:4d}  {pf}  {pr}  {r.classification}")
+    return [*lines,
+            f"binomial: {report.n_check}/{report.n_testable} CHECK, exact tail "
+            f"{report.binomial_p:.5e}",
+            f"report -> {args.out}"]
 
 
-def cmd_backtest(panel, labels, args) -> int:
+def cmd_backtest(panel, labels, args) -> list[str]:
     _check_out_dirs(args.out, args.returns_csv)
     crisis = int(labels.max())
     strat, bench = run_backtest(
@@ -220,19 +221,17 @@ def cmd_backtest(panel, labels, args) -> int:
     )
     def fmt(name, r):
         sharpe = "undefined" if r.sharpe is None else f"{r.sharpe:7.2f}"
-        print(f"{name:<12} annual {r.annual_return:7.2f}%  sharpe {sharpe}  "
-              f"mdd {r.max_drawdown:7.2f}%  active {r.n_active_days}")
-    fmt("strategy", strat)
-    fmt("buy-and-hold", bench)
+        return (f"{name:<12} annual {r.annual_return:7.2f}%  sharpe {sharpe}  "
+                f"mdd {r.max_drawdown:7.2f}%  active {r.n_active_days}")
     write_backtest_json(strat, bench, args.out)
+    lines = [fmt("strategy", strat), fmt("buy-and-hold", bench)]
     if args.returns_csv:
         write_returns_csv(strat, bench, args.returns_csv)
-        print(f"daily returns -> {args.returns_csv}")
-    print(f"report -> {args.out}")
-    return 0
+        lines.append(f"daily returns -> {args.returns_csv}")
+    return [*lines, f"report -> {args.out}"]
 
 
-def cmd_plotdata(panel, labels, args) -> int:
+def cmd_plotdata(panel, labels, args) -> list[str]:
     windows = _event_windows(args)
     markers = np.full(panel.n_days, "", dtype=object)
     for w in reversed(windows):  # a day in two windows takes the first's name
@@ -241,11 +240,10 @@ def cmd_plotdata(panel, labels, args) -> int:
                  ("", ".6f", "", ""),
                  zip(np.datetime_as_string(panel.dates).tolist(),
                      volatility_norm(panel).tolist(), labels.tolist(), markers))
-    print(f"timeline ({panel.n_days} rows) -> {args.out}")
-    return 0
+    return [f"timeline ({panel.n_days} rows) -> {args.out}"]
 
 
-def cmd_robustness(panel, labels, args) -> int:
+def cmd_robustness(panel, labels, args) -> list[str]:
     crisis = int(labels.max())
     y, x = _tested_pair(panel)
     thr_labels = threshold_regimes(panel)
@@ -259,19 +257,11 @@ def cmd_robustness(panel, labels, args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_labels_csv(panel.dates, thr_labels,
                      os.path.join(args.out, "threshold_regimes.csv"))
-    if thr["error"] is None:
-        print(f"threshold regimes: {'->'.join(TESTED_PAIR)} lag {thr['L_star']} "
-              f"p={thr['p_value']:.5e}")
-    else:
-        print(f"threshold regimes: untestable ({thr['error']})")
-
     sweep_path = os.path.join(args.out, "lag_sweep.csv")
     for row in sweep:  # cells are not quoted: an error text keeps no comma
         row["error"] = row["error"] and row["error"].replace(",", ";")
     _write_table(sweep_path, "L_max,L_star,f_stat,p_value,n_obs,error".split(","),
                  ("", "", ".6f", ".5e", "", ""), (row.values() for row in sweep))
-    print(f"lag sweep -> {sweep_path}")
-
     split_path = os.path.join(args.out, "subsample_split.csv")
     _write_table(split_path,
                  "side,source,target,regime,lag,f_stat,p_value,n_obs".split(","),
@@ -279,15 +269,21 @@ def cmd_robustness(panel, labels, args) -> int:
                  ((side, *astuple(r)[:7])
                   for side, matrix in (("pre", pre), ("post", post))
                   for r in matrix.results))
-    print(f"subsample split at {args.split} -> {split_path}")
-
     trans_path = os.path.join(args.out, "transition_windows.csv")
     _write_table(trans_path, ("direction,n_transitions,p_before,p_after,"
                               "n_before,n_after").split(","),
                  ("", "", ".5e", ".5e", "", ""),
                  [("entry", *astuple(rep.entry)), ("exit", *astuple(rep.exit))])
-    print(f"transition windows -> {trans_path}")
-    return 0
+
+    if thr["error"] is None:
+        threshold = (f"{'->'.join(TESTED_PAIR)} lag {thr['L_star']} "
+                     f"p={thr['p_value']:.5e}")
+    else:
+        threshold = f"untestable ({thr['error']})"
+    return [f"threshold regimes: {threshold}",
+            f"lag sweep -> {sweep_path}",
+            f"subsample split at {args.split} -> {split_path}",
+            f"transition windows -> {trans_path}"]
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("granger", parents=[inputs],
                        help="pairwise regime-conditioned tests")
-    p.add_argument("--lmax", type=int, default=15)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--lmax", type=int, default=DEFAULT_L_MAX)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_granger)
 
@@ -338,16 +334,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="event-window validation report")
     p.add_argument("--events", default=None,
                    help="event config CSV (default: built-in windows)")
-    p.add_argument("--window", type=int, default=90,
+    p.add_argument("--window", type=int, default=PEAK_HORIZON,
                    help="peak-search horizon in trading days")
-    p.add_argument("--lag", type=int, default=9,
+    p.add_argument("--lag", type=int, default=TESTED_LAG,
                    help="fixed lag for per-event tests")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("backtest", parents=[inputs],
                        help="crisis-gated strategy evaluation")
-    p.add_argument("--window", type=int, default=9,
+    p.add_argument("--window", type=int, default=SIGNAL_WINDOW,
                    help="trailing signal window in trading days")
     p.add_argument("--start", default="1995-01-01")
     p.add_argument("--end", default="2024-12-31")
@@ -364,8 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robustness", parents=[inputs],
                        help="threshold, lag-sweep, split, and transition analyses")
-    p.add_argument("--lmax", type=int, default=15)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--lmax", type=int, default=DEFAULT_L_MAX)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--split", default="2008-01-01")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_robustness)
@@ -383,8 +379,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "loads_inputs", False):
-            return args.func(*_load_aligned(args.panel, args.labels), args)
-        return args.func(args)
+            report = args.func(*_load_aligned(args.panel, args.labels), args)
+        else:
+            report = args.func(args)
+        print(*report, sep="\n")
+        return 0
     except (EstimationError, DegenerateDesignError) as exc:
         # first: DegenerateDesignError is a ValueError too
         return _die(3, str(exc))

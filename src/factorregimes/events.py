@@ -18,13 +18,17 @@ import numpy as np
 from .errors import PanelParseError
 from .granger import _run_lengths, _segment_test
 from .numerics import binomial_tail
-from .panel import (FactorPanel, _aligned, _in_range, _read_lines, _tested_pair,
-                    _write_table, as_date64)
+from .panel import (TESTED_LAG, FactorPanel, _aligned, _in_range, _read_lines,
+                    _tested_pair, _write_table, as_date64)
 
 CHECK = "CHECK"
 DIR = "DIR"
 CROSS = "CROSS"
 UNTESTABLE = "UNTESTABLE"
+
+PEAK_HORIZON = 90  # trading days searched for the volatility peak
+SUSTAINED_RUN = 3  # consecutive crisis days that make a detection
+EVENT_ALPHA = 0.10  # significance level and binomial success probability
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ def detection_rate(labels, dates, w: EventWindow, crisis_index: int) -> float:
     return float(np.mean(labels[idx] == crisis_index))
 
 
-def first_sustained_detection(labels, dates, w: EventWindow, m: int = 3, *,
+def first_sustained_detection(labels, dates, w: EventWindow, m: int = SUSTAINED_RUN, *,
                               crisis_index: int) -> np.datetime64 | None:
     """Earliest in-window date starting m consecutive crisis labels.
 
@@ -90,8 +94,8 @@ class LeadTime:
     lead_days: int
 
 
-def lead_time(labels, dates, vol, w: EventWindow, horizon: int = 90, *,
-              crisis_index: int, m: int = 3) -> LeadTime | None:
+def lead_time(labels, dates, vol, w: EventWindow, horizon: int = PEAK_HORIZON, *,
+              crisis_index: int, m: int = SUSTAINED_RUN) -> LeadTime | None:
     """Calendar days from first sustained detection to the volatility peak.
 
     The peak is the argmax of the volatility norm over the `horizon`
@@ -126,7 +130,7 @@ class ValidationReport:
     n_check: int
     n_testable: int
     binomial_p: float
-    alpha: float = 0.10  # significance level and binomial success probability
+    alpha: float = EVENT_ALPHA
 
 
 def _classify(p_fwd: float, p_rev: float, alpha: float) -> str:
@@ -139,7 +143,8 @@ def _classify(p_fwd: float, p_rev: float, alpha: float) -> str:
 
 def event_granger_validation(panel: FactorPanel,
                              windows: Sequence[EventWindow] = DEFAULT_EVENT_WINDOWS,
-                             L: int = 9, *, alpha: float = 0.10) -> ValidationReport:
+                             L: int = TESTED_LAG, *,
+                             alpha: float = EVENT_ALPHA) -> ValidationReport:
     """Directional HML -> SMB Granger classification for each event window.
 
     At fixed lag L, tests HML -> SMB (forward) and the reverse on every

@@ -106,10 +106,10 @@ class HmmParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """EM settings. The seed is mandatory: fits are reproducible by contract."""
+    """EM settings, both mandatory: fits are reproducible by contract."""
 
     seed: int
-    n_restarts: int = 10
+    n_restarts: int
 
     def __post_init__(self):
         if self.n_restarts < 1:

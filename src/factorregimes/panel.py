@@ -38,6 +38,7 @@ SENTINELS = (-99.99, -999.0)
 FF5_COLUMNS = ("MKT-RF", "SMB", "HML", "RMW", "CMA")
 # (source, target) of the hypothesis every single-pair test runs: HML -> SMB
 TESTED_PAIR = ("HML", "SMB")
+TESTED_LAG = 9  # the pair's fixed lag in the per-event and transition tests
 MOMENTUM_COLUMNS = ("MOM",)
 SIX_FACTOR_NAMES = FF5_COLUMNS + MOMENTUM_COLUMNS
 
@@ -331,10 +332,10 @@ def read_panel_csv(source) -> FactorPanel:
 
 
 def write_labels_csv(dates: np.ndarray, labels: np.ndarray, path) -> None:
-    """Sidecar regime-label series: header `date,regime`."""
+    """Sidecar regime-label series: header `date,regime`, one label per date."""
     _write_table(path, ("date", "regime"), ("", "d"),
                  zip(np.datetime_as_string(dates).tolist(),
-                     np.asarray(labels).astype(int).tolist()))
+                     _aligned(labels, len(dates), "labels").astype(int).tolist()))
 
 
 def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import DegenerateDesignError, SampleSizeError
 from .granger import (
+    DEFAULT_ALPHA,
+    DEFAULT_L_MAX,
     PairwiseMatrix,
     _bic_lag,
     _granger_result,
@@ -25,7 +27,8 @@ from .granger import (
     _segment_test,
     pairwise_regime_matrix,
 )
-from .panel import FactorPanel, _aligned, _in_range, _tested_pair, volatility_norm
+from .panel import (TESTED_LAG, FactorPanel, _aligned, _in_range, _tested_pair,
+                    volatility_norm)
 
 THRESHOLD_WINDOW = 21  # trading days of the detector's realized volatility
 THRESHOLD_QUANTILE = 0.90  # full-sample cutoff of the detector's crisis days
@@ -86,7 +89,7 @@ def lag_sweep(y, x, mask_builder: Callable[[int], np.ndarray],
 
 
 def subsample_split(panel: FactorPanel, labels, split_date,
-                    L_max: int = 15, alpha: float = 0.01
+                    L_max: int = DEFAULT_L_MAX, alpha: float = DEFAULT_ALPHA
                     ) -> tuple[PairwiseMatrix, PairwiseMatrix]:
     """Pairwise regime matrices on the rows before and from split_date.
 
@@ -133,7 +136,7 @@ def _transition_starts(labels, crisis_index, m, entering: bool) -> np.ndarray:
 
 
 def transition_window_analysis(panel: FactorPanel, labels, crisis_index: int,
-                               L: int = 9) -> TransitionReport:
+                               L: int = TESTED_LAG) -> TransitionReport:
     """Does the HML -> SMB relation switch on at crisis entry?
 
     Entries are first days of >= TRANSITION_MIN_RUN crisis days preceded

@@ -617,6 +617,35 @@ def test_empty_panel_exit_2_before_any_output(tmp_path, capsys, monkeypatch,
                                                           "panel.csv"]
 
 
+@pytest.mark.parametrize("command", ["ingest", "fit", "granger", "validate",
+                                     "backtest", "robustness", "plotdata"])
+def test_unwritable_output_exit_2_with_empty_stdout(fitted, tmp_path, capsys,
+                                                    command):
+    """An output file that is a directory: every stage exits 2 with one
+    error line and prints nothing to stdout, also a stage whose report is
+    ready before its write fails."""
+    panel_path, _, labels = fitted
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "ingest":
+        (tmp_path / "ff5.csv").write_text(RAW_FF5)
+        (tmp_path / "mom.csv").write_text(RAW_MOM)
+        inputs = [str(tmp_path / "ff5.csv"), str(tmp_path / "mom.csv")]
+    elif command == "fit":
+        inputs = ["--panel", str(panel_path), "--k", "2", "--seed", "1",
+                  "--restarts", "1"]
+    else:
+        inputs = ["--panel", str(panel_path), "--labels", str(labels)]
+    if command == "robustness":  # its --out is a directory; its second file
+        (out / "lag_sweep.csv").mkdir()
+    rc = main([command, *inputs, "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestHelp:
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

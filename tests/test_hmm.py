@@ -459,7 +459,7 @@ class TestEmFit:
     def test_sample_size_guard(self):
         panel = toy_panel(np.random.default_rng(0).normal(0, 1, (20, 1)))
         with pytest.raises(SampleSizeError) as info:
-            em_fit(panel, 2, "student_t", FitConfig(seed=1))
+            em_fit(panel, 2, "student_t", FitConfig(seed=1, n_restarts=10))
         assert str(info.value) == (
             "fitting K=2 regimes: need at least 21 observations, have 20")
         assert info.value.required == 21
@@ -542,7 +542,8 @@ class TestSelectK:
 
     def test_failed_row_has_no_fit(self):
         panel = toy_panel(np.random.default_rng(3).normal(0, 1, (25, 1)))
-        best_k, table = select_k(panel, [1, 3], "gaussian", FitConfig(seed=1))
+        best_k, table = select_k(panel, [1, 3], "gaussian",
+                                 FitConfig(seed=1, n_restarts=10))
         assert best_k == 1
         assert table[0]["fit"] is not None and table[1]["fit"] is None
         assert table[1]["error"] == (
@@ -551,7 +552,7 @@ class TestSelectK:
     def test_k_range_bounds(self, synthetic_3regime):
         panel, _ = synthetic_3regime
         with pytest.raises(ValueError):
-            select_k(panel, range(0, 3), "student_t", FitConfig(seed=1))
+            select_k(panel, range(0, 3), "student_t", FitConfig(seed=1, n_restarts=10))
 
 
 class TestOrderRegimes:

@@ -1,7 +1,8 @@
 """Every package module uses each name it imports (`__init__.py` imports
 to re-export, so it is checked against `__all__` instead), the
 command-line driver opens no file
-itself and reads the downstream stages' inputs in `main` alone, one
+itself, reads the downstream stages' inputs and prints their reports in
+`main` alone, no default is a bare number, one
 function each owns the date-range rule and the alignment check, and the
 runtime imports numpy only."""
 
@@ -74,6 +75,66 @@ def test_cli_opens_no_file():
              and (getattr(node.func, "id", None) == "open"
                   or getattr(node.func, "attr", None) == "open")]
     assert calls == []
+
+
+def test_only_main_and_die_print():
+    """Stages return their report: in `cli.py` only `main` prints it, and
+    only `_die` prints an error."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    printers = {getattr(top, "name", "<module>") for top in tree.body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "print"}
+    assert printers == {"main", "_die"}
+
+
+def _is_number(node) -> bool:
+    """An int or float literal, signed or not."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def numeric_defaults(source: str) -> list[tuple[int, str]]:
+    """(line, literal) of each function parameter, class field and
+    `add_argument` default that is a number other than 0."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            found += [d for d in node.args.defaults + node.args.kw_defaults
+                      if d is not None]
+        elif isinstance(node, ast.ClassDef):
+            found += [st.value for st in node.body
+                      if isinstance(st, ast.AnnAssign) and st.value is not None]
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "add_argument"
+              and ast.literal_eval(node.args[0]) not in ("--k", "--restarts")):
+            found += [kw.value for kw in node.keywords if kw.arg == "default"]
+    found.sort(key=lambda d: (d.lineno, d.col_offset))
+    return [(d.lineno, ast.unparse(d)) for d in found
+            if _is_number(d) and ast.literal_eval(d) != 0]
+
+
+def test_numeric_checker_flags_every_kind_of_default():
+    source = ("from dataclasses import dataclass\n"
+              "def f(a, b=2, *, c=-0.5, d=0, e=None): pass\n"
+              "g = lambda x=3: x\n"
+              "@dataclass\n"
+              "class C:\n"
+              "    n: int = 10\n"
+              "    m: int = LIMIT\n"
+              "p.add_argument('--k', type=int, default=3)\n"
+              "p.add_argument('--lag', type=int, default=9)\n"
+              "p.add_argument('--lag2', type=int, default=LAG)\n")
+    assert numeric_defaults(source) == [(2, "2"), (2, "-0.5"), (3, "3"),
+                                        (6, "10"), (9, "9")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numeric_literal_defaults(path):
+    """Each paper setting has one owner, a named constant: no default in
+    the package is a number but 0 and the CLI-only `--k` and `--restarts`."""
+    assert numeric_defaults(path.read_text(encoding="utf-8")) == []
 
 
 def test_main_alone_loads_stage_inputs():

@@ -299,6 +299,19 @@ class TestSerialization:
         np.testing.assert_array_equal(dates, d2)
         np.testing.assert_array_equal(labels, l2)
 
+    @pytest.mark.parametrize("n_dates", [5, 2])
+    def test_labels_of_another_length_rejected(self, tmp_path, n_dates):
+        """Three labels for five or for two dates: nothing is written, where
+        the writer used to stop at the shorter series."""
+        dates = np.busday_offset("2020-01-06", np.arange(n_dates)).astype(
+            "datetime64[D]")
+        path = tmp_path / "labels.csv"
+        with pytest.raises(ValueError) as exc:
+            write_labels_csv(dates, np.array([0, 1, 2]), path)
+        assert str(exc.value) == ("labels must align with the panel rows: "
+                                  f"3 labels for {n_dates} days")
+        assert not path.exists()
+
     @pytest.mark.parametrize("row", ["2020-01-07,0,1", "2020-01-07"])
     def test_labels_wrong_field_count_reports_line(self, row):
         text = f"date,regime\n2020-01-06,0\n{row}\n"
