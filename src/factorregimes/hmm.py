@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -536,39 +537,71 @@ def _run_em(X, p: HmmParams):
     return p, loglik, gamma, history
 
 
-def em_fit(panel: FactorPanel, K: int, family: str, config: FitConfig) -> HmmFit:
-    """Fit a K-regime HMM by EM with deterministic multi-restart.
+def _restart(X, K, family, child, r):
+    """One EM restart from its own seed. Returns _run_em's tuple, or the
+    EstimationError that ended the restart."""
+    try:
+        return _run_em(X, _initial_params(X, K, family, r, np.random.default_rng(child)))
+    except EstimationError as exc:
+        return exc
 
-    The best restart by log-likelihood wins; ties go to the lower
-    restart index. Restarts that degenerate are dropped, and the fit
-    fails only if every restart does.
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_jobs(jobs):
+    """Run _restart on each argument tuple, at most one thread per usable
+    CPU, and return the results in job order.
+
+    Each restart is a pure function of its arguments, so the results do
+    not depend on the worker count. An exception raised by a job reaches
+    the caller from the earliest such job, as a serial loop would raise
+    it, and the jobs not yet started are cancelled.
     """
+    # imported here: the stages that fit nothing skip it and the logging
+    # module it loads
+    from concurrent.futures import ThreadPoolExecutor
+
+    # select_k has no jobs when every K is too large; a pool needs a worker
+    with ThreadPoolExecutor(max(1, min(len(jobs), _usable_cpus()))) as pool:
+        futures = [pool.submit(_restart, *job) for job in jobs]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _restart_jobs(panel: FactorPanel, K: int, family: str, config: FitConfig):
+    """The _restart arguments of each restart of a K-regime fit, once the
+    family, K and the sample size are checked."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if K < 1:
         raise ValueError("K must be >= 1")
-    X = panel.returns
-    T, d = X.shape
-    if T <= 10 * K:
-        raise SampleSizeError(10 * K + 1, T, f"fitting K={K} regimes")
+    if panel.n_days <= 10 * K:
+        raise SampleSizeError(10 * K + 1, panel.n_days, f"fitting K={K} regimes")
     children = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
+    return [(panel.returns, K, family, child, r) for r, child in enumerate(children)]
+
+
+def _best_fit(panel: FactorPanel, K: int, family: str, config: FitConfig,
+              runs) -> HmmFit:
+    """Reduce the restarts' results in restart order: the best loglik
+    wins, and a tie goes to the lower restart index."""
     best = None
-    last_error = None
-    for r in range(config.n_restarts):
-        rng = np.random.default_rng(children[r])
-        try:
-            run = _run_em(X, _initial_params(X, K, family, r, rng))
-        except EstimationError as exc:
-            last_error = exc
-            continue
-        if best is None or run[1] > best[1]:
+    for run in runs:
+        if not isinstance(run, EstimationError) and (best is None or run[1] > best[1]):
             best = run
     if best is None:
-        raise EstimationError(
-            f"all {config.n_restarts} restarts failed; last error: {last_error}"
-        )
+        reasons = "; ".join(f"restart {r}: {exc}" for r, exc in enumerate(runs))
+        raise EstimationError(f"all {config.n_restarts} restarts failed: {reasons}")
     p, loglik, gamma, history = best
     params = replace(p, pi=p.pi / p.pi.sum(), A=p.A / p.A.sum(axis=1, keepdims=True))
+    T, d = panel.returns.shape
     nfree = n_free_params(K, d, family)
     bic = -2.0 * loglik + nfree * math.log(T)
     labels = np.argmax(gamma, axis=1)
@@ -584,29 +617,57 @@ def em_fit(panel: FactorPanel, K: int, family: str, config: FitConfig) -> HmmFit
     )
 
 
+def em_fit(panel: FactorPanel, K: int, family: str, config: FitConfig) -> HmmFit:
+    """Fit a K-regime HMM by EM with deterministic multi-restart.
+
+    The restarts run concurrently, one thread per usable CPU; the fit is
+    identical whatever the CPU count, and restricting the process's CPU
+    affinity is the way to limit the workers. The best restart by
+    log-likelihood wins; ties go to the lower restart index. Restarts
+    that degenerate are dropped, and the fit fails only if every
+    restart does, with an error that names each restart's reason.
+    """
+    runs = _run_jobs(_restart_jobs(panel, K, family, config))
+    return _best_fit(panel, K, family, config, runs)
+
+
 def select_k(panel: FactorPanel, k_range, family: str, config: FitConfig):
     """Fit every K in k_range with the same restart budget; pick min BIC.
 
-    Returns (best_k, table) where table rows are dicts with keys
-    k, loglik, bic, n_free_params, error, fit. A successful row carries
-    its HmmFit, so the winner needs no refit; a failed K carries the
-    error message and fit None, and is excluded from the argmin.
+    Every feasible K's restarts run concurrently in one pool, one thread
+    per usable CPU; the table is identical whatever the CPU count, and
+    restricting the process's CPU affinity is the way to limit the
+    workers. Returns (best_k, table) where table rows are dicts with
+    keys k, loglik, bic, n_free_params, error, fit. A successful row
+    carries its HmmFit, so the winner needs no refit; a failed K carries
+    the error message and fit None, and is excluded from the argmin.
     """
     ks = list(k_range)
     if not ks or min(ks) < 1 or max(ks) > 8:
         raise ValueError("k_range must lie within [1, 8] and be nonempty")
-    table = []
+    outcomes = []
     for k in ks:
         try:
-            fit = em_fit(panel, k, family, config)
-        except (EstimationError, SampleSizeError) as exc:
+            outcomes.append(_restart_jobs(panel, k, family, config))
+        except SampleSizeError as exc:
+            outcomes.append(exc)
+    runs = iter(_run_jobs([job for jobs in outcomes if isinstance(jobs, list)
+                           for job in jobs]))
+    table = []
+    for k, outcome in zip(ks, outcomes):
+        if isinstance(outcome, list):
+            try:
+                outcome = _best_fit(panel, k, family, config, [next(runs) for _ in outcome])
+            except EstimationError as exc:
+                outcome = exc
+        if isinstance(outcome, HmmFit):
+            table.append({"k": k, "loglik": outcome.loglik, "bic": outcome.bic,
+                          "n_free_params": outcome.n_free_params, "error": None,
+                          "fit": outcome})
+        else:
             table.append({"k": k, "loglik": None, "bic": None,
                           "n_free_params": n_free_params(k, panel.n_factors, family),
-                          "error": str(exc), "fit": None})
-            continue
-        table.append({"k": k, "loglik": fit.loglik, "bic": fit.bic,
-                      "n_free_params": fit.n_free_params, "error": None,
-                      "fit": fit})
+                          "error": str(outcome), "fit": None})
     fitted = [row for row in table if row["fit"] is not None]
     if not fitted:
         raise EstimationError("every candidate K failed to fit")

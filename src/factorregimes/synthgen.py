@@ -47,6 +47,22 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be >= 1")
+        cl = self.cross_lag
+        if cl is not None:
+            d, K = self.hmm.n_factors, self.hmm.n_regimes
+            if not (0 <= cl.source < d and 0 <= cl.target < d):
+                raise ValueError(f"cross-lag source and target must lie in [0, {d})")
+            if not 0 <= cl.regime < K:
+                raise ValueError(f"cross-lag regime must lie in [0, {K})")
+
+
+def _next_states(cum, u):
+    """nxt[t, j]: the state a draw u[t] leads to from state j, given the
+    rows' cumulative sums cum[j]. This is searchsorted(cum[j], u[t],
+    side="right") as the rows do not decrease, clipped to K - 1 for a
+    draw at or above a row's last sum, which may fall short of 1."""
+    counts = (cum[None, :, :] <= u[:, None, None]).sum(axis=2)
+    return np.minimum(counts, cum.shape[1] - 1, out=counts)
 
 
 def generate(spec: SyntheticSpec) -> tuple[FactorPanel, np.ndarray]:
@@ -61,13 +77,15 @@ def generate(spec: SyntheticSpec) -> tuple[FactorPanel, np.ndarray]:
     K, d, T = p.n_regimes, p.n_factors, spec.T
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
-    cum = np.cumsum(p.A, axis=1)
     u = rng.random(T)
-    z = np.empty(T, dtype=np.int64)
-    z[0] = int(np.searchsorted(np.cumsum(p.pi), u[0], side="right"))
-    for t in range(1, T):
-        z[t] = int(np.searchsorted(cum[z[t - 1]], u[t], side="right"))
-    np.clip(z, 0, K - 1, out=z)
+    state = int(_next_states(np.cumsum(p.pi)[None, :], u[:1])[0, 0])
+    # flat, so day t's row starts at t * K
+    nxt = _next_states(np.cumsum(p.A, axis=1), u).ravel().tolist()
+    z = [state]
+    for t in range(K, T * K, K):
+        state = nxt[t + state]
+        z.append(state)
+    z = np.array(z, dtype=np.int64)
 
     normals = rng.standard_normal((T, d))
     if p.family == "student_t":
@@ -85,9 +103,12 @@ def generate(spec: SyntheticSpec) -> tuple[FactorPanel, np.ndarray]:
 
     cl = spec.cross_lag
     if cl is not None:
-        # sequential so a same-column injection sees final past values
-        for t in range(cl.lag, T):
-            if z[t] == cl.regime:
+        days = np.flatnonzero(z[cl.lag:] == cl.regime) + cl.lag
+        if cl.source != cl.target:
+            X[days, cl.target] += cl.coefficient * X[days - cl.lag, cl.source]
+        else:
+            # sequential so a same-column injection sees final past values
+            for t in days.tolist():
                 X[t, cl.target] += cl.coefficient * X[t - cl.lag, cl.source]
 
     dates = np.busday_offset("1990-01-02", np.arange(T), roll="forward")

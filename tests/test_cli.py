@@ -1,6 +1,9 @@
 """End-to-end CLI pipeline on synthetic data, including determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,6 +202,38 @@ class TestFit:
         assert rc == 0
         doc = json.loads(model.read_text())
         assert doc["family"] == "gaussian" and doc["nu"] is None
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_fit_identical_on_one_cpu_and_on_all(self, synthetic_files, tmp_path):
+        """EM restarts run on one thread per usable CPU; a process pinned
+        to one CPU writes the same bytes as one that may use them all."""
+        _, panel_path, _, _ = synthetic_files
+        cpu = min(os.sched_getaffinity(0))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+
+        def pin():
+            os.sched_setaffinity(0, {cpu})
+
+        probe = subprocess.run(
+            [sys.executable, "-c", "import os; print(len(os.sched_getaffinity(0)))"],
+            preexec_fn=pin, capture_output=True, text=True, check=True)
+        assert probe.stdout == "1\n"
+        outputs = []
+        for name, preexec in (("one", pin), ("all", None)):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            res = subprocess.run(
+                [sys.executable, "-m", "factorregimes.cli", "fit",
+                 "--panel", str(panel_path), "--k", "3", "--seed", "21",
+                 "--restarts", "3", "--out", "model.json"],
+                cwd=cwd, env=env, preexec_fn=preexec, capture_output=True,
+                check=True)
+            outputs.append((res.stdout, (cwd / "model.json").read_bytes(),
+                            (cwd / "model.labels.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("option", ["--start", "--end"])
     def test_no_date_range_option(self, synthetic_files, tmp_path, capsys,

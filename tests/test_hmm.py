@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -494,6 +495,93 @@ class TestEmFit:
         f2 = em_fit(panel, 2, "student_t", cfg)
         assert f1.loglik == f2.loglik
         np.testing.assert_array_equal(f1.labels, f2.labels)
+
+
+def assert_fits_identical(a, b):
+    for name in ("pi", "A", "mu", "Sigma", "nu"):
+        np.testing.assert_array_equal(getattr(a.params, name), getattr(b.params, name))
+    assert a.loglik == b.loglik and a.bic == b.bic
+    assert a.loglik_history == b.loglik_history
+    np.testing.assert_array_equal(a.gamma, b.gamma)
+    np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def mostly_flat_panel():
+    """40 days, 30 of them exactly zero: K=1 fits, every K=2 restart
+    collapses onto the zeros, and K=4 needs 41 days."""
+    X = np.zeros((40, 1))
+    X[30:, 0] = np.random.default_rng(1).normal(0, 1, 10)
+    return toy_panel(X)
+
+
+class TestConcurrentRestarts:
+    """Restarts run on a thread pool sized to the usable CPUs."""
+
+    def test_em_fit_identical_for_any_worker_count(self, synthetic_3regime,
+                                                   monkeypatch):
+        panel, _ = synthetic_3regime
+        threads = set()
+        run_em = hmm._run_em
+
+        def recording(X, p):
+            threads.add(threading.get_ident())
+            return run_em(X, p)
+
+        monkeypatch.setattr(hmm, "_run_em", recording)
+        fits = []
+        for workers in (1, 4):
+            monkeypatch.setattr(hmm, "_usable_cpus", lambda: workers)
+            threads.clear()
+            fits.append(em_fit(panel, 3, "student_t", FitConfig(seed=3, n_restarts=3)))
+            if workers == 1:
+                assert len(threads) == 1
+                assert threading.get_ident() not in threads
+        assert_fits_identical(*fits)
+
+    def test_select_k_identical_for_any_worker_count(self, monkeypatch):
+        panel = mostly_flat_panel()
+        results = []
+        for workers in (1, 4):
+            monkeypatch.setattr(hmm, "_usable_cpus", lambda: workers)
+            results.append(select_k(panel, [1, 2, 4], "gaussian",
+                                    FitConfig(seed=1, n_restarts=3)))
+        (best_1, table_1), (best_4, table_4) = results
+        assert best_1 == best_4 == 1
+        strip = lambda table: [{k: v for k, v in row.items() if k != "fit"}
+                               for row in table]
+        assert strip(table_1) == strip(table_4)
+        assert_fits_identical(table_1[0]["fit"], table_4[0]["fit"])
+        assert table_1[1]["error"].startswith("all 3 restarts failed: restart 0: ")
+        assert table_1[2]["error"] == (
+            "fitting K=4 regimes: need at least 41 observations, have 40")
+
+    def test_all_failed_names_every_restart(self):
+        with pytest.raises(EstimationError) as info:
+            em_fit(mostly_flat_panel(), 2, "gaussian", FitConfig(seed=1, n_restarts=3))
+        reasons = str(info.value).removeprefix("all 3 restarts failed: ").split("; ")
+        assert [r.split(": ")[0] for r in reasons] == [
+            "restart 0", "restart 1", "restart 2"]
+        assert all(r.endswith("singular even after regularization") for r in reasons)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_error_in_a_restart_reaches_the_caller(self, synthetic_3regime,
+                                                   monkeypatch, workers):
+        """The earliest failing restart's exception is raised, and the pool
+        leaves no thread behind."""
+        panel, _ = synthetic_3regime
+        initial = hmm._initial_params
+
+        def failing(X, K, family, restart, rng):
+            if restart >= 1:
+                raise ValueError(f"restart {restart} failed")
+            return initial(X, K, family, restart, rng)
+
+        monkeypatch.setattr(hmm, "_initial_params", failing)
+        monkeypatch.setattr(hmm, "_usable_cpus", lambda: workers)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^restart 1 failed$"):
+            em_fit(panel, 3, "student_t", FitConfig(seed=3, n_restarts=3))
+        assert threading.active_count() == before
 
 
 class TestNFreeParams:

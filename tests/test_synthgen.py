@@ -1,5 +1,7 @@
 """Synthetic panel generator: chain law, emissions, cross-lag injection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from factorregimes import (
     granger_f_test,
     label_accuracy,
 )
+from factorregimes.synthgen import _next_states
 
 from conftest import table1_like_params
 
@@ -53,6 +56,26 @@ class TestChain:
         for seed in range(5):
             _, labels = generate(SyntheticSpec(hmm=params, T=10, seed=seed))
             assert labels[0] == 0
+
+
+    def test_next_states_match_searchsorted(self):
+        rng = np.random.default_rng(6)
+        A = rng.dirichlet(np.ones(4), size=4)
+        A[1] = [0.25, 0.0, 0.5, 0.25]
+        cum = np.cumsum(A, axis=1)
+        # draws that land exactly on a cumulative sum take the right side
+        u = np.concatenate([rng.random(500), cum[:, :3].ravel()])
+        expected = np.array([[np.searchsorted(row, x, side="right") for row in cum]
+                             for x in u])
+        np.testing.assert_array_equal(_next_states(cum, u), expected)
+
+    def test_draw_past_a_short_row_stays_in_range(self):
+        """A row may sum to 1 - 1e-12; a draw above its last cumulative
+        sum goes to the last state, not one past it."""
+        cum = np.cumsum([[0.5, 0.5 - 1e-12], [0.3, 0.7]], axis=1)
+        u = np.array([0.25, 0.5, 1.0 - 1e-13])
+        np.testing.assert_array_equal(_next_states(cum, u),
+                                      [[0, 0], [1, 1], [1, 1]])
 
 
 class TestEmissions:
@@ -108,6 +131,20 @@ class TestReproducibility:
         np.testing.assert_array_equal(p1.returns, p2.returns)
         np.testing.assert_array_equal(l1, l2)
 
+    def test_benchmark_shaped_panel_pinned(self):
+        """The digest of a T=8817, d=6, K=3 panel with a planted lag, as
+        the per-day searchsorted chain and cross-lag loop produced it."""
+        panel, labels = generate(SyntheticSpec(
+            hmm=table1_like_params(6), T=8817, seed=2024,
+            cross_lag=CrossLagSpec(source=2, target=1, regime=2, lag=2,
+                                   coefficient=0.4)))
+        h = hashlib.sha256()
+        for a in (panel.returns.astype("<f8"), labels.astype("<i8"),
+                  panel.dates.astype("<i8")):
+            h.update(a.tobytes())
+        assert h.hexdigest() == (
+            "be34dd56022b59b6d6f0a4e14050d67d7f5cf08482dcf2d51f64d933e8787830")
+
     def test_different_seed_differs(self):
         params = table1_like_params(2)
         p1, _ = generate(SyntheticSpec(hmm=params, T=500, seed=11))
@@ -156,6 +193,31 @@ class TestCrossLag:
         miss = granger_f_test(y, x, 2, regime_lag_mask(labels, 0, 2))
         assert hit.p_value < 1e-6
         assert miss.p_value > 1e-3
+
+    def test_same_column_injection_is_sequential(self):
+        """With source == target, each day adds the already-injected value
+        `lag` days back, exactly as a per-day loop does."""
+        params = table1_like_params(3)
+        plain, labels = generate(SyntheticSpec(hmm=params, T=3000, seed=15))
+        cl = CrossLagSpec(source=1, target=1, regime=2, lag=1, coefficient=0.7)
+        panel, same = generate(SyntheticSpec(hmm=params, T=3000, seed=15,
+                                             cross_lag=cl))
+        np.testing.assert_array_equal(same, labels)
+        X = plain.returns.copy()
+        for t in range(cl.lag, len(X)):
+            if labels[t] == cl.regime:
+                X[t, cl.target] += cl.coefficient * X[t - cl.lag, cl.source]
+        assert np.sum((labels[1:] == 2) & (labels[:-1] == 2)) > 100
+        np.testing.assert_array_equal(panel.returns, X)
+
+    @pytest.mark.parametrize("field,value", [("source", 3), ("target", -1),
+                                             ("regime", 3), ("regime", -1)])
+    def test_spec_outside_the_model_rejected(self, field, value):
+        cl = dict(source=2, target=1, regime=2, lag=2, coefficient=0.4)
+        cl[field] = value
+        with pytest.raises(ValueError, match=f"cross-lag .*{field}"):
+            SyntheticSpec(hmm=table1_like_params(3), T=100, seed=1,
+                          cross_lag=CrossLagSpec(**cl))
 
     def test_lag_must_be_positive(self):
         with pytest.raises(ValueError):
