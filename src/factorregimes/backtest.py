@@ -115,8 +115,11 @@ def run_backtest(panel: FactorPanel, labels, crisis_index: int, *,
     """Strategy and buy-and-hold benchmark over an optional date range.
 
     execution_lag=1 applies each signal to the following day's return,
-    removing even the same-day convention's timing assumption.
+    removing even the same-day convention's timing assumption; a lag of
+    at least the range's length leaves the strategy flat.
     """
+    if execution_lag < 0:
+        raise ValueError(f"execution_lag must be >= 0, got {execution_lag}")
     labels = _aligned(np.asarray(labels).reshape(-1), panel.n_days, "labels")
     keep = _in_range(panel.dates, start, end)
     if not keep.any():
@@ -125,8 +128,7 @@ def run_backtest(panel: FactorPanel, labels, crisis_index: int, *,
     smb_r, hml_r = (series[keep] for series in _tested_pair(panel))
     sub_labels = labels[keep]
     signal = strategy_signal(hml_r, sub_labels, crisis_index, window)
-    if execution_lag:
-        signal = np.concatenate([np.zeros(execution_lag), signal[:-execution_lag]])
+    signal = np.concatenate([np.zeros(execution_lag), signal])[:signal.size]
     strat = performance_metrics(
         apply_signal(signal, smb_r), sub_dates,
         n_active_days=int(np.count_nonzero(signal)),

@@ -114,15 +114,22 @@ def _lag_block(series: np.ndarray, L_max: int) -> Callable[[np.ndarray], np.ndar
     same-day value in 1 + m*L_max + j. Rows are used as given, duplicates
     included. Lags reaching before the first day read day 0; a row of
     depth D is only ever fitted at lags up to D, so those cells are unused.
+    A non-finite value on a day the block reads raises a ValueError that
+    names the earliest such day.
     """
     m = series.shape[1]
     steps = np.arange(1, L_max + 1)
 
     def block(rows: np.ndarray) -> np.ndarray:
-        lags = series[np.maximum(rows[:, None] - steps, 0)]  # (rows, L_max, m)
-        return np.hstack([np.ones((rows.size, 1)),
-                          lags.transpose(0, 2, 1).reshape(rows.size, m * L_max),
-                          series[rows]])
+        days = np.maximum(rows[:, None] - steps, 0)
+        Z = np.hstack([np.ones((rows.size, 1)),
+                       series[days].transpose(0, 2, 1).reshape(rows.size, m * L_max),
+                       series[rows]])
+        if not np.isfinite(Z).all():
+            read = np.concatenate([rows, days.ravel()])
+            day = read[~np.isfinite(series[read]).all(axis=1)].min()
+            raise ValueError(f"non-finite value on day {day}")
+        return Z
     return block
 
 

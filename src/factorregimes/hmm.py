@@ -87,7 +87,7 @@ class HmmParams:
             if np.any(nu <= 2.0):
                 raise ValueError("every nu must exceed 2 (finite covariance)")
         elif nu is not None:
-            nu = np.array(nu, dtype=float).reshape(-1)
+            raise ValueError("gaussian family takes no nu")
         for arr in (pi, A, mu, Sigma) + ((nu,) if nu is not None else ()):
             arr.flags.writeable = False
         object.__setattr__(self, "pi", pi)
@@ -512,29 +512,23 @@ def _initial_params(X, K, family, restart: int, rng: np.random.Generator):
 def _run_em(X, p: HmmParams):
     """EM from p until a step gains less than EM_TOL * max(|loglik|, 1) or
     EM_MAX_ITERS steps have run. Returns (params, loglik, gamma, history)."""
-    logB, delta = _emission_terms(X, p.mu, p.Sigma, p.nu, p.family)
-    loglik, gamma, xi_sum = _forward_backward_core(p.pi, p.A, logB)
-    history = [loglik]
+    history = []
     consecutive = 0
-    for _ in range(EM_MAX_ITERS):
-        p, regularized = _m_step(X, gamma, xi_sum, delta, p)
-        if regularized:
-            consecutive += 1
-            if consecutive >= MAX_CONSECUTIVE_REGULARIZATIONS:
-                raise EstimationError(
-                    "restart aborted: scale regularization needed on "
-                    f"{consecutive} consecutive iterations"
-                )
-        else:
-            consecutive = 0
+    while True:
         logB, delta = _emission_terms(X, p.mu, p.Sigma, p.nu, p.family)
-        new_loglik, gamma, xi_sum = _forward_backward_core(p.pi, p.A, logB)
-        history.append(new_loglik)
-        if new_loglik - loglik < EM_TOL * max(abs(loglik), 1.0):
-            loglik = new_loglik
-            break
-        loglik = new_loglik
-    return p, loglik, gamma, history
+        loglik, gamma, xi_sum = _forward_backward_core(p.pi, p.A, logB)
+        history.append(loglik)
+        if len(history) > EM_MAX_ITERS or (
+                len(history) > 1
+                and loglik - history[-2] < EM_TOL * max(abs(history[-2]), 1.0)):
+            return p, loglik, gamma, history
+        p, regularized = _m_step(X, gamma, xi_sum, delta, p)
+        consecutive = consecutive + 1 if regularized else 0
+        if consecutive >= MAX_CONSECUTIVE_REGULARIZATIONS:
+            raise EstimationError(
+                "restart aborted: scale regularization needed on "
+                f"{consecutive} consecutive iterations"
+            )
 
 
 def _restart(X, K, family, child, r):
@@ -552,73 +546,64 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_jobs(jobs):
-    """Run _restart on each argument tuple, at most one thread per usable
-    CPU, and return the results in job order.
+def _fit_ks(panel: FactorPanel, ks, family: str, config: FitConfig) -> list:
+    """Fit each K in ks as em_fit describes. Returns, for each K in order,
+    its HmmFit, or the SampleSizeError or EstimationError that ended it.
 
-    Each restart is a pure function of its arguments, so the results do
-    not depend on the worker count. An exception raised by a job reaches
-    the caller from the earliest such job, as a serial loop would raise
-    it, and the jobs not yet started are cancelled.
+    Every feasible K's restarts share one pool. Each restart is a pure
+    function of the panel and its own seed, so the fits do not depend on
+    the worker count. Any other exception reaches the caller from the
+    earliest restart that raised it, as a serial loop would raise it, and
+    the restarts not yet started are cancelled.
     """
-    # imported here: the stages that fit nothing skip it and the logging
-    # module it loads
-    from concurrent.futures import ThreadPoolExecutor
-
-    # select_k has no jobs when every K is too large; a pool needs a worker
-    with ThreadPoolExecutor(max(1, min(len(jobs), _usable_cpus()))) as pool:
-        futures = [pool.submit(_restart, *job) for job in jobs]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
-def _restart_jobs(panel: FactorPanel, K: int, family: str, config: FitConfig):
-    """The _restart arguments of each restart of a K-regime fit, once the
-    family, K and the sample size are checked."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if K < 1:
+    if min(ks) < 1:
         raise ValueError("K must be >= 1")
-    if panel.n_days <= 10 * K:
-        raise SampleSizeError(10 * K + 1, panel.n_days, f"fitting K={K} regimes")
-    children = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
-    return [(panel.returns, K, family, child, r) for r, child in enumerate(children)]
+    X = panel.returns
+    T, d = X.shape
+    n = config.n_restarts
+    children = np.random.SeedSequence(config.seed).spawn(n)
+    jobs = [(X, K, family, child, r)
+            for K in ks if T > 10 * K for r, child in enumerate(children)]
+    # imported here: the stages that fit nothing skip it and the logging
+    # module it loads
+    import concurrent.futures
 
-
-def _best_fit(panel: FactorPanel, K: int, family: str, config: FitConfig,
-              runs) -> HmmFit:
-    """Reduce the restarts' results in restart order: the best loglik
-    wins, and a tie goes to the lower restart index."""
-    best = None
-    for run in runs:
-        if not isinstance(run, EstimationError) and (best is None or run[1] > best[1]):
-            best = run
-    if best is None:
-        reasons = "; ".join(f"restart {r}: {exc}" for r, exc in enumerate(runs))
-        raise EstimationError(f"all {config.n_restarts} restarts failed: {reasons}")
-    p, loglik, gamma, history = best
-    params = replace(p, pi=p.pi / p.pi.sum(), A=p.A / p.A.sum(axis=1, keepdims=True))
-    T, d = panel.returns.shape
-    nfree = n_free_params(K, d, family)
-    bic = -2.0 * loglik + nfree * math.log(T)
-    labels = np.argmax(gamma, axis=1)
-    return HmmFit(
-        params=params,
-        loglik=loglik,
-        bic=bic,
-        gamma=gamma,
-        labels=labels,
-        n_free_params=nfree,
-        loglik_history=tuple(history),
-        config=config,
-    )
+    # a pool needs a worker even when every K is too large
+    with concurrent.futures.ThreadPoolExecutor(
+            max(1, min(len(jobs), _usable_cpus()))) as pool:
+        runs = list(pool.map(lambda job: _restart(*job), jobs))
+    fits = []
+    for K in ks:
+        if T <= 10 * K:
+            fits.append(SampleSizeError(10 * K + 1, T, f"fitting K={K} regimes"))
+            continue
+        restarts, runs = runs[:n], runs[n:]
+        done = [run for run in restarts if not isinstance(run, EstimationError)]
+        if not done:
+            reasons = "; ".join(f"restart {r}: {exc}" for r, exc in enumerate(restarts))
+            fits.append(EstimationError(f"all {n} restarts failed: {reasons}"))
+            continue
+        p, loglik, gamma, history = max(done, key=lambda run: run[1])
+        nfree = n_free_params(K, d, family)
+        fits.append(HmmFit(
+            params=replace(p, pi=p.pi / p.pi.sum(),
+                           A=p.A / p.A.sum(axis=1, keepdims=True)),
+            loglik=loglik,
+            bic=-2.0 * loglik + nfree * math.log(T),
+            gamma=gamma,
+            labels=np.argmax(gamma, axis=1),
+            n_free_params=nfree,
+            loglik_history=tuple(history),
+            config=config,
+        ))
+    return fits
 
 
 def em_fit(panel: FactorPanel, K: int, family: str, config: FitConfig) -> HmmFit:
-    """Fit a K-regime HMM by EM with deterministic multi-restart.
+    """Fit a K-regime HMM by EM with deterministic multi-restart: the
+    one-K case of the pooled fit behind select_k.
 
     The restarts run concurrently, one thread per usable CPU; the fit is
     identical whatever the CPU count, and restricting the process's CPU
@@ -627,50 +612,42 @@ def em_fit(panel: FactorPanel, K: int, family: str, config: FitConfig) -> HmmFit
     that degenerate are dropped, and the fit fails only if every
     restart does, with an error that names each restart's reason.
     """
-    runs = _run_jobs(_restart_jobs(panel, K, family, config))
-    return _best_fit(panel, K, family, config, runs)
+    (fit,) = _fit_ks(panel, [K], family, config)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def select_k(panel: FactorPanel, k_range, family: str, config: FitConfig):
     """Fit every K in k_range with the same restart budget; pick min BIC.
 
-    Every feasible K's restarts run concurrently in one pool, one thread
-    per usable CPU; the table is identical whatever the CPU count, and
-    restricting the process's CPU affinity is the way to limit the
-    workers. Returns (best_k, table) where table rows are dicts with
+    Each row's fit is the one em_fit returns for that K, from the same
+    pooled fit: every feasible K's restarts run concurrently in one pool,
+    one thread per usable CPU, so the table is identical whatever the CPU
+    count, and restricting the process's CPU affinity is the way to limit
+    the workers. Returns (best_k, table) where table rows are dicts with
     keys k, loglik, bic, n_free_params, error, fit. A successful row
     carries its HmmFit, so the winner needs no refit; a failed K carries
-    the error message and fit None, and is excluded from the argmin.
+    the error message and fit None, and is excluded from the argmin. When
+    every K fails, the error names each K's reason.
     """
     ks = list(k_range)
     if not ks or min(ks) < 1 or max(ks) > 8:
         raise ValueError("k_range must lie within [1, 8] and be nonempty")
-    outcomes = []
-    for k in ks:
-        try:
-            outcomes.append(_restart_jobs(panel, k, family, config))
-        except SampleSizeError as exc:
-            outcomes.append(exc)
-    runs = iter(_run_jobs([job for jobs in outcomes if isinstance(jobs, list)
-                           for job in jobs]))
     table = []
-    for k, outcome in zip(ks, outcomes):
-        if isinstance(outcome, list):
-            try:
-                outcome = _best_fit(panel, k, family, config, [next(runs) for _ in outcome])
-            except EstimationError as exc:
-                outcome = exc
-        if isinstance(outcome, HmmFit):
-            table.append({"k": k, "loglik": outcome.loglik, "bic": outcome.bic,
-                          "n_free_params": outcome.n_free_params, "error": None,
-                          "fit": outcome})
+    for k, fit in zip(ks, _fit_ks(panel, ks, family, config)):
+        if isinstance(fit, HmmFit):
+            table.append({"k": k, "loglik": fit.loglik, "bic": fit.bic,
+                          "n_free_params": fit.n_free_params, "error": None,
+                          "fit": fit})
         else:
             table.append({"k": k, "loglik": None, "bic": None,
                           "n_free_params": n_free_params(k, panel.n_factors, family),
-                          "error": str(outcome), "fit": None})
+                          "error": str(fit), "fit": None})
     fitted = [row for row in table if row["fit"] is not None]
     if not fitted:
-        raise EstimationError("every candidate K failed to fit")
+        reasons = "; ".join(f"K={row['k']}: {row['error']}" for row in table)
+        raise EstimationError(f"every candidate K failed to fit: {reasons}")
     best_k = min(fitted, key=lambda row: (row["bic"], row["k"]))["k"]
     return best_k, table
 

@@ -201,6 +201,22 @@ class TestRunBacktest:
         assert not np.allclose(same_day.daily_returns,
                                next_day.daily_returns)
 
+    def test_negative_execution_lag_rejected(self):
+        rng = np.random.default_rng(46)
+        panel = panel_from(rng.standard_normal(50), rng.standard_normal(50))
+        with pytest.raises(ValueError, match="^execution_lag must be >= 0, got -1$"):
+            run_backtest(panel, np.ones(50, dtype=int), 1, execution_lag=-1)
+
+    @pytest.mark.parametrize("lag", [50, 51])
+    def test_execution_lag_past_the_range_is_flat(self, lag):
+        rng = np.random.default_rng(46)
+        panel = panel_from(rng.standard_normal(50), rng.standard_normal(50))
+        strat, bench = run_backtest(panel, np.ones(50, dtype=int), 1,
+                                    execution_lag=lag)
+        np.testing.assert_array_equal(strat.daily_returns, 0.0)
+        assert strat.n_active_days == 0 and strat.sharpe is None
+        assert strat.daily_returns.shape == bench.daily_returns.shape == (50,)
+
     def test_misaligned_labels_rejected(self):
         rng = np.random.default_rng(47)
         panel = panel_from(rng.standard_normal(50), rng.standard_normal(50))

@@ -18,6 +18,7 @@ from factorregimes import (
     first_sustained_detection,
     granger_f_test,
     granger_results_to_csv,
+    lag_sweep,
     pairwise_regime_matrix,
     regime_lag_mask,
     select_lag_bic,
@@ -244,6 +245,34 @@ class TestGrangerFTest:
         x = np.zeros(100)
         with pytest.raises(DegenerateDesignError):
             granger_f_test(y, x, 2, np.ones(100, dtype=bool))
+
+
+def first_half(L):
+    """Lag-complete rows of days 0..99 of a 200-day series."""
+    return regime_lag_mask(np.arange(200) < 100, 1, L)
+
+
+NON_FINITE_RUNS = {
+    "granger_f_test": lambda y, x: granger_f_test(y, x, 2, first_half(2)),
+    "select_lag_bic": lambda y, x: select_lag_bic(y, x, first_half, 3),
+    "lag_sweep": lambda y, x: lag_sweep(y, x, first_half, [2, 3]),
+}
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("run", NON_FINITE_RUNS.values(), ids=NON_FINITE_RUNS.keys())
+def test_non_finite_day_is_named(run, value, column):
+    """A non-finite value on a day the design reads names that day; one
+    on a day no design row reads (the mask ends at day 99) is accepted."""
+    clean = list(lagged_pair(200, 61, coef=0.4))
+    dirty = [series.copy() for series in clean]
+    dirty[column][57] = value
+    with pytest.raises(ValueError, match="^non-finite value on day 57$"):
+        run(*dirty)
+    dirty[column][57] = clean[column][57]
+    dirty[column][150] = value
+    assert run(*dirty) == run(*clean)
 
 
 class TestSelectLagBic:

@@ -563,6 +563,28 @@ class TestConcurrentRestarts:
             "restart 0", "restart 1", "restart 2"]
         assert all(r.endswith("singular even after regularization") for r in reasons)
 
+    def test_every_k_failed_names_each_reason(self):
+        with pytest.raises(EstimationError) as info:
+            select_k(mostly_flat_panel(), [2, 4], "gaussian",
+                     FitConfig(seed=1, n_restarts=2))
+        message = str(info.value)
+        assert message.startswith("every candidate K failed to fit: K=2: "
+                                  "all 2 restarts failed: restart 0: ")
+        assert message.endswith("; K=4: fitting K=4 regimes: need at least "
+                                "41 observations, have 40")
+
+    def test_em_fit_is_the_select_k_row(self):
+        """em_fit and select_k share one fit: a fitted row is bitwise
+        em_fit's fit, and a failed row carries the text em_fit raises."""
+        panel = mostly_flat_panel()
+        config = FitConfig(seed=1, n_restarts=3)
+        _, table = select_k(panel, [1, 2, 4], "gaussian", config)
+        assert_fits_identical(em_fit(panel, 1, "gaussian", config), table[0]["fit"])
+        for row, error in ((table[1], EstimationError), (table[2], SampleSizeError)):
+            with pytest.raises(error) as info:
+                em_fit(panel, row["k"], "gaussian", config)
+            assert str(info.value) == row["error"]
+
     @pytest.mark.parametrize("workers", [1, 4])
     def test_error_in_a_restart_reaches_the_caller(self, synthetic_3regime,
                                                    monkeypatch, workers):
@@ -750,6 +772,11 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             HmmParams(pi=[1.0], A=[[1.0]], mu=[[0.0, 0.0]],
                       Sigma=[[[1.0, 2.0], [2.0, 1.0]]], nu=[5.0])
+
+    def test_gaussian_takes_no_nu(self):
+        with pytest.raises(ValueError, match="^gaussian family takes no nu$"):
+            HmmParams(pi=[1.0], A=[[1.0]], mu=[[0.0]], Sigma=[[[1.0]]],
+                      nu=[5.0], family="gaussian")
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -208,6 +208,7 @@ main = factorregimes.cli.main
 assert main(["granger", "--panel", str(out / "panel.csv"),
              "--labels", str(out / "labels.csv"), "--lmax", "3",
              "--out", str(out / "granger.csv")]) == 0
+assert "concurrent.futures" not in sys.modules, "granger loaded the thread pool"
 assert main(["fit", "--panel", str(out / "panel.csv"), "--k", "2",
              "--seed", "1", "--restarts", "1",
              "--out", str(out / "model.json")]) == 0
@@ -218,7 +219,8 @@ assert not loaded, f"{len(loaded)} scipy modules, first {loaded[:3]}"
 
 def test_runtime_imports_no_scipy(tmp_path):
     """The package and a granger and a fit stage run in a fresh process
-    without loading scipy, so numpy is the only runtime dependency."""
+    without loading scipy, so numpy is the only runtime dependency; the
+    stages that fit nothing do not load the fit's thread pool."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])

@@ -242,6 +242,13 @@ class TestLabelAccuracy:
         acc = label_accuracy(guess, truth, 3)
         assert 0.30 < acc < 0.37  # best permutation of chance labels
 
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_label_outside_range_rejected(self, label):
+        estimated = np.array([0, 1, label, 2])
+        with pytest.raises(ValueError,
+                           match=rf"^estimated label {label} is outside \[0, 3\)$"):
+            label_accuracy(estimated, np.array([0, 1, 2, 2]), 3)
+
 
 class TestEndToEndRecovery:
     def test_em_recovers_generated_panel(self):
