@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import FactorPanel, _aligned, _in_range, _tested_pair, write_panel_csv
+from .panel import (FactorPanel, _aligned, _in_range, _tested_pair, _write_text,
+                    write_panel_csv)
 
 TRADING_DAYS_PER_YEAR = 252
 SIGNAL_WINDOW = 9  # trading days of the strategy's trailing HML return
@@ -153,9 +154,7 @@ def _report_doc(r: BacktestReport) -> dict:
 def write_backtest_json(strategy: BacktestReport, benchmark: BacktestReport,
                         path) -> None:
     doc = {"strategy": _report_doc(strategy), "benchmark": _report_doc(benchmark)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, [json.dumps(doc, indent=2), "\n"])
 
 
 def write_returns_csv(strategy: BacktestReport, benchmark: BacktestReport,

@@ -86,10 +86,15 @@ def _load_aligned(panel_path, labels_path):
 
 
 def _check_out_dirs(*paths):
-    """Fail before any output when an output file's directory is missing."""
+    """Fail before any output when an output file's directory is missing or
+    two of a stage's outputs are one file."""
+    seen = set()
     for path in filter(None, paths):  # None: a file not written
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory for the output file {path}")
+        if os.path.realpath(path) in seen:
+            raise ValueError(f"two outputs of this stage name one file {path}")
+        seen.add(os.path.realpath(path))
 
 
 def _event_windows(args):
@@ -173,9 +178,8 @@ def cmd_granger(panel, labels, args) -> list[str]:
     hits = [f"  significant: {r.source}->{r.target} regime {r.regime} "
             f"lag {r.lag} p={r.p_value:.5e}"
             for r in matrix.results if r.significant_bonferroni]
-    d = panel.n_factors
     return [f"{len(matrix.results)} cells tested, {len(matrix.failures)} "
-            f"infeasible; Bonferroni threshold {args.alpha / (d * (d - 1)):.3e}",
+            f"infeasible; Bonferroni threshold {matrix.threshold:.3e}",
             *(hits or ["  no Bonferroni-significant cells"]),
             f"results -> {args.out}"]
 

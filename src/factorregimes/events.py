@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PanelParseError
-from .granger import _run_lengths, _segment_test
+from .granger import _runs_from, _segment_test
 from .numerics import binomial_tail
 from .panel import (TESTED_LAG, FactorPanel, _aligned, _in_range, _read_lines,
                     _tested_pair, _write_table, as_date64)
@@ -77,13 +77,10 @@ def first_sustained_detection(labels, dates, w: EventWindow, m: int = SUSTAINED_
     The run may extend past the window end but must fit inside the
     label series. Returns None when no such day exists.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     dates = np.asarray(dates, dtype="datetime64[D]")
     labels = _aligned(labels, dates.shape[0], "labels")
-    ahead = _run_lengths((labels == crisis_index)[::-1])[::-1]  # the run from t on
     idx = _window_indices(dates, w)
-    hits = idx[ahead[idx] >= m]
+    hits = idx[_runs_from(labels == crisis_index, m)[idx]]
     return dates[hits[0]] if hits.size else None
 
 

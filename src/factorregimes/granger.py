@@ -71,7 +71,8 @@ class PairwiseMatrix:
     """All-pairs result collection; iterating yields the successful cells."""
 
     results: tuple[GrangerResult, ...]
-    failures: tuple[CellFailure, ...] = ()
+    failures: tuple[CellFailure, ...]
+    threshold: float  # the Bonferroni level the cells were flagged against
 
     def __iter__(self):
         return iter(self.results)
@@ -96,6 +97,14 @@ def _run_lengths(state) -> np.ndarray:
     ending there (0 on a false day)."""
     days = np.arange(len(state))
     return days - np.maximum.accumulate(np.where(state, -1, days))
+
+
+def _runs_from(state, m: int) -> np.ndarray:
+    """True on each day that starts m or more consecutive true days of
+    `state`, all inside the series."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return _run_lengths(state[::-1])[::-1] >= m
 
 
 def _check_rows(n: int, L: int) -> None:
@@ -312,6 +321,8 @@ def _granger_result(fit: tuple | Exception, L: int, *, source: str = "x",
 def _fixed_lag_fit(y, x, rows: np.ndarray, L: int) -> tuple | Exception:
     """The fit of y on its own and x's lags 1..L over the given rows,
     duplicates included; every row must be >= L."""
+    if L < 1:
+        raise ValueError("L must be >= 1")
     return _lag_fits(np.column_stack([y, x]), rows, np.full(rows.size, L), [L],
                      [(0, 1)])[0][L]
 
@@ -329,8 +340,6 @@ def granger_f_test(y, x, L: int, mask) -> GrangerResult:
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     if not (y.shape == x.shape == mask.shape):
         raise ValueError("y, x, and mask must have equal length")
-    if L < 1:
-        raise ValueError("L must be >= 1")
     sel = np.flatnonzero(mask)
     return _granger_result(_fixed_lag_fit(y, x, sel[sel >= L], L), L)
 
@@ -343,8 +352,6 @@ def _segment_test(y, x, segments, L: int) -> tuple[float | None, int]:
     duplicate rows. Returns (p_value, n_rows); p is None when the pooled
     design is too small or degenerate.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
     rows = np.concatenate([np.arange(0), *(np.arange(lo + L, hi + 1)
                                            for lo, hi in segments)])
     try:
@@ -424,6 +431,7 @@ def pairwise_regime_matrix(panel: FactorPanel, labels, L_max: int = DEFAULT_L_MA
     return PairwiseMatrix(
         tuple(c for c in ordered if isinstance(c, GrangerResult)),
         tuple(c for c in ordered if isinstance(c, CellFailure)),
+        threshold,
     )
 
 

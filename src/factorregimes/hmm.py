@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EstimationError, SampleSizeError
 from .numerics import digamma, log_gamma
-from .panel import FactorPanel, volatility_norm
+from .panel import FactorPanel, _write_text, volatility_norm
 
 FAMILIES = ("student_t", "gaussian")
 
@@ -213,22 +213,24 @@ def _max_last(X):
     return functools.reduce(np.maximum, np.moveaxis(X, -1, 0))
 
 
-def _row_scaled(M):
-    """Split a stack of nonnegative matrices into (S, h) form."""
+def _row_scaled(M, h=0.0):
+    """Split a stack diag(e^h) M of nonnegative matrices into (S, h) form,
+    dividing M in place; EstimationError on a zero or non-finite product."""
     r = _max_last(M)
     with np.errstate(divide="ignore"):
-        h = np.log(r)
+        h = h + np.log(r)
     top = _max_last(h)[:, None]
     if not np.all(np.isfinite(top)):
         raise EstimationError("transition product is zero or not finite")
-    return M / np.where(r > 0.0, r, 1.0)[..., None], h - top
+    M /= np.where(r > 0.0, r, 1.0)[..., None]
+    return M, h - top
 
 
 def _combine(P, hp, Q, hq):
     """Row-scaled products diag(e^hp) P . diag(e^hq) Q over a stack.
 
     Rows whose fast-path value underflowed are redone with their own
-    log shift. Raises EstimationError on a zero or non-finite product.
+    log shift.
     """
     R = (P * np.exp(hq)[:, None, :]) @ Q
     r = _max_last(R)
@@ -242,15 +244,8 @@ def _combine(P, hp, Q, hq):
         s[s == -np.inf] = 0.0  # the row is exactly zero
         Rw = (np.exp(W - s[:, None])[:, None, :] @ Q[i])[:, 0, :]
         R[i, j] = Rw
-        r[i, j] = Rw.max(axis=1)
         shift[i, j] = s
-    with np.errstate(divide="ignore"):
-        h = hp + shift + np.log(r)
-    R /= np.where(r > 0.0, r, 1.0)[..., None]
-    top = _max_last(h)[:, None]
-    if not np.all(np.isfinite(top)):
-        raise EstimationError("transition product is zero or not finite")
-    return R, h - top
+    return _row_scaled(R, hp + shift)
 
 
 def _scan(S, h, mul=_combine):
@@ -634,6 +629,9 @@ def select_k(panel: FactorPanel, k_range, family: str, config: FitConfig):
     ks = list(k_range)
     if not ks or min(ks) < 1 or max(ks) > 8:
         raise ValueError("k_range must lie within [1, 8] and be nonempty")
+    for i, k in enumerate(ks):
+        if k in ks[:i]:
+            raise ValueError(f"k_range repeats K={k}")
     table = []
     for k, fit in zip(ks, _fit_ks(panel, ks, family, config)):
         if isinstance(fit, HmmFit):
@@ -710,9 +708,7 @@ def save_model(fit: HmmFit, path) -> None:
         "seed": fit.config.seed,
         "restarts": fit.config.n_restarts,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, [json.dumps(doc, indent=2), "\n"])
 
 
 def load_model(path) -> tuple[HmmParams, dict]:

@@ -301,9 +301,15 @@ def _write_table(target, header: Sequence[str], specs: Sequence[str], rows,
             raise ValueError((bad or ["a row's cells do not match the header"])[0])
         parts.append(text)
         block, block_specs = list(islice(rows, _TABLE_BLOCK_ROWS)), specs
+    _write_text(target, [*parts, footer])
+
+
+def _write_text(target, parts: Sequence[str]) -> None:
+    """Write formatted text parts to a text stream, or to the file at a path
+    as UTF-8: the one place an artifact file is opened for writing."""
     with (nullcontext(target) if hasattr(target, "write")
           else open(target, "w", encoding="utf-8")) as fh:
-        fh.writelines([*parts, footer])
+        fh.writelines(parts)
 
 
 def write_panel_csv(p: FactorPanel, path_or_buf) -> None:
@@ -333,9 +339,16 @@ def read_panel_csv(source) -> FactorPanel:
 
 def write_labels_csv(dates: np.ndarray, labels: np.ndarray, path) -> None:
     """Sidecar regime-label series: header `date,regime`, one label per date."""
+    days = np.datetime_as_string(dates)
+    labels = _aligned(labels, len(dates), "labels")
+    with np.errstate(invalid="ignore"):
+        whole = labels.astype(int)
+    bad = np.flatnonzero(whole != labels)
+    if bad.size:
+        raise ValueError(f"label {labels[bad[0]]} on {days[bad[0]]} "
+                         f"is not a whole number")
     _write_table(path, ("date", "regime"), ("", "d"),
-                 zip(np.datetime_as_string(dates).tolist(),
-                     _aligned(labels, len(dates), "labels").astype(int).tolist()))
+                 zip(days.tolist(), whole.tolist()))
 
 
 def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:

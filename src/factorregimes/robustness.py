@@ -23,7 +23,7 @@ from .granger import (
     _bic_lag,
     _granger_result,
     _lag_search,
-    _run_lengths,
+    _runs_from,
     _segment_test,
     pairwise_regime_matrix,
 )
@@ -102,8 +102,7 @@ def subsample_split(panel: FactorPanel, labels, split_date,
     sides = []
     for keep in (~post, post):
         sub = FactorPanel(panel.dates[keep], panel.returns[keep], panel.factor_names)
-        sides.append(pairwise_regime_matrix(sub, labels[keep], L_max, alpha)
-                     if sub.n_days else PairwiseMatrix((), ()))
+        sides.append(pairwise_regime_matrix(sub, labels[keep], L_max, alpha))
     return sides[0], sides[1]
 
 
@@ -127,12 +126,9 @@ class TransitionReport:
 def _transition_starts(labels, crisis_index, m, entering: bool) -> np.ndarray:
     """Indices t that begin >= m consecutive days of the state (entering:
     crisis, else non-crisis) and follow a day outside it."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     crisis = labels == crisis_index
     state = crisis if entering else ~crisis
-    ahead = _run_lengths(state[::-1])[::-1]  # the run from t on
-    return np.flatnonzero((ahead[1:] >= m) & ~state[:-1]) + 1
+    return np.flatnonzero(_runs_from(state, m)[1:] & ~state[:-1]) + 1
 
 
 def transition_window_analysis(panel: FactorPanel, labels, crisis_index: int,

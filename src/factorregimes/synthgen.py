@@ -124,9 +124,10 @@ def label_accuracy(estimated, truth, K: int) -> float:
         raise ValueError("label series must have equal length")
     if K > 6:
         raise ValueError("exhaustive permutation search supports K <= 6")
-    outside = estimated[(estimated < 0) | (estimated >= K)]
-    if outside.size:
-        raise ValueError(f"estimated label {outside[0]} is outside [0, {K})")
+    for name, labels in (("estimated", estimated), ("true", truth)):
+        outside = labels[(labels < 0) | (labels >= K)]
+        if outside.size:
+            raise ValueError(f"{name} label {outside[0]} is outside [0, {K})")
     best = 0.0
     for perm in itertools.permutations(range(K)):
         mapped = np.asarray(perm)[estimated]

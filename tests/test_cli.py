@@ -296,6 +296,21 @@ class TestFit:
         assert captured.err == f"error: no directory for the output file {missing}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_model_and_labels_on_one_file_exit_2_before_any_output(
+            self, synthetic_files, tmp_path, capsys, monkeypatch):
+        """The labels used to overwrite the model, after both were reported
+        written."""
+        _, panel_path, _, _ = synthetic_files
+        monkeypatch.chdir(tmp_path)
+        rc = main(["fit", "--panel", str(panel_path), "--k", "2", "--seed", "1",
+                   "--restarts", "1", "--out", "m.json", "--labels", "./m.json"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: two outputs of this stage name one "
+                                "file ./m.json\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_required(self, synthetic_files, tmp_path, capsys):
         _, panel_path, _, _ = synthetic_files
         with pytest.raises(SystemExit):
@@ -436,6 +451,19 @@ class TestBacktest:
         assert captured.out == ""
         missing = out if out.startswith("nodir") else returns
         assert captured.err == f"error: no directory for the output file {missing}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_and_returns_on_one_file_exit_2_before_any_output(
+            self, fitted, tmp_path, capsys, monkeypatch):
+        panel_path, _, labels = fitted
+        monkeypatch.chdir(tmp_path)
+        rc = main(["backtest", "--panel", str(panel_path), "--labels", str(labels),
+                   "--out", "b.json", "--returns-csv", str(tmp_path / "b.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: two outputs of this stage name one "
+                                f"file {tmp_path / 'b.json'}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_report_json(self, fitted, tmp_path):

@@ -664,6 +664,15 @@ class TestSelectK:
         with pytest.raises(ValueError):
             select_k(panel, range(0, 3), "student_t", FitConfig(seed=1, n_restarts=10))
 
+    def test_repeated_k_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a restart ran")
+
+        monkeypatch.setattr(hmm, "_restart", no_fit)
+        with pytest.raises(ValueError, match="^k_range repeats K=2$"):
+            select_k(mostly_flat_panel(), [1, 2, 2], "gaussian",
+                     FitConfig(seed=1, n_restarts=2))
+
 
 class TestOrderRegimes:
     def test_orders_by_mean_norm(self, synthetic_3regime):

@@ -3,8 +3,9 @@ to re-export, so it is checked against `__all__` instead), the
 command-line driver opens no file
 itself, reads the downstream stages' inputs and prints their reports in
 `main` alone, no default is a bare number, one
-function each owns the date-range rule and the alignment check, and the
-runtime imports numpy only."""
+function each owns the date-range rule, the alignment check, the
+row-scaled product, the sustained run, the fixed-lag bound and the
+opening of artifact files, and the runtime imports numpy only."""
 
 import ast
 import os
@@ -12,6 +13,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "factorregimes"
@@ -189,6 +191,66 @@ def test_one_function_raises_the_alignment_error():
                             if isinstance(node, ast.Constant)
                             and "must align with the panel rows" in str(node.value)]
     assert holders == [("panel.py", "_aligned")]
+
+
+def functions_where(matches) -> list[tuple[str, str]]:
+    """Sorted (module, function) of each package function that holds a
+    node for which matches(node) is true."""
+    holders = set()
+    for path in PACKAGE.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(map(matches, ast.walk(fn))):
+                holders.add((path.name, fn.name))
+    return sorted(holders)
+
+
+@pytest.mark.parametrize("text,functions", [
+    ("transition product is zero or not finite", [("hmm.py", "_row_scaled")]),
+    ("m must be >= 1", [("granger.py", "_runs_from")]),
+    ("L must be >= 1", [("granger.py", "_fixed_lag_fit"),
+                        ("granger.py", "regime_lag_mask")]),
+], ids=["row_scaled", "runs_from", "fixed_lag_bound"])
+def test_one_function_decides_each_rule(text, functions):
+    """The row-scaled product, the sustained run and the fixed-lag bound
+    each raise their error from the one function that decides them."""
+    assert functions_where(lambda node: isinstance(node, ast.Constant)
+                           and node.value == text) == functions
+
+
+def opens_for_writing(node) -> bool:
+    """A call of the builtin `open` whose mode is not a read-only literal."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (k.value for k in node.keywords if k.arg == "mode"), None)
+    return mode is not None and (not isinstance(mode, ast.Constant)
+                                 or any(c in mode.value for c in "wax+"))
+
+
+def test_one_function_opens_artifact_files():
+    """Every artifact file, CSV or JSON, is opened by `panel._write_text`."""
+    assert opens_for_writing(ast.parse("open(p, 'w')").body[0].value)
+    assert not opens_for_writing(ast.parse("open(p, encoding='utf-8')").body[0].value)
+    assert functions_where(opens_for_writing) == [("panel.py", "_write_text")]
+
+
+def test_granger_report_prints_the_matrix_level(tmp_path, monkeypatch, capsys):
+    """The report's Bonferroni level is the one the matrix flagged its
+    cells against, not a second computation of it."""
+    from factorregimes import FactorPanel, cli, write_labels_csv, write_panel_csv
+    from factorregimes.granger import PairwiseMatrix
+
+    dates = np.datetime64("2000-01-03") + np.arange(40)
+    write_panel_csv(FactorPanel(dates, np.zeros((40, 2)), ("A", "B")),
+                    tmp_path / "panel.csv")
+    write_labels_csv(dates, np.zeros(40, dtype=int), tmp_path / "labels.csv")
+    monkeypatch.setattr(cli, "pairwise_regime_matrix",
+                        lambda *args: PairwiseMatrix((), (), 1.234e-7))
+    assert cli.main(["granger", "--panel", str(tmp_path / "panel.csv"),
+                     "--labels", str(tmp_path / "labels.csv"),
+                     "--out", str(tmp_path / "granger.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "0 cells tested, 0 infeasible; Bonferroni threshold 1.234e-07")
 
 
 RUNTIME_PROBE = """

@@ -312,6 +312,19 @@ class TestSerialization:
                                   f"3 labels for {n_dates} days")
         assert not path.exists()
 
+    def test_labels_that_are_not_whole_numbers_rejected(self, tmp_path):
+        """[0.5, 1.7, 2.0] used to be written as 0, 1, 2; whole-valued
+        floats are still written as integers."""
+        dates = np.busday_offset("2020-01-06", np.arange(3)).astype("datetime64[D]")
+        path = tmp_path / "labels.csv"
+        with pytest.raises(ValueError) as exc:
+            write_labels_csv(dates, np.array([0.0, 1.7, 2.5]), path)
+        assert str(exc.value) == "label 1.7 on 2020-01-07 is not a whole number"
+        assert not path.exists()
+        write_labels_csv(dates, np.array([0.0, 1.0, 2.0]), path)
+        assert path.read_text() == ("date,regime\n2020-01-06,0\n2020-01-07,1\n"
+                                    "2020-01-08,2\n")
+
     @pytest.mark.parametrize("row", ["2020-01-07,0,1", "2020-01-07"])
     def test_labels_wrong_field_count_reports_line(self, row):
         text = f"date,regime\n2020-01-06,0\n{row}\n"

@@ -249,6 +249,10 @@ class TestLabelAccuracy:
                            match=rf"^estimated label {label} is outside \[0, 3\)$"):
             label_accuracy(estimated, np.array([0, 1, 2, 2]), 3)
 
+    def test_true_label_outside_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^true label 5 is outside \[0, 2\)$"):
+            label_accuracy([0, 1], [0, 5], 2)
+
 
 class TestEndToEndRecovery:
     def test_em_recovers_generated_panel(self):
