@@ -17,7 +17,6 @@ from factorregimes import (
     FactorPanel,
     HmmParams,
     SyntheticSpec,
-    apply_signal,
     generate,
     performance_metrics,
     run_backtest,
@@ -82,6 +81,5 @@ print(f"\nwith one-day execution lag: annual {lagged.annual_return:.2f}%, "
 # Positions come only from {-1, 0, +1} times the target return, so the
 # strategy daily series is a masked, sign-flipped copy of SMB:
 sig = strategy_signal(panel.column("HML"), labels, 1, 9)
-assert np.array_equal(strat.daily_returns,
-                      apply_signal(sig, panel.column("SMB")))
+assert np.array_equal(strat.daily_returns, sig * panel.column("SMB"))
 print("strategy returns reproduce exactly from signal * SMB")

@@ -79,8 +79,8 @@ print(f"decoded crisis days: {(fit.labels == 2).sum()}")
 # threshold 0.01/30 controls the family of 30 pairs.
 
 matrix = pairwise_regime_matrix(panel, fit.labels, L_max=8, alpha=0.01)
-hits = [r for r in matrix if r.significant_bonferroni]
-print(f"\n{len(matrix)} testable cells, {len(matrix.failures)} infeasible, "
+hits = [r for r in matrix.results if r.significant_bonferroni]
+print(f"\n{len(matrix.results)} testable cells, {len(matrix.failures)} infeasible, "
       f"{len(hits)} Bonferroni-significant:")
 for r in hits:
     print(f"  {r.source:>6} -> {r.target:<6} regime {r.regime}"
@@ -88,9 +88,9 @@ for r in hits:
 
 # The planted cell should be the only stable hit. Its reverse direction
 # stays quiet, which is the asymmetry Granger logic needs.
-fwd = next(r for r in matrix
+fwd = next(r for r in matrix.results
            if (r.source, r.target, r.regime) == ("HML", "SMB", 2))
-rev = next(r for r in matrix
+rev = next(r for r in matrix.results
            if (r.source, r.target, r.regime) == ("SMB", "HML", 2))
 print(f"\nplanted cell: L*={fwd.lag}, p={fwd.p_value:.2e}, "
       f"R2 increment {100 * fwd.r2_increment:.2f}%")

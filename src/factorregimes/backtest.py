@@ -2,8 +2,8 @@
 
 The strategy holds SMB only on days decoded as the crisis regime,
 long or short by the sign of the trailing compounded HML return.
-The benchmark is buy-and-hold SMB run through the identical code path
-with an all-long signal.
+The strategy's daily return is position times SMB return; the benchmark
+is buy-and-hold SMB, and both legs are scored by performance_metrics.
 """
 
 from __future__ import annotations
@@ -64,15 +64,6 @@ def strategy_signal(hml, labels, crisis_index: int,
     return signal
 
 
-def apply_signal(signal, target) -> np.ndarray:
-    """Elementwise position times target return, in percent."""
-    signal = np.asarray(signal, dtype=float).reshape(-1)
-    target = np.asarray(target, dtype=float).reshape(-1)
-    if signal.shape != target.shape:
-        raise ValueError("signal and target must have equal length")
-    return signal * target
-
-
 def performance_metrics(returns, dates=None, n_active_days: int | None = None
                         ) -> BacktestReport:
     """Annualized geometric return, Sharpe ratio, and maximum drawdown.
@@ -131,11 +122,11 @@ def run_backtest(panel: FactorPanel, labels, crisis_index: int, *,
     signal = strategy_signal(hml_r, sub_labels, crisis_index, window)
     signal = np.concatenate([np.zeros(execution_lag), signal])[:signal.size]
     strat = performance_metrics(
-        apply_signal(signal, smb_r), sub_dates,
+        signal * smb_r, sub_dates,
         n_active_days=int(np.count_nonzero(signal)),
     )
     bench = performance_metrics(
-        apply_signal(np.ones_like(smb_r), smb_r), sub_dates,
+        smb_r, sub_dates,
         n_active_days=smb_r.shape[0],
     )
     return strat, bench

@@ -85,16 +85,21 @@ def _load_aligned(panel_path, labels_path):
     return panel, labels
 
 
-def _check_out_dirs(*paths):
-    """Fail before any output when an output file's directory is missing or
-    two of a stage's outputs are one file."""
+def _check_outputs(outputs, inputs):
+    """Fail before any output when an output file's directory is missing,
+    an output names one of the stage's input files, or two of its outputs
+    are one file."""
+    read = {os.path.realpath(path) for path in filter(None, inputs)}
     seen = set()
-    for path in filter(None, paths):  # None: a file not written
+    for path in filter(None, outputs):  # None: a file not written
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory for the output file {path}")
-        if os.path.realpath(path) in seen:
+        real = os.path.realpath(path)
+        if real in read:
+            raise ValueError(f"output file {path} is an input of this stage")
+        if real in seen:
             raise ValueError(f"two outputs of this stage name one file {path}")
-        seen.add(os.path.realpath(path))
+        seen.add(real)
 
 
 def _event_windows(args):
@@ -108,6 +113,7 @@ def _event_windows(args):
 
 
 def cmd_ingest(args) -> list[str]:
+    _check_outputs([args.out], [args.ff5, args.momentum])
     ff5 = parse_ff_daily_csv(args.ff5, FF5_COLUMNS)
     mom = parse_ff_daily_csv(args.momentum, MOMENTUM_COLUMNS)
     panel = slice_dates(merge_on_dates(ff5, mom), args.start, args.end)
@@ -139,7 +145,7 @@ def _fit_summary(fit, panel) -> list[str]:
 
 def cmd_fit(args) -> list[str]:
     labels_path = args.labels or (os.path.splitext(args.out)[0] + ".labels.csv")
-    _check_out_dirs(args.out, labels_path)
+    _check_outputs([args.out, labels_path], [args.panel])
     panel = read_panel_csv(args.panel)
     family = FAMILY_MAP[args.family]
     config = FitConfig(seed=args.seed, n_restarts=args.restarts)
@@ -173,6 +179,7 @@ def cmd_fit(args) -> list[str]:
 
 
 def cmd_granger(panel, labels, args) -> list[str]:
+    _check_outputs([args.out], [args.panel, args.labels])
     matrix = pairwise_regime_matrix(panel, labels, args.lmax, args.alpha)
     granger_results_to_csv(matrix.results, args.out)
     hits = [f"  significant: {r.source}->{r.target} regime {r.regime} "
@@ -203,6 +210,8 @@ def cmd_validate(panel, labels, args) -> list[str]:
         else:
             lines.append(f"{w.name:<22}{rate:9.3f}  {lt.detection}    "
                          f"{lt.peak}  {lt.lead_days:4d}d")
+    # after the loop, which reports a bad --window before any path error
+    _check_outputs([args.out], [args.panel, args.labels, args.events])
     report = event_granger_validation(panel, windows, args.lag)
     write_validation_csv(report, args.out)
     lines.append("event                 days    p_fwd      p_rev      class")
@@ -217,7 +226,7 @@ def cmd_validate(panel, labels, args) -> list[str]:
 
 
 def cmd_backtest(panel, labels, args) -> list[str]:
-    _check_out_dirs(args.out, args.returns_csv)
+    _check_outputs([args.out, args.returns_csv], [args.panel, args.labels])
     crisis = int(labels.max())
     strat, bench = run_backtest(
         panel, labels, crisis, window=args.window,
@@ -236,6 +245,7 @@ def cmd_backtest(panel, labels, args) -> list[str]:
 
 
 def cmd_plotdata(panel, labels, args) -> list[str]:
+    _check_outputs([args.out], [args.panel, args.labels, args.events])
     windows = _event_windows(args)
     markers = np.full(panel.n_days, "", dtype=object)
     for w in reversed(windows):  # a day in two windows takes the first's name

@@ -68,17 +68,11 @@ class CellFailure:
 
 @dataclass(frozen=True)
 class PairwiseMatrix:
-    """All-pairs result collection; iterating yields the successful cells."""
+    """The tested cells of an all-pairs run and the untestable ones."""
 
     results: tuple[GrangerResult, ...]
     failures: tuple[CellFailure, ...]
     threshold: float  # the Bonferroni level the cells were flagged against
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __len__(self) -> int:
-        return len(self.results)
 
 
 def regime_lag_mask(labels, k: int, L: int) -> np.ndarray:
@@ -320,9 +314,11 @@ def _granger_result(fit: tuple | Exception, L: int, *, source: str = "x",
 
 def _fixed_lag_fit(y, x, rows: np.ndarray, L: int) -> tuple | Exception:
     """The fit of y on its own and x's lags 1..L over the given rows,
-    duplicates included; every row must be >= L."""
+    duplicates included; rows below L, which lack L earlier days, are
+    dropped."""
     if L < 1:
         raise ValueError("L must be >= 1")
+    rows = rows[rows >= L]
     return _lag_fits(np.column_stack([y, x]), rows, np.full(rows.size, L), [L],
                      [(0, 1)])[0][L]
 
@@ -340,8 +336,7 @@ def granger_f_test(y, x, L: int, mask) -> GrangerResult:
     mask = np.asarray(mask, dtype=bool).reshape(-1)
     if not (y.shape == x.shape == mask.shape):
         raise ValueError("y, x, and mask must have equal length")
-    sel = np.flatnonzero(mask)
-    return _granger_result(_fixed_lag_fit(y, x, sel[sel >= L], L), L)
+    return _granger_result(_fixed_lag_fit(y, x, np.flatnonzero(mask), L), L)
 
 
 def _segment_test(y, x, segments, L: int) -> tuple[float | None, int]:

@@ -663,22 +663,11 @@ def order_regimes(fit: HmmFit, panel: FactorPanel) -> HmmFit:
         sel = fit.labels == k
         means[k] = norm[sel].mean() if sel.any() else np.inf
     perm = np.argsort(means, kind="stable")
-    if np.array_equal(perm, np.arange(K)):
-        return fit
-    inv = np.empty(K, dtype=int)
-    inv[perm] = np.arange(K)
     p = fit.params
-    params = HmmParams(
-        pi=p.pi[perm],
-        A=p.A[np.ix_(perm, perm)],
-        mu=p.mu[perm],
-        Sigma=p.Sigma[perm],
-        nu=None if p.nu is None else p.nu[perm],
-        family=p.family,
-    )
-    gamma = fit.gamma[:, perm]
-    labels = inv[fit.labels]
-    return replace(fit, params=params, gamma=gamma, labels=labels)
+    params = replace(p, pi=p.pi[perm], A=p.A[np.ix_(perm, perm)], mu=p.mu[perm],
+                     Sigma=p.Sigma[perm], nu=None if p.nu is None else p.nu[perm])
+    return replace(fit, params=params, gamma=fit.gamma[:, perm],
+                   labels=np.argsort(perm)[fit.labels])
 
 
 def decode(params: HmmParams, panel: FactorPanel) -> np.ndarray:

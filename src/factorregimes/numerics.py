@@ -148,8 +148,6 @@ def f_sf(f: float, dist: FTestDistribution) -> float:
     """
     if f < 0:
         raise ValueError(f"F statistic must be nonnegative, got {f}")
-    if f == 0.0:
-        return 1.0
     t = dist.df2 / (dist.df2 + dist.df1 * f)
     return regularized_incomplete_beta(dist.df2 / 2.0, dist.df1 / 2.0, t)
 

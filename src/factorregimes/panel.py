@@ -114,6 +114,8 @@ class FactorPanel:
 
 # A date token is exactly YYYYMMDD or YYYY-MM-DD.
 _DATE_TOKEN = re.compile(r"[0-9]{8}|[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# A regime label is what write_labels_csv writes: ASCII digits, maybe negative.
+_LABEL_TOKEN = re.compile(r"-?[0-9]+")
 # the characters at which str.splitlines, and so every reader here, ends a line
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 _TABLE_BLOCK_ROWS = 1024  # rows the table writer formats at once
@@ -240,12 +242,17 @@ def merge_on_dates(a: FactorPanel, b: FactorPanel) -> FactorPanel:
 
 
 def _in_range(dates: np.ndarray, start=None, end=None) -> np.ndarray:
-    """Mask of start <= date <= end; a None bound leaves its side open."""
+    """Mask of start <= date <= end; a None bound leaves its side open, and
+    a start after the end is a ValueError."""
     keep = np.ones(dates.shape, dtype=bool)
     if start is not None:
-        keep &= dates >= as_date64(start)
+        start = as_date64(start)
+        keep &= dates >= start
     if end is not None:
-        keep &= dates <= as_date64(end)
+        end = as_date64(end)
+        keep &= dates <= end
+        if start is not None and start > end:
+            raise ValueError(f"start {start} is after end {end}")
     return keep
 
 
@@ -253,10 +260,6 @@ def slice_dates(p: FactorPanel, start=None, end=None) -> FactorPanel:
     """Rows with start <= date <= end, order preserved; a None bound leaves
     its side open, so slice_dates(p, start) keeps every row from start on.
     May be empty."""
-    if start is not None and end is not None:
-        start, end = as_date64(start), as_date64(end)
-        if start > end:
-            raise ValueError(f"start {start} is after end {end}")
     keep = _in_range(p.dates, start, end)
     return FactorPanel(p.dates[keep], p.returns[keep], p.factor_names)
 
@@ -366,10 +369,9 @@ def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:
         if len(fields) != 2:
             raise PanelParseError(f"expected 'date,regime', got {line!r}", i)
         d, z = fields
-        try:
-            labels.append(int(z))
-        except ValueError:
-            raise PanelParseError(f"malformed regime label {z!r}", i) from None
+        if not _LABEL_TOKEN.fullmatch(z.strip()):
+            raise PanelParseError(f"malformed regime label {z!r}", i)
+        labels.append(int(z))
         tokens.append(d.strip())
         line_numbers.append(i)
     dates = _to_dates(tokens, line_numbers)

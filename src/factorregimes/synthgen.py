@@ -96,8 +96,6 @@ def generate(spec: SyntheticSpec) -> tuple[FactorPanel, np.ndarray]:
     X = np.empty((T, d))
     for k in range(K):
         idx = z == k
-        if not idx.any():
-            continue
         L = np.linalg.cholesky(p.Sigma[k])
         X[idx] = p.mu[k] + (normals[idx] @ L.T) / np.sqrt(w[idx])[:, None]
 

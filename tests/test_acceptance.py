@@ -311,7 +311,7 @@ def real_matrix(real_panel, real_fit):
 
 
 def _cell(matrix, source, target, regime):
-    for r in matrix:
+    for r in matrix.results:
         if (r.source, r.target, r.regime) == (source, target, regime):
             return r
     raise AssertionError(f"cell {source}->{target} regime {regime} missing")

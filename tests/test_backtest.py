@@ -8,7 +8,6 @@ import pytest
 
 from factorregimes import (
     FactorPanel,
-    apply_signal,
     performance_metrics,
     run_backtest,
     strategy_signal,
@@ -136,16 +135,6 @@ class TestStrategySignal:
                     ref[t] = np.sign(growth[t - 1] / prev - 1.0)
             got = strategy_signal(hml, labels, 2, window)
             assert got.tobytes() == ref.tobytes()
-
-
-class TestApplySignal:
-    def test_elementwise_product(self):
-        out = apply_signal([1.0, -1.0, 0.0], [2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(out, [2.0, -3.0, 0.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_signal([1.0], [1.0, 2.0])
 
 
 class TestRunBacktest:

@@ -466,6 +466,21 @@ class TestBacktest:
                                 f"file {tmp_path / 'b.json'}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_start_after_end_exit_2_with_the_range_rule(
+            self, fitted, tmp_path, capsys, monkeypatch):
+        """An inverted range gets the date-range rule's own error, as in
+        ingest, where it used to be reported as selecting no rows."""
+        panel_path, _, labels = fitted
+        monkeypatch.chdir(tmp_path)
+        rc = main(["backtest", "--panel", str(panel_path), "--labels", str(labels),
+                   "--start", "2020-01-01", "--end", "2010-01-01",
+                   "--out", "b.json"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: start 2020-01-01 is after end 2010-01-01\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_json(self, fitted, tmp_path):
         panel_path, _, labels = fitted
         out = tmp_path / "backtest.json"
@@ -707,6 +722,53 @@ def test_unwritable_output_exit_2_with_empty_stdout(fitted, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+# per stage: its arguments, in which one output names an input, and that path
+OUTPUT_NAMES_INPUT = {
+    "ingest": (["ff5.csv", "mom.csv", "--out", "ff5.csv"], "ff5.csv"),
+    "fit": (["--panel", "panel.csv", "--k", "2", "--seed", "1", "--restarts",
+             "1", "--out", "model.json", "--labels", "panel.csv"], "panel.csv"),
+    "granger": (["--panel", "panel.csv", "--labels", "labels.csv", "--lmax", "3",
+                 "--out", "panel.csv"], "panel.csv"),
+    "validate": (["--panel", "panel.csv", "--labels", "labels.csv", "--lag", "3",
+                  "--out", "labels.csv"], "labels.csv"),
+    "backtest": (["--panel", "panel.csv", "--labels", "labels.csv",
+                  "--out", "report.json", "--returns-csv", "panel.csv"],
+                 "panel.csv"),
+    "robustness": (["--panel", "panel.csv", "--labels", "labels.csv",
+                    "--lmax", "3", "--out", "labels.csv"], "labels.csv"),
+    "plotdata": (["--panel", "panel.csv", "--labels", "labels.csv",
+                  "--events", "events.csv", "--out", "events.csv"], "events.csv"),
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_NAMES_INPUT))
+def test_output_naming_an_input_exit_2_before_any_output(
+        fitted, tmp_path, capsys, monkeypatch, command):
+    """An output path that is one of the stage's input files: the stage
+    exits 2 with one error line, prints nothing to stdout, writes nothing
+    and leaves every input's bytes as they were."""
+    panel_path, _, labels = fitted
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "panel.csv").write_bytes(panel_path.read_bytes())
+    (tmp_path / "labels.csv").write_bytes(labels.read_bytes())
+    (tmp_path / "events.csv").write_text("name,start,end\n"
+                                         "stress,2005-01-03,2005-06-30\n")
+    (tmp_path / "ff5.csv").write_text(RAW_FF5)
+    (tmp_path / "mom.csv").write_text(RAW_MOM)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    args, path = OUTPUT_NAMES_INPUT[command]
+    rc = main([command, *args])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if command == "robustness":  # its --out is a directory, made first
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+    else:
+        assert captured.err == f"error: output file {path} is an input of this stage\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestHelp:

@@ -202,6 +202,17 @@ class TestBuildDesign:
 
 
 class TestGrangerFTest:
+    @pytest.mark.parametrize("L", [1, 3, 6])
+    def test_fixed_lag_fit_drops_rows_without_l_earlier_days(self, L):
+        """Rows 0..L-1 have no L-th lag: _fixed_lag_fit drops them itself,
+        so passing them changes nothing, where they used to be fitted with
+        day 0 standing in for the missing lags."""
+        y, x = lagged_pair(300, 41, coef=0.3, lag=1)
+        rows = np.arange(300)
+        want = _fixed_lag_fit(y, x, rows[rows >= L], L)
+        assert want[0] == 300 - L  # (n_obs, RSS_u, RSS_r - RSS_u, TSS)
+        assert _fixed_lag_fit(y, x, rows, L) == want
+
     def test_p_value_consistent_with_f_sf(self):
         from factorregimes import FTestDistribution
 
@@ -345,8 +356,8 @@ class TestPairwiseMatrix:
         labels = np.zeros(900, dtype=int)
         labels[450:] = 1
         matrix = pairwise_regime_matrix(panel, labels, L_max=4)
-        assert len(matrix) == 4  # 2 ordered pairs x 2 regimes
-        keys = [(r.source, r.target, r.regime) for r in matrix]
+        assert len(matrix.results) == 4  # 2 ordered pairs x 2 regimes
+        keys = [(r.source, r.target, r.regime) for r in matrix.results]
         assert keys == [("A", "B", 0), ("A", "B", 1),
                         ("B", "A", 0), ("B", "A", 1)]
         assert not matrix.failures
@@ -357,7 +368,7 @@ class TestPairwiseMatrix:
         labels = np.zeros(600, dtype=int)
         matrix = pairwise_regime_matrix(panel, labels, L_max=3, alpha=0.06)
         # d=3 gives 6 ordered pairs
-        for res in matrix:
+        for res in matrix.results:
             assert res.significant_bonferroni == (res.p_value < 0.01)
 
     def test_single_regime_matches_pooled_test(self):
@@ -365,7 +376,7 @@ class TestPairwiseMatrix:
         panel = make_panel(np.column_stack([x, y]), names=("X", "Y"))
         labels = np.zeros(1200, dtype=int)
         matrix = pairwise_regime_matrix(panel, labels, L_max=8)
-        cell = next(r for r in matrix
+        cell = next(r for r in matrix.results
                     if r.source == "X" and r.target == "Y")
         L_star, _ = select_lag_bic(
             y, x, lambda L: regime_lag_mask(labels, 0, L), 8)
@@ -387,7 +398,7 @@ class TestPairwiseMatrix:
         labels = np.zeros(400, dtype=int)
         labels[:5] = 1  # far too few rows for any lag
         matrix = pairwise_regime_matrix(panel, labels, L_max=5)
-        regimes_ok = {r.regime for r in matrix}
+        regimes_ok = {r.regime for r in matrix.results}
         assert regimes_ok == {0}
         assert len(matrix.failures) == 2
         assert all(f.regime == 1 for f in matrix.failures)
@@ -400,11 +411,11 @@ class TestCsv:
         matrix = pairwise_regime_matrix(panel, np.zeros(600, dtype=int),
                                         L_max=4)
         path = tmp_path / "granger.csv"
-        granger_results_to_csv(matrix, path)
+        granger_results_to_csv(matrix.results, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ("source,target,regime,lag,f_stat,p_value,"
                             "n_obs,r2_increment,significant")
-        assert len(lines) == 1 + len(matrix)
+        assert len(lines) == 1 + len(matrix.results)
         fields = lines[1].split(",")
         assert fields[0] in ("X", "Y")
         float(fields[4])
@@ -490,7 +501,7 @@ class TestCoreMatchesLstsq:
         X[2:, 1] += 0.4 * X[:-2, 0]
         labels = np.cumsum(rng.random(T) < 0.02) % 3
         matrix = pairwise_regime_matrix(make_panel(X), labels, L_max=L_max)
-        got = {(r.source, r.target, r.regime): r for r in matrix}
+        got = {(r.source, r.target, r.regime): r for r in matrix.results}
         failed = {(f.source, f.target, f.regime) for f in matrix.failures}
         for i in range(d):
             for j in range(d):
@@ -584,7 +595,7 @@ from conftest import table1_like_params
 panel, labels = generate(SyntheticSpec(hmm=table1_like_params(6), T=3000, seed=404))
 matrix = pairwise_regime_matrix(panel, labels, 15)
 buf = io.StringIO()
-granger_results_to_csv(matrix, buf)
+granger_results_to_csv(matrix.results, buf)
 print(buf.getvalue(), end="")
 print(matrix.failures)
 """

@@ -232,6 +232,10 @@ class TestRangeRule:
         dates = self.BASE + np.array(sorted(offsets), dtype="timedelta64[D]")
         start = None if start is None else self.BASE + start
         end = None if end is None else self.BASE + end
+        if start is not None and end is not None and start > end:
+            with pytest.raises(ValueError, match=f"^start {start} is after end {end}$"):
+                _in_range(dates, start, end)
+            return
         keep = _in_range(dates, start, end)
         assert keep.dtype == bool and keep.shape == dates.shape
         np.testing.assert_array_equal(keep, reference_optional_bounds(dates, start, end))
@@ -324,6 +328,21 @@ class TestSerialization:
         write_labels_csv(dates, np.array([0.0, 1.0, 2.0]), path)
         assert path.read_text() == ("date,regime\n2020-01-06,0\n2020-01-07,1\n"
                                     "2020-01-08,2\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "1.0", "0x1", "1e0", "", "- 1"])
+    def test_label_is_an_ascii_integer_token(self, token):
+        """Only what write_labels_csv writes, -?[0-9]+, is a label; int()
+        alone also took 1_0 (as 10), +1 and Arabic-Indic digits."""
+        text = f"date,regime\n2020-01-06,0\n2020-01-07,{token}\n"
+        with pytest.raises(PanelParseError) as exc:
+            read_labels_csv(io.StringIO(text))
+        assert str(exc.value) == f"line 3: malformed regime label {token!r}"
+        assert exc.value.line_number == 3
+
+    def test_label_tokens_the_writer_writes_are_read(self):
+        text = "date,regime\n2020-01-06, 12 \n2020-01-07,-1\n2020-01-08,007\n"
+        _, labels = read_labels_csv(io.StringIO(text))
+        assert labels.tolist() == [12, -1, 7]
 
     @pytest.mark.parametrize("row", ["2020-01-07,0,1", "2020-01-07"])
     def test_labels_wrong_field_count_reports_line(self, row):

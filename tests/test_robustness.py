@@ -196,9 +196,9 @@ class TestSubsampleSplit:
         labels = np.zeros(1200, dtype=int)
         split = panel.dates[700]
         pre, post = subsample_split(panel, labels, split, L_max=4)
-        ns = {r.n_obs for r in pre}
+        ns = {r.n_obs for r in pre.results}
         assert ns and all(n <= 700 for n in ns)
-        assert len(pre) == len(post) == 2  # d=2, one regime per side
+        assert len(pre.results) == len(post.results) == 2  # d=2, one regime per side
 
     def test_structure_only_after_split(self):
         rng = np.random.default_rng(60)
@@ -210,8 +210,8 @@ class TestSubsampleSplit:
         labels = np.zeros(T, dtype=int)
         pre, post = subsample_split(panel, labels, panel.dates[1500],
                                     L_max=5)
-        pre_cell = next(r for r in pre if r.source == "X")
-        post_cell = next(r for r in post if r.source == "X")
+        pre_cell = next(r for r in pre.results if r.source == "X")
+        post_cell = next(r for r in post.results if r.source == "X")
         assert post_cell.p_value < 1e-6
         assert pre_cell.p_value > 0.01
 
@@ -219,8 +219,8 @@ class TestSubsampleSplit:
         panel = noise_panel(600, seed=61)
         pre, post = subsample_split(panel, np.zeros(600, dtype=int),
                                     "1990-01-01", L_max=3)
-        assert len(pre) == 0 and not pre.failures
-        assert len(post) == 2
+        assert len(pre.results) == 0 and not pre.failures
+        assert len(post.results) == 2
 
     def test_misaligned_labels_rejected(self):
         panel = noise_panel(100, seed=62)
