@@ -258,6 +258,14 @@ def cmd_plotdata(panel, labels, args) -> list[str]:
 
 
 def cmd_robustness(panel, labels, args) -> list[str]:
+    paths = [os.path.join(args.out, f"{name}.csv") for name in (
+        "threshold_regimes", "lag_sweep", "subsample_split", "transition_windows")]
+    # before the battery runs: --out, a directory, and its files name no input
+    if os.path.isdir(args.out):
+        _check_outputs(paths, [args.panel, args.labels])
+    elif os.path.exists(args.out):
+        _check_outputs([args.out], [args.panel, args.labels])
+        raise NotADirectoryError(f"output directory {args.out} is not a directory")
     crisis = int(labels.max())
     y, x = _tested_pair(panel)
     thr_labels = threshold_regimes(panel)
@@ -269,21 +277,18 @@ def cmd_robustness(panel, labels, args) -> list[str]:
     rep = transition_window_analysis(panel, labels, crisis)
 
     os.makedirs(args.out, exist_ok=True)
-    write_labels_csv(panel.dates, thr_labels,
-                     os.path.join(args.out, "threshold_regimes.csv"))
-    sweep_path = os.path.join(args.out, "lag_sweep.csv")
+    thr_path, sweep_path, split_path, trans_path = paths
+    write_labels_csv(panel.dates, thr_labels, thr_path)
     for row in sweep:  # cells are not quoted: an error text keeps no comma
         row["error"] = row["error"] and row["error"].replace(",", ";")
     _write_table(sweep_path, "L_max,L_star,f_stat,p_value,n_obs,error".split(","),
                  ("", "", ".6f", ".5e", "", ""), (row.values() for row in sweep))
-    split_path = os.path.join(args.out, "subsample_split.csv")
     _write_table(split_path,
                  "side,source,target,regime,lag,f_stat,p_value,n_obs".split(","),
                  ("", "", "", "", "", ".6f", ".5e", ""),
                  ((side, *astuple(r)[:7])
                   for side, matrix in (("pre", pre), ("post", post))
                   for r in matrix.results))
-    trans_path = os.path.join(args.out, "transition_windows.csv")
     _write_table(trans_path, ("direction,n_transitions,p_before,p_after,"
                               "n_before,n_after").split(","),
                  ("", "", ".5e", ".5e", "", ""),

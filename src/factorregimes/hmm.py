@@ -4,14 +4,15 @@ selection over K, and severity ordering of the recovered regimes.
 
 The forward-backward pass shifts the emission log-densities by their
 per-day max and runs two prefix-product scans, each O(log T) batched
-numpy matmuls with no per-day Python loop: a row-scaled scan of the
-per-day transition matrices gives the filter, and a plain scan of the
+products with no per-day Python loop: a row-scaled scan of the per-day
+transition matrices gives the filter, and a plain scan of the
 row-stochastic backward kernels gives the smoother. Neither underflows.
+A stack is held time-last, (K, K, n), and a product of two stacks is K
+broadcast multiply-adds over n-long rows, so the scans call no BLAS.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -162,8 +163,8 @@ def _emission_terms(X, mu, Sigma, nu, family):
             L = np.linalg.cholesky(Sigma[k])
         except np.linalg.LinAlgError:
             raise EstimationError(f"Sigma[{k}] lost positive definiteness") from None
-        Z = np.linalg.solve(L, (X - mu[k]).T)
-        dk = np.einsum("ij,ij->j", Z, Z)
+        Z = (X - mu[k]) @ np.linalg.inv(L).T
+        dk = np.einsum("ij,ij->i", Z, Z)
         delta[:, k] = dk
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         if family == "student_t":
@@ -188,7 +189,11 @@ def _emission_terms(X, mu, Sigma, nu, family):
 # M_t = A diag(b~_t), the unnormalized filter is alpha_t = (pi o b~_0) M_1..M_t,
 # an inclusive scan of the stack M_1..M_{T-1} (Sarkka & Garcia-Fernandez,
 # "Temporal Parallelization of Bayesian Smoothers", IEEE TAC 2021): a
-# batched matmul per step in O(log T) steps.
+# batched product per step in O(log T) steps.
+#
+# A stack of n K x K matrices is held time-last, as a (K, K, n) array, and
+# the product of two stacks is K broadcast multiply-adds over n-long rows,
+# so no numpy call loops over a K-long axis and the scans call no BLAS.
 #
 # A filter product is held row-scaled, as diag(exp(h)) S with every nonzero
 # row of S at max entry 1 and max(h) = 0. A row that the rest of the product
@@ -200,29 +205,29 @@ def _emission_terms(X, mu, Sigma, nu, family):
 # backward kernel K_t[j, i] = alpha_t[i] A[i, j] / (alpha_t A)[j], which is
 # row-stochastic (Cappe, Moulines & Ryden, "Inference in Hidden Markov
 # Models", 2005, ch. 3). Products of stochastic matrices stay stochastic,
-# so the plain-matmul scan of [gamma_{T-1}, K_{T-2}, ..., K_0] can neither
+# so the plain-product scan of [gamma_{T-1}, K_{T-2}, ..., K_0] can neither
 # underflow nor overflow.
 
 # a fast-path row below this max may have lost terms to underflow
 _ROW_UNDERFLOW = 2.0 ** -800
 
 
-def _max_last(X):
-    """Max over a short last axis; for a few columns this is much faster
-    than ndarray.max(axis=-1), which pays per-row reduction overhead."""
-    return functools.reduce(np.maximum, np.moveaxis(X, -1, 0))
+def _product(P, Q):
+    """Matrix products of two time-last stacks: R[i, l] = sum_k P[i, k] Q[k, l]
+    over n-long rows, in one einsum pass without (K, K, n) temporaries."""
+    return np.einsum("ikt,klt->ilt", P, Q)
 
 
-def _row_scaled(M, h=0.0):
-    """Split a stack diag(e^h) M of nonnegative matrices into (S, h) form,
-    dividing M in place; EstimationError on a zero or non-finite product."""
-    r = _max_last(M)
+def _row_scaled(M, h, r):
+    """Split a time-last stack diag(e^h) M of nonnegative matrices with row
+    maxima r into (S, h) form, dividing M in place; EstimationError on a
+    zero or non-finite product."""
     with np.errstate(divide="ignore"):
         h = h + np.log(r)
-    top = _max_last(h)[:, None]
-    if not np.all(np.isfinite(top)):
+    top = h.max(axis=0)
+    if not np.isfinite(top).all():
         raise EstimationError("transition product is zero or not finite")
-    M /= np.where(r > 0.0, r, 1.0)[..., None]
+    M /= np.where(r > 0.0, r, 1.0)[:, None, :]
     return M, h - top
 
 
@@ -232,24 +237,25 @@ def _combine(P, hp, Q, hq):
     Rows whose fast-path value underflowed are redone with their own
     log shift.
     """
-    R = (P * np.exp(hq)[:, None, :]) @ Q
-    r = _max_last(R)
-    shift = np.zeros_like(r)
+    R = _product(P * np.exp(hq), Q)
+    r = R.max(axis=1)
     weak = (r < _ROW_UNDERFLOW) & (hp > -np.inf)
     if weak.any():
-        i, j = np.nonzero(weak)
+        i, t = np.nonzero(weak)
         with np.errstate(divide="ignore"):
-            W = np.log(P[i, j]) + hq[i]
+            W = np.log(P[i, :, t]) + hq[:, t].T
         s = W.max(axis=1)
         s[s == -np.inf] = 0.0  # the row is exactly zero
-        Rw = (np.exp(W - s[:, None])[:, None, :] @ Q[i])[:, 0, :]
-        R[i, j] = Rw
-        shift[i, j] = s
-    return _row_scaled(R, hp + shift)
+        Rw = np.einsum("wk,klw->wl", np.exp(W - s[:, None]), Q[:, :, t])
+        R[i, :, t] = Rw
+        r[i, t] = Rw.max(axis=1)
+        hp = hp.copy()
+        hp[i, t] += s
+    return _row_scaled(R, hp, r)
 
 
 def _scan(S, h, mul=_combine):
-    """Inclusive prefix products of a stack, in place.
+    """Inclusive prefix products of a time-last stack, in place.
 
     mul(P, hp, Q, hq) returns the products of two stacks with their row
     scales; the default keeps them row-scaled. Work-efficient odd-even
@@ -257,16 +263,16 @@ def _scan(S, h, mul=_combine):
     the even positions. That is about 2n products in 2 log2(n) batched
     steps, where Hillis-Steele doubling needs n log2(n).
     """
-    n = S.shape[0]
+    n = S.shape[-1]
     if n < 2:
         return
-    m = n // 2
-    PS, Ph = mul(S[0:2 * m:2], h[0:2 * m:2], S[1:2 * m:2], h[1:2 * m:2])
+    PS, Ph = mul(S[..., :n - 1:2], h[..., :n - 1:2], S[..., 1::2], h[..., 1::2])
     _scan(PS, Ph, mul)
-    S[1::2], h[1::2] = PS, Ph
+    S[..., 1::2], h[..., 1::2] = PS, Ph
     if n > 2:
         rest = (n - 1) // 2
-        S[2::2], h[2::2] = mul(PS[:rest], Ph[:rest], S[2::2], h[2::2])
+        S[..., 2::2], h[..., 2::2] = mul(PS[..., :rest], Ph[..., :rest],
+                                         S[..., 2::2], h[..., 2::2])
 
 
 def _forward_backward_core(pi, A, logB):
@@ -279,25 +285,27 @@ def _forward_backward_core(pi, A, logB):
     t = 0..T-2.
     """
     T, K = logB.shape
-    m = _max_last(logB)
+    logB = logB.T.copy()  # time-last, as the stacks are
+    m = logB.max(axis=0)
     if not np.all(np.isfinite(m)):
         raise EstimationError("emission density vanished for some observation")
-    btil = np.exp(logB - m[:, None])
+    btil = np.exp(logB - m)
     c = np.empty(T)
-    a0 = pi * btil[0]
+    a0 = pi * btil[:, 0]
     c[0] = a0.sum()
     if not (c[0] > 0.0 and math.isfinite(c[0])):
         raise EstimationError("forward recursion produced a zero or non-finite scale")
     # forward: a first element whose rows all equal a0 makes the rows of
     # every prefix product equal the unnormalized filter
-    S, h = _row_scaled(np.concatenate(
-        [np.broadcast_to(a0, (1, K, K)), A * btil[1:, None, :]]))
+    S = np.empty((K, K, T))
+    S[..., 0] = a0
+    np.multiply(A[:, :, None], btil[:, 1:], out=S[..., 1:])
+    S, h = _row_scaled(S, 0.0, S.max(axis=1))
     _scan(S, h)
-    alpha = S[:, 0, :]
-    alpha = alpha / alpha.sum(axis=1, keepdims=True)
+    alpha = S[0] / S[0].sum(axis=0)
     del S
-    pred = alpha[:-1] @ A
-    c[1:] = (pred * btil[1:]).sum(axis=1)
+    pred = A.T @ alpha[:, :-1]
+    c[1:] = (pred * btil[:, 1:]).sum(axis=0)
     if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
         raise EstimationError("forward recursion produced a zero or non-finite scale")
     loglik = float(np.sum(np.log(c)) + np.sum(m))
@@ -306,16 +314,18 @@ def _forward_backward_core(pi, A, logB):
     # backward: the rows of every prefix product of [gamma_{T-1}, K_{T-2},
     # ..., K_0] equal gamma; where pred is 0, K's row and gamma are 0 too
     pred = np.where(pred > 0.0, pred, 1.0)
-    G = np.concatenate([np.broadcast_to(alpha[-1], (1, K, K)),
-                        (alpha[:-1, None, :] * A.T / pred[:, :, None])[::-1]])
-    _scan(G, np.zeros(T), lambda P, hp, Q, hq: (P @ Q, hp))
-    gamma = G[::-1, 0, :]
-    total = gamma.sum(axis=1, keepdims=True)
+    G = np.empty((K, K, T))
+    G[..., 0] = alpha[:, -1]
+    kernels = np.multiply(alpha[:, :-1], A.T[:, :, None], out=G[..., :0:-1])
+    kernels /= pred[:, None, :]
+    _scan(G, np.zeros((K, T)), lambda P, hp, Q, hq: (_product(P, Q), hp))
+    gamma = G[0, :, ::-1]
+    total = gamma.sum(axis=0)
     if not np.all(total > 0.0):
         raise EstimationError("backward recursion lost all posterior mass")
     gamma = gamma / total
-    xi_sum = A * (alpha[:-1].T @ (gamma[1:] / pred))
-    return loglik, gamma, xi_sum
+    xi_sum = A * (alpha[:, :-1] @ (gamma[:, 1:] / pred).T)
+    return loglik, np.ascontiguousarray(gamma.T), xi_sum
 
 
 def forward_backward(params: HmmParams, panel: FactorPanel):

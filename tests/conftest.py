@@ -1,6 +1,7 @@
 """Shared fixtures and the acceptance-criteria result summary."""
 
 import glob
+import math
 import os
 
 import numpy as np
@@ -17,6 +18,7 @@ from factorregimes import (
     SyntheticSpec,
     f_sf,
     generate,
+    log_gamma,
 )
 from factorregimes.panel import SENTINELS
 
@@ -119,6 +121,35 @@ def reference_design(y, x, L, rows):
     for lag in range(1, L + 1):
         cols.append(x[rows - lag])
     return y[rows], X_r, np.column_stack(cols)
+
+
+# ---------------------------------------------------------------------------
+# emission reference: the triangular-solve body the inverse-factor emission
+# replaced
+
+
+def reference_emission_terms(X, mu, Sigma, nu, family):
+    """(logB, delta), both (T, K), with each Mahalanobis distance taken from
+    np.linalg.solve on the Cholesky factor of the regime's scale."""
+    T, d = X.shape
+    K = mu.shape[0]
+    logB = np.empty((T, K))
+    delta = np.empty((T, K))
+    for k in range(K):
+        L = np.linalg.cholesky(Sigma[k])
+        Z = np.linalg.solve(L, (X - mu[k]).T)
+        dk = np.einsum("ij,ij->j", Z, Z)
+        delta[:, k] = dk
+        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+        if family == "student_t":
+            nuk = float(nu[k])
+            const = (log_gamma((nuk + d) / 2.0) - log_gamma(nuk / 2.0)
+                     - 0.5 * d * math.log(nuk * math.pi) - 0.5 * logdet)
+            logB[:, k] = const - 0.5 * (nuk + d) * np.log1p(dk / nuk)
+        else:
+            const = -0.5 * d * math.log(2.0 * math.pi) - 0.5 * logdet
+            logB[:, k] = const - 0.5 * dk
+    return logB, delta
 
 
 # ---------------------------------------------------------------------------

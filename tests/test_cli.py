@@ -626,6 +626,41 @@ class TestRobustnessCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_output_file_naming_an_input_exit_2_before_any_output(
+            self, fitted, tmp_path, capsys, monkeypatch):
+        """Labels read from the --out directory's own threshold_regimes.csv:
+        the stage exits 2 before the battery runs and keeps the labels."""
+        panel_path, _, labels = fitted
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "threshold_regimes.csv").write_bytes(labels.read_bytes())
+        monkeypatch.setattr(cli, "threshold_regimes", None)  # never reached
+        rc = main(["robustness", "--panel", str(panel_path),
+                   "--labels", "d/threshold_regimes.csv", "--out", "d"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: output file d/threshold_regimes.csv "
+                                "is an input of this stage\n")
+        assert [p.name for p in (tmp_path / "d").iterdir()] == ["threshold_regimes.csv"]
+        assert (tmp_path / "d" / "threshold_regimes.csv").read_bytes() \
+            == labels.read_bytes()
+
+    def test_output_that_is_a_file_exit_2_before_any_output(
+            self, fitted, tmp_path, capsys, monkeypatch):
+        panel_path, _, labels = fitted
+        (tmp_path / "robust").write_text("keep\n")
+        monkeypatch.setattr(cli, "threshold_regimes", None)  # never reached
+        rc = main(["robustness", "--panel", str(panel_path),
+                   "--labels", str(labels), "--out", str(tmp_path / "robust")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: output directory {tmp_path / 'robust'} "
+                                "is not a directory\n")
+        assert (tmp_path / "robust").read_text() == "keep\n"
+
+
 @pytest.mark.parametrize("alpha", ["-1", "0", "1", "5", "nan"])
 @pytest.mark.parametrize("command,out", [("granger", "granger.csv"),
                                          ("robustness", "robust")])
@@ -763,11 +798,7 @@ def test_output_naming_an_input_exit_2_before_any_output(
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    if command == "robustness":  # its --out is a directory, made first
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
-    else:
-        assert captured.err == f"error: output file {path} is an input of this stage\n"
+    assert captured.err == f"error: output file {path} is an input of this stage\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

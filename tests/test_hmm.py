@@ -1,6 +1,7 @@
 """HMM emissions, forward-backward, EM, model selection, persistence."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -43,7 +44,7 @@ from factorregimes.hmm import (
     _m_step,
 )
 
-from conftest import table1_like_params
+from conftest import reference_emission_terms, table1_like_params
 
 # offline oracle: direct evaluation of the closed-form density,
 # cross-checked against an independent statistics library
@@ -157,10 +158,43 @@ class TestTLogpdf:
         assert mass == pytest.approx(1.0, abs=2e-3)
 
     def test_non_spd_scale_rejected(self):
-        with pytest.raises(EstimationError):
-            _emission_terms(np.zeros((1, 2)), np.zeros((1, 2)),
-                            np.array([[[1.0, 2.0], [2.0, 1.0]]]),
-                            np.array([5.0]), "student_t")
+        with pytest.raises(EstimationError,
+                           match=r"^Sigma\[1\] lost positive definiteness$"):
+            _emission_terms(np.zeros((1, 2)), np.zeros((2, 2)),
+                            np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]),
+                            np.array([5.0, 5.0]), "student_t")
+
+
+def random_scales(rng, K, d):
+    """K random SPD scale matrices; regime 0's has condition number 1e8
+    when d >= 2, the others at most 1e2."""
+    Sigma = np.empty((K, d, d))
+    for k in range(K):
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        top = 8.0 if k == 0 else rng.uniform(0.0, 2.0)
+        S = (Q * (np.logspace(0.0, top, d) * rng.uniform(0.1, 2.0))) @ Q.T
+        Sigma[k] = 0.5 * (S + S.T)
+    return Sigma
+
+
+@pytest.mark.parametrize("family", hmm.FAMILIES)
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("K", range(1, 5))
+def test_emission_terms_match_the_solve_reference(family, d, K):
+    """The inverse-factor Mahalanobis term gives the densities and
+    distances of the triangular solve it replaced, also for an
+    ill-conditioned scale."""
+    rng = np.random.default_rng([d, K])
+    Sigma = random_scales(rng, K, d)
+    if d >= 2:
+        assert np.linalg.cond(Sigma[0]) == pytest.approx(1e8, rel=1e-3)
+    mu = rng.standard_normal((K, d))
+    nu = rng.uniform(2.5, 30.0, K) if family == "student_t" else None
+    X = 2.0 * rng.standard_normal((300, d))
+    logB, delta = _emission_terms(X, mu, Sigma, nu, family)
+    ref_logB, ref_delta = reference_emission_terms(X, mu, Sigma, nu, family)
+    np.testing.assert_allclose(logB, ref_logB, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(delta, ref_delta, rtol=1e-12, atol=0)
 
 
 class TestForwardBackward:
@@ -487,6 +521,26 @@ class TestEmFit:
         q, regularized = _m_step(X, gamma, xi_sum, delta, p)
         assert isinstance(q, HmmParams) and q.family == p.family
         assert q.nu.shape == (3,) and regularized is False
+
+    def test_fit_matches_the_pinned_fit(self, synthetic_3regime, monkeypatch):
+        """A 3-restart fit gives the labels, per-restart iteration counts and
+        log-likelihood recorded from the triangular-solve emission and the
+        day-major (T, K, K) scans, the loglik within 1e-12 relative."""
+        panel, _ = synthetic_3regime
+        iterations = {}
+        restart = hmm._restart
+
+        def counting(X, K, family, child, r):
+            run = restart(X, K, family, child, r)
+            iterations[r] = len(run[3])
+            return run
+
+        monkeypatch.setattr(hmm, "_restart", counting)
+        fit = em_fit(panel, 3, "student_t", FitConfig(seed=7, n_restarts=3))
+        assert hashlib.sha256(fit.labels.astype(np.int64).tobytes()).hexdigest() \
+            == "c5a0f1479a867b6b353a141016df3203b3fc77ae73ecd903cdd9d2cbdedc7b51"
+        assert iterations == {0: 68, 1: 114, 2: 53}
+        assert fit.loglik == pytest.approx(-12214.802226218591, rel=1e-12)
 
     def test_seed_reproducibility(self, synthetic_3regime):
         panel, _ = synthetic_3regime
