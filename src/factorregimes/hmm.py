@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -551,15 +552,135 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _job_name(job) -> str:
+    _, K, _, _, r = job
+    return f"restart {r} for K={K}"
+
+
+def _raised(run) -> bool:
+    """A job's result that stands for an exception it raised: _restart
+    returns an EstimationError and raises anything else."""
+    return isinstance(run, Exception) and not isinstance(run, EstimationError)
+
+
+def _sendable(exc: Exception, job) -> Exception:
+    """exc if it survives pickling, else a RuntimeError with its type and
+    text."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception as err:
+        return RuntimeError(f"{_job_name(job)} raised {type(exc).__name__}: {exc} "
+                            f"(not picklable: {err})")
+
+
+def _forked_restarts(jobs, workers: int) -> list:
+    """_restart on each job in a forked child, at most `workers` at once.
+
+    Each running child is pinned to its own usable CPU: a scheduler may
+    otherwise keep a freshly forked child on its parent's CPU. A child
+    pickles its result, or the exception its job raised, into a pipe and
+    exits; the parent reads every pipe as data arrives, so no result is
+    held back by a full pipe, and starts the next job when a child exits.
+    A child that exits without a result is a ChildProcessError of its
+    job. Jobs after the earliest job that raised are not started, and
+    every child still running on the way out, by return or by exception,
+    is killed and reaped.
+    """
+    # imported here: only a forked fit uses them
+    import selectors
+    import signal
+
+    runs = [None] * len(jobs)
+    stop = len(jobs)  # the earliest job that raised
+    started = 0
+    live = {}  # read end -> (pid, job index, chunks read, cpu)
+    free = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    free += [None] * (workers - len(free))  # workers beyond the CPUs go unpinned
+    sel = selectors.DefaultSelector()
+    try:
+        while True:
+            while started < stop and len(live) < workers:
+                r, w = os.pipe()
+                cpu = free.pop(0)
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        os.close(r)
+                        if cpu is not None:
+                            try:
+                                os.sched_setaffinity(0, {cpu})
+                            except OSError:
+                                pass  # the placement is a hint, not a need
+                        try:
+                            run = _restart(*jobs[started])
+                        except Exception as exc:
+                            run = _sendable(exc, jobs[started])
+                        data = memoryview(pickle.dumps(run))
+                        while data:
+                            data = data[os.write(w, data):]
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(w)
+                live[r] = (pid, started, [], cpu)
+                sel.register(r, selectors.EVENT_READ)
+                started += 1
+            if all(index > stop for _, index, _, _ in live.values()):
+                return runs
+            for key, _ in sel.select():
+                pid, index, chunks, cpu = live[key.fd]
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                sel.unregister(key.fd)
+                os.close(key.fd)
+                del live[key.fd]
+                free.append(cpu)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code == 0:
+                    runs[index] = pickle.loads(b"".join(chunks))
+                else:
+                    runs[index] = ChildProcessError(
+                        f"{_job_name(jobs[index])} ended without a result: "
+                        + (f"exit status {code}" if code > 0 else f"signal {-code}"))
+                if _raised(runs[index]):
+                    stop = min(stop, index)
+    finally:
+        for fd, (pid, _, _, _) in live.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        sel.close()
+
+
+def _restarts(jobs) -> list:
+    """_restart on each job, results in job order; the earliest job's
+    exception is raised, as a loop over the jobs would raise it.
+
+    With more than one usable CPU and os.fork the jobs run in forked
+    children, one per usable CPU; otherwise they run in this process."""
+    workers = min(len(jobs), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork"):
+        return [_restart(*job) for job in jobs]
+    runs = _forked_restarts(jobs, workers)
+    for run in runs:
+        if _raised(run):
+            raise run
+    return runs
+
+
 def _fit_ks(panel: FactorPanel, ks, family: str, config: FitConfig) -> list:
     """Fit each K in ks as em_fit describes. Returns, for each K in order,
     its HmmFit, or the SampleSizeError or EstimationError that ended it.
 
-    Every feasible K's restarts share one pool. Each restart is a pure
-    function of the panel and its own seed, so the fits do not depend on
-    the worker count. Any other exception reaches the caller from the
-    earliest restart that raised it, as a serial loop would raise it, and
-    the restarts not yet started are cancelled.
+    Every feasible K's restarts share one set of workers (_restarts).
+    Each restart is a pure function of the panel and its own seed, and
+    comes back bit for bit, so the fits do not depend on the worker
+    count. Any other exception reaches the caller from the earliest
+    restart that raised it, as a serial loop would raise it.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -571,14 +692,7 @@ def _fit_ks(panel: FactorPanel, ks, family: str, config: FitConfig) -> list:
     children = np.random.SeedSequence(config.seed).spawn(n)
     jobs = [(X, K, family, child, r)
             for K in ks if T > 10 * K for r, child in enumerate(children)]
-    # imported here: the stages that fit nothing skip it and the logging
-    # module it loads
-    import concurrent.futures
-
-    # a pool needs a worker even when every K is too large
-    with concurrent.futures.ThreadPoolExecutor(
-            max(1, min(len(jobs), _usable_cpus()))) as pool:
-        runs = list(pool.map(lambda job: _restart(*job), jobs))
+    runs = _restarts(jobs)
     fits = []
     for K in ks:
         if T <= 10 * K:
@@ -610,12 +724,13 @@ def em_fit(panel: FactorPanel, K: int, family: str, config: FitConfig) -> HmmFit
     """Fit a K-regime HMM by EM with deterministic multi-restart: the
     one-K case of the pooled fit behind select_k.
 
-    The restarts run concurrently, one thread per usable CPU; the fit is
-    identical whatever the CPU count, and restricting the process's CPU
-    affinity is the way to limit the workers. The best restart by
-    log-likelihood wins; ties go to the lower restart index. Restarts
-    that degenerate are dropped, and the fit fails only if every
-    restart does, with an error that names each restart's reason.
+    The restarts run concurrently in forked processes, one per usable
+    CPU, or in this process when one CPU is usable or os.fork is missing;
+    the fit is identical whatever the CPU count, and restricting the
+    process's CPU affinity is the way to limit the workers. The best
+    restart by log-likelihood wins; ties go to the lower restart index.
+    Restarts that degenerate are dropped, and the fit fails only if
+    every restart does, with an error that names each restart's reason.
     """
     (fit,) = _fit_ks(panel, [K], family, config)
     if isinstance(fit, Exception):
@@ -627,10 +742,10 @@ def select_k(panel: FactorPanel, k_range, family: str, config: FitConfig):
     """Fit every K in k_range with the same restart budget; pick min BIC.
 
     Each row's fit is the one em_fit returns for that K, from the same
-    pooled fit: every feasible K's restarts run concurrently in one pool,
-    one thread per usable CPU, so the table is identical whatever the CPU
-    count, and restricting the process's CPU affinity is the way to limit
-    the workers. Returns (best_k, table) where table rows are dicts with
+    pooled fit: every feasible K's restarts share the forked workers, one
+    per usable CPU, so the table is identical whatever the CPU count, and
+    restricting the process's CPU affinity is the way to limit the
+    workers. Returns (best_k, table) where table rows are dicts with
     keys k, loglik, bic, n_free_params, error, fit. A successful row
     carries its HmmFit, so the winner needs no refit; a failed K carries
     the error message and fit None, and is excluded from the argmin. When

@@ -206,8 +206,9 @@ class TestFit:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity")
     def test_fit_identical_on_one_cpu_and_on_all(self, synthetic_files, tmp_path):
-        """EM restarts run on one thread per usable CPU; a process pinned
-        to one CPU writes the same bytes as one that may use them all."""
+        """EM restarts run in one forked process per usable CPU, or in the
+        fit's own process on one CPU; a process pinned to one CPU writes the
+        same bytes as one that may use them all."""
         _, panel_path, _, _ = synthetic_files
         cpu = min(os.sched_getaffinity(0))
         src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -525,10 +524,12 @@ class TestEmFit:
     def test_fit_matches_the_pinned_fit(self, synthetic_3regime, monkeypatch):
         """A 3-restart fit gives the labels, per-restart iteration counts and
         log-likelihood recorded from the triangular-solve emission and the
-        day-major (T, K, K) scans, the loglik within 1e-12 relative."""
+        day-major (T, K, K) scans, the loglik within 1e-12 relative. One
+        usable CPU keeps the restarts, and so the count, in this process."""
         panel, _ = synthetic_3regime
         iterations = {}
         restart = hmm._restart
+        monkeypatch.setattr(hmm, "_usable_cpus", lambda: 1)
 
         def counting(X, K, family, child, r):
             run = restart(X, K, family, child, r)
@@ -568,29 +569,29 @@ def mostly_flat_panel():
     return toy_panel(X)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestConcurrentRestarts:
-    """Restarts run on a thread pool sized to the usable CPUs."""
+    """Restarts run in forked processes, one per usable CPU."""
 
     def test_em_fit_identical_for_any_worker_count(self, synthetic_3regime,
                                                    monkeypatch):
         panel, _ = synthetic_3regime
-        threads = set()
-        run_em = hmm._run_em
+        config = FitConfig(seed=3, n_restarts=3)
 
-        def recording(X, p):
-            threads.add(threading.get_ident())
-            return run_em(X, p)
+        def no_fork():
+            raise AssertionError("one worker forked")
 
-        monkeypatch.setattr(hmm, "_run_em", recording)
-        fits = []
-        for workers in (1, 4):
-            monkeypatch.setattr(hmm, "_usable_cpus", lambda: workers)
-            threads.clear()
-            fits.append(em_fit(panel, 3, "student_t", FitConfig(seed=3, n_restarts=3)))
-            if workers == 1:
-                assert len(threads) == 1
-                assert threading.get_ident() not in threads
-        assert_fits_identical(*fits)
+        with monkeypatch.context() as m:
+            m.setattr(hmm, "_usable_cpus", lambda: 1)
+            m.setattr(os, "fork", no_fork)
+            one = em_fit(panel, 3, "student_t", config)
+        monkeypatch.setattr(hmm, "_usable_cpus", lambda: 4)
+        assert_fits_identical(one, em_fit(panel, 3, "student_t", config))
+        assert_no_child_left()
 
     def test_select_k_identical_for_any_worker_count(self, monkeypatch):
         panel = mostly_flat_panel()
@@ -642,8 +643,8 @@ class TestConcurrentRestarts:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_error_in_a_restart_reaches_the_caller(self, synthetic_3regime,
                                                    monkeypatch, workers):
-        """The earliest failing restart's exception is raised, and the pool
-        leaves no thread behind."""
+        """The earliest failing restart's exception is raised, and no child
+        is left behind."""
         panel, _ = synthetic_3regime
         initial = hmm._initial_params
 
@@ -654,10 +655,158 @@ class TestConcurrentRestarts:
 
         monkeypatch.setattr(hmm, "_initial_params", failing)
         monkeypatch.setattr(hmm, "_usable_cpus", lambda: workers)
-        before = threading.active_count()
         with pytest.raises(ValueError, match="^restart 1 failed$"):
             em_fit(panel, 3, "student_t", FitConfig(seed=3, n_restarts=3))
-        assert threading.active_count() == before
+        assert_no_child_left()
+
+
+FORK_PRELUDE = """
+import os, signal, sys, time
+import numpy as np
+from factorregimes import FactorPanel, FitConfig, cli, em_fit, hmm, write_panel_csv
+
+hmm._usable_cpus = lambda: int(os.environ["WORKERS"])
+parent = os.getpid()
+dates = np.datetime64("2000-01-03") + np.arange(300)
+panel = FactorPanel(dates, np.random.default_rng(0).standard_normal((300, 2)),
+                    ("A", "B"))
+
+
+def children_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        return True
+    except ChildProcessError:
+        return False
+"""
+
+
+def run_forking_script(body, workers, *args):
+    """Run FORK_PRELUDE + body in a fresh process with `workers` usable
+    CPUs, bounded by a timeout so that a deadlock fails the test instead
+    of hanging it."""
+    src = os.path.dirname(os.path.dirname(factorregimes.__file__))
+    env = dict(os.environ, WORKERS=str(workers), PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", FORK_PRELUDE + body, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedRestartFailures:
+    """What reaches the caller when a forked restart does not return."""
+
+    def test_child_without_a_result_is_a_cli_error(self, tmp_path):
+        body = """
+def run_em(X, p):
+    if os.getpid() == parent:
+        raise AssertionError("a restart ran in the parent")
+    os._exit(7)
+
+
+hmm._run_em = run_em
+out = sys.argv[1]
+write_panel_csv(panel, out + "/panel.csv")
+rc = cli.main(["fit", "--panel", out + "/panel.csv", "--k", "2", "--seed", "1",
+               "--restarts", "2", "--out", out + "/model.json"])
+print(rc, children_left())
+"""
+        res = run_forking_script(body, 2, str(tmp_path))
+        assert res.stdout == "2 False\n", res.stderr
+        assert res.stderr == ("error: restart 0 for K=2 ended without a result: "
+                              "exit status 7\n")
+        assert not (tmp_path / "model.json").exists()
+
+    def test_earliest_raised_exception_wins(self):
+        """Restart 2 raises at once and restart 1 later; restart 1's
+        exception reaches the caller with its type and text."""
+        body = """
+initial = hmm._initial_params
+
+
+def failing(X, K, family, restart, rng):
+    if restart == 1:
+        time.sleep(0.3)
+        raise LookupError("restart 1 failed")
+    if restart == 2:
+        raise ValueError("restart 2 failed")
+    return initial(X, K, family, restart, rng)
+
+
+hmm._initial_params = failing
+try:
+    em_fit(panel, 2, "gaussian", FitConfig(seed=1, n_restarts=3))
+except Exception as exc:
+    print(type(exc).__name__, exc, children_left())
+"""
+        res = run_forking_script(body, 3)
+        assert res.stdout == "LookupError restart 1 failed False\n", res.stderr
+
+    def test_unpicklable_exception_arrives_as_runtime_error(self):
+        body = """
+def local_class():
+    class Unsendable(Exception):
+        pass
+    return Unsendable
+
+
+Unsendable = local_class()
+initial = hmm._initial_params
+
+
+def failing(X, K, family, restart, rng):
+    if restart == 1:
+        raise Unsendable("no way back")
+    return initial(X, K, family, restart, rng)
+
+
+hmm._initial_params = failing
+try:
+    em_fit(panel, 2, "gaussian", FitConfig(seed=1, n_restarts=2))
+except RuntimeError as exc:
+    print(exc)
+    print(children_left())
+"""
+        res = run_forking_script(body, 2)
+        message, left = res.stdout.splitlines()
+        assert message.startswith("restart 1 for K=2 raised Unsendable: no way back "
+                                  "(not picklable: "), res.stderr
+        assert left == "False"
+
+    def test_results_larger_than_a_pipe_buffer(self):
+        """Two concurrent results of 800 KB each come back whole."""
+        body = """
+hmm._restart = lambda X, K, family, child, r: np.full(100_000, float(r))
+runs = hmm._restarts([(None, 2, "gaussian", None, r) for r in range(2)])
+print([run.tolist() == [float(r)] * 100_000 for r, run in enumerate(runs)],
+      children_left())
+"""
+        res = run_forking_script(body, 2)
+        assert res.stdout == "[True, True] False\n", res.stderr
+
+    def test_interrupted_fit_leaves_no_child(self):
+        """A KeyboardInterrupt in the parent kills and reaps the running
+        children instead of waiting for them."""
+        body = """
+def run_em(X, p):
+    time.sleep(60)
+
+
+def interrupt(*_):
+    raise KeyboardInterrupt
+
+
+hmm._run_em = run_em
+signal.signal(signal.SIGALRM, interrupt)
+signal.setitimer(signal.ITIMER_REAL, 0.5)
+t0 = time.monotonic()
+try:
+    em_fit(panel, 2, "gaussian", FitConfig(seed=1, n_restarts=2))
+except KeyboardInterrupt:
+    print(time.monotonic() - t0 < 30, children_left())
+"""
+        res = run_forking_script(body, 2)
+        assert res.stdout == "True False\n", res.stderr
 
 
 class TestNFreeParams:

@@ -270,19 +270,24 @@ main = factorregimes.cli.main
 assert main(["granger", "--panel", str(out / "panel.csv"),
              "--labels", str(out / "labels.csv"), "--lmax", "3",
              "--out", str(out / "granger.csv")]) == 0
-assert "concurrent.futures" not in sys.modules, "granger loaded the thread pool"
+assert "concurrent.futures" not in sys.modules, "granger loaded concurrent.futures"
 assert main(["fit", "--panel", str(out / "panel.csv"), "--k", "2",
-             "--seed", "1", "--restarts", "1",
+             "--seed", "1", "--restarts", "2",
              "--out", str(out / "model.json")]) == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"{len(loaded)} scipy modules, first {loaded[:3]}"
+loaded = {"concurrent.futures", "logging"} & set(sys.modules)
+assert not loaded, f"fit loaded {sorted(loaded)}"
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
+assert not loaded, f"{len(loaded)} multiprocessing modules, first {loaded[:3]}"
 """
 
 
 def test_runtime_imports_no_scipy(tmp_path):
     """The package and a granger and a fit stage run in a fresh process
-    without loading scipy, so numpy is the only runtime dependency; the
-    stages that fit nothing do not load the fit's thread pool."""
+    without loading scipy, so numpy is the only runtime dependency, and
+    without loading `concurrent.futures`, `logging` or `multiprocessing`:
+    the fit forks its restart workers itself."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
