@@ -5,173 +5,55 @@ factor-return panels, fit K-regime hidden Markov models with
 multivariate Student-t (or Gaussian) emissions, run regime-conditioned
 Granger causality tests with BIC lag selection, validate against
 historical stress events, and evaluate a crisis-gated trading strategy.
+
+Each exported name is imported from its module on first access (PEP
+562), so `import factorregimes` loads no module and a CLI stage loads
+only the modules it runs.
 """
 
-from .backtest import (
-    BacktestReport,
-    performance_metrics,
-    run_backtest,
-    strategy_signal,
-    write_backtest_json,
-    write_returns_csv,
-)
-from .errors import (
-    DegenerateDesignError,
-    EstimationError,
-    FactorRegimesError,
-    PanelParseError,
-    SampleSizeError,
-    SchemaError,
-)
-from .events import (
-    CHECK,
-    CROSS,
-    DEFAULT_EVENT_WINDOWS,
-    DIR,
-    UNTESTABLE,
-    EventResult,
-    EventWindow,
-    LeadTime,
-    ValidationReport,
-    detection_rate,
-    event_granger_validation,
-    first_sustained_detection,
-    lead_time,
-    read_event_windows,
-    write_validation_csv,
-)
-from .granger import (
-    CellFailure,
-    GrangerResult,
-    PairwiseMatrix,
-    granger_f_test,
-    granger_results_to_csv,
-    pairwise_regime_matrix,
-    regime_lag_mask,
-    select_lag_bic,
-)
-from .hmm import (
-    FitConfig,
-    HmmFit,
-    HmmParams,
-    decode,
-    em_fit,
-    forward_backward,
-    load_model,
-    n_free_params,
-    order_regimes,
-    save_model,
-    select_k,
-    solve_nu,
-)
-from .numerics import (
-    FTestDistribution,
-    binomial_tail,
-    digamma,
-    f_sf,
-    log_gamma,
-    regularized_incomplete_beta,
-)
-from .panel import (
-    FF5_COLUMNS,
-    MOMENTUM_COLUMNS,
-    SIX_FACTOR_NAMES,
-    FactorPanel,
-    merge_on_dates,
-    parse_ff_daily_csv,
-    read_labels_csv,
-    read_panel_csv,
-    slice_dates,
-    volatility_norm,
-    write_labels_csv,
-    write_panel_csv,
-)
-from .robustness import (
-    TransitionPair,
-    TransitionReport,
-    lag_sweep,
-    subsample_split,
-    threshold_regimes,
-    transition_window_analysis,
-)
-from .synthgen import CrossLagSpec, SyntheticSpec, generate, label_accuracy
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BacktestReport",
-    "CHECK",
-    "CROSS",
-    "CellFailure",
-    "CrossLagSpec",
-    "DEFAULT_EVENT_WINDOWS",
-    "DIR",
-    "UNTESTABLE",
-    "DegenerateDesignError",
-    "EstimationError",
-    "EventResult",
-    "EventWindow",
-    "FF5_COLUMNS",
-    "FTestDistribution",
-    "FactorPanel",
-    "FactorRegimesError",
-    "FitConfig",
-    "GrangerResult",
-    "HmmFit",
-    "HmmParams",
-    "LeadTime",
-    "MOMENTUM_COLUMNS",
-    "PairwiseMatrix",
-    "PanelParseError",
-    "SIX_FACTOR_NAMES",
-    "SampleSizeError",
-    "SchemaError",
-    "SyntheticSpec",
-    "TransitionPair",
-    "TransitionReport",
-    "ValidationReport",
-    "binomial_tail",
-    "decode",
-    "detection_rate",
-    "digamma",
-    "em_fit",
-    "event_granger_validation",
-    "f_sf",
-    "first_sustained_detection",
-    "forward_backward",
-    "generate",
-    "granger_f_test",
-    "granger_results_to_csv",
-    "label_accuracy",
-    "lag_sweep",
-    "lead_time",
-    "load_model",
-    "log_gamma",
-    "merge_on_dates",
-    "n_free_params",
-    "order_regimes",
-    "pairwise_regime_matrix",
-    "parse_ff_daily_csv",
-    "performance_metrics",
-    "read_event_windows",
-    "read_labels_csv",
-    "read_panel_csv",
-    "regime_lag_mask",
-    "regularized_incomplete_beta",
-    "run_backtest",
-    "save_model",
-    "select_k",
-    "select_lag_bic",
-    "slice_dates",
-    "solve_nu",
-    "strategy_signal",
-    "subsample_split",
-    "threshold_regimes",
-    "transition_window_analysis",
-    "volatility_norm",
-    "write_backtest_json",
-    "write_labels_csv",
-    "write_panel_csv",
-    "write_returns_csv",
-    "write_validation_csv",
-]
+# exported name -> the module that defines it
+_HOMES = {name: module for module, names in {
+    "backtest": ("BacktestReport", "performance_metrics", "run_backtest",
+                 "strategy_signal", "write_backtest_json", "write_returns_csv"),
+    "errors": ("DegenerateDesignError", "EstimationError", "FactorRegimesError",
+               "PanelParseError", "SampleSizeError", "SchemaError"),
+    "events": ("CHECK", "CROSS", "DEFAULT_EVENT_WINDOWS", "DIR", "UNTESTABLE",
+               "EventResult", "EventWindow", "LeadTime", "ValidationReport",
+               "detection_rate", "event_granger_validation",
+               "first_sustained_detection", "lead_time", "read_event_windows",
+               "write_validation_csv"),
+    "granger": ("CellFailure", "GrangerResult", "PairwiseMatrix", "granger_f_test",
+                "granger_results_to_csv", "pairwise_regime_matrix",
+                "regime_lag_mask", "select_lag_bic"),
+    "hmm": ("FitConfig", "HmmFit", "HmmParams", "decode", "em_fit",
+            "forward_backward", "load_model", "n_free_params", "order_regimes",
+            "save_model", "select_k", "solve_nu"),
+    "numerics": ("FTestDistribution", "binomial_tail", "digamma", "f_sf",
+                 "log_gamma", "regularized_incomplete_beta"),
+    "panel": ("FF5_COLUMNS", "MOMENTUM_COLUMNS", "SIX_FACTOR_NAMES", "FactorPanel",
+              "merge_on_dates", "parse_ff_daily_csv", "read_labels_csv",
+              "read_panel_csv", "slice_dates", "volatility_norm",
+              "write_labels_csv", "write_panel_csv"),
+    "robustness": ("TransitionPair", "TransitionReport", "lag_sweep",
+                   "subsample_split", "threshold_regimes",
+                   "transition_window_analysis"),
+    "synthgen": ("CrossLagSpec", "SyntheticSpec", "generate", "label_accuracy"),
+}.items() for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import (FactorPanel, _aligned, _in_range, _tested_pair, _write_text,
-                    write_panel_csv)
+from .panel import (SIGNAL_WINDOW, FactorPanel, _aligned, _in_range, _tested_pair,
+                    _write_text, write_panel_csv)
 
 TRADING_DAYS_PER_YEAR = 252
-SIGNAL_WINDOW = 9  # trading days of the strategy's trailing HML return
 
 
 @dataclass(frozen=True)

@@ -13,40 +13,35 @@ Every stage computes all of its results, then writes every file it owns,
 then returns its report as a list of lines, and `main` alone prints
 that report. A stage that fails in computation writes no file, and a
 stage that fails at all prints nothing to stdout.
+
+The parser needs only `panel` and `errors`. Every other package module
+is imported when a stage first calls into it, so a stage process loads
+only the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from dataclasses import astuple
 
 import numpy as np
 
-from .backtest import (SIGNAL_WINDOW, run_backtest, write_backtest_json,
-                       write_returns_csv)
 from .errors import (
     DegenerateDesignError,
     EstimationError,
     FactorRegimesError,
     SchemaError,
 )
-from .events import (
-    DEFAULT_EVENT_WINDOWS,
-    PEAK_HORIZON,
-    detection_rate,
-    event_granger_validation,
-    lead_time,
-    read_event_windows,
-    write_validation_csv,
-)
-from .granger import (DEFAULT_ALPHA, DEFAULT_L_MAX, granger_results_to_csv,
-                      pairwise_regime_matrix, regime_lag_mask)
-from .hmm import FitConfig, em_fit, order_regimes, save_model, select_k
 from .panel import (
+    DEFAULT_ALPHA,
+    DEFAULT_L_MAX,
     FF5_COLUMNS,
     MOMENTUM_COLUMNS,
+    PEAK_HORIZON,
+    SIGNAL_WINDOW,
     TESTED_LAG,
     TESTED_PAIR,
     _in_range,
@@ -61,12 +56,40 @@ from .panel import (
     write_labels_csv,
     write_panel_csv,
 )
-from .robustness import (
-    lag_sweep,
-    subsample_split,
-    threshold_regimes,
-    transition_window_analysis,
-)
+
+
+def _deferred(module: str, *names: str) -> list:
+    """Stand-ins for the callables `names` of the package module `module`,
+    each importing that module on its first call, so a stage loads only
+    the modules it runs. A stand-in carries its function's home
+    `__module__` and `__name__`, and the stages look it up here at call
+    time, so it can be wrapped or replaced by name like an imported
+    function."""
+    home = f"{__package__}.{module}"
+
+    def stand_in(name):
+        def call(*args, **kwargs):
+            return getattr(importlib.import_module(home), name)(*args, **kwargs)
+        call.__module__, call.__name__, call.__qualname__ = home, name, name
+        call.__doc__ = f"{home}.{name}, imported on the first call."
+        return call
+    return [stand_in(name) for name in names]
+
+
+run_backtest, write_backtest_json, write_returns_csv = _deferred(
+    "backtest", "run_backtest", "write_backtest_json", "write_returns_csv")
+(detection_rate, event_granger_validation, lead_time, read_event_windows,
+ write_validation_csv) = _deferred(
+    "events", "detection_rate", "event_granger_validation", "lead_time",
+    "read_event_windows", "write_validation_csv")
+granger_results_to_csv, pairwise_regime_matrix, regime_lag_mask = _deferred(
+    "granger", "granger_results_to_csv", "pairwise_regime_matrix",
+    "regime_lag_mask")
+FitConfig, em_fit, order_regimes, save_model, select_k = _deferred(
+    "hmm", "FitConfig", "em_fit", "order_regimes", "save_model", "select_k")
+lag_sweep, subsample_split, threshold_regimes, transition_window_analysis = \
+    _deferred("robustness", "lag_sweep", "subsample_split", "threshold_regimes",
+              "transition_window_analysis")
 
 FAMILY_MAP = {"student-t": "student_t", "gaussian": "gaussian"}
 
@@ -104,8 +127,10 @@ def _check_outputs(outputs, inputs):
 
 def _event_windows(args):
     """The windows of --events, or the built-in set without it."""
-    return read_event_windows(args.events) if args.events \
-        else DEFAULT_EVENT_WINDOWS
+    if args.events:
+        return read_event_windows(args.events)
+    from .events import DEFAULT_EVENT_WINDOWS  # a constant has no stand-in
+    return DEFAULT_EVENT_WINDOWS
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,23 @@
 
 
 class FactorRegimesError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    A copy or an unpickled error is rebuilt from its type, its arguments
+    and its attributes without calling `__init__` again, since a
+    constructor may format its text from arguments that `args` no longer
+    holds (SampleSizeError), so an error survives `pickle` and `copy`.
+    """
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self.args, self.__dict__)
+
+
+def _rebuilt(cls, args, attributes):
+    """An instance of the error class cls with these args and attributes."""
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(attributes)
+    return exc
 
 
 class PanelParseError(FactorRegimesError, ValueError):

@@ -18,15 +18,14 @@ import numpy as np
 from .errors import PanelParseError
 from .granger import _runs_from, _segment_test
 from .numerics import binomial_tail
-from .panel import (TESTED_LAG, FactorPanel, _aligned, _in_range, _read_lines,
-                    _tested_pair, _write_table, as_date64)
+from .panel import (PEAK_HORIZON, TESTED_LAG, FactorPanel, _aligned, _in_range,
+                    _read_lines, _tested_pair, _write_table, as_date64)
 
 CHECK = "CHECK"
 DIR = "DIR"
 CROSS = "CROSS"
 UNTESTABLE = "UNTESTABLE"
 
-PEAK_HORIZON = 90  # trading days searched for the volatility peak
 SUSTAINED_RUN = 3  # consecutive crisis days that make a detection
 EVENT_ALPHA = 0.10  # significance level and binomial success probability
 

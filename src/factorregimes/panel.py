@@ -36,11 +36,17 @@ from .errors import PanelParseError, SchemaError
 SENTINELS = (-99.99, -999.0)
 
 FF5_COLUMNS = ("MKT-RF", "SMB", "HML", "RMW", "CMA")
+MOMENTUM_COLUMNS = ("MOM",)
+SIX_FACTOR_NAMES = FF5_COLUMNS + MOMENTUM_COLUMNS
 # (source, target) of the hypothesis every single-pair test runs: HML -> SMB
 TESTED_PAIR = ("HML", "SMB")
 TESTED_LAG = 9  # the pair's fixed lag in the per-event and transition tests
-MOMENTUM_COLUMNS = ("MOM",)
-SIX_FACTOR_NAMES = FF5_COLUMNS + MOMENTUM_COLUMNS
+# the other paper settings that are CLI defaults, kept here so that the
+# parser needs no module beyond this one
+DEFAULT_L_MAX = 15  # largest lag of the BIC lag search
+DEFAULT_ALPHA = 0.01  # family-wise level of the pairwise matrix
+PEAK_HORIZON = 90  # trading days searched for the volatility peak
+SIGNAL_WINDOW = 9  # trading days of the strategy's trailing HML return
 
 
 def as_date64(value) -> np.datetime64:

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import DegenerateDesignError, SampleSizeError
 from .granger import (
-    DEFAULT_ALPHA,
-    DEFAULT_L_MAX,
     PairwiseMatrix,
     _bic_lag,
     _granger_result,
@@ -27,8 +25,8 @@ from .granger import (
     _segment_test,
     pairwise_regime_matrix,
 )
-from .panel import (TESTED_LAG, FactorPanel, _aligned, _in_range, _tested_pair,
-                    volatility_norm)
+from .panel import (DEFAULT_ALPHA, DEFAULT_L_MAX, TESTED_LAG, FactorPanel, _aligned,
+                    _in_range, _tested_pair, volatility_norm)
 
 THRESHOLD_WINDOW = 21  # trading days of the detector's realized volatility
 THRESHOLD_QUANTILE = 0.90  # full-sample cutoff of the detector's crisis days

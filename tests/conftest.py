@@ -123,6 +123,16 @@ def reference_design(y, x, L, rows):
     return y[rows], X_r, np.column_stack(cols)
 
 
+def reference_svd_ranks(r, n, floor):
+    """The rank rule the certificate in `granger._ranks` replaced, with its
+    signature: one SVD of every pair's (k, k) factor at every lag, and
+    numpy's least-squares rule, count s > eps * max(n, k) * s_max. The
+    floor is ignored."""
+    s = np.linalg.svd(r, compute_uv=False)
+    tol = np.finfo(float).eps * max(n, r.shape[-1])
+    return np.count_nonzero(s > tol * s[:, :1], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # emission reference: the triangular-solve body the inverse-factor emission
 # replaced

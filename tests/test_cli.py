@@ -312,6 +312,18 @@ class TestFit:
                                 "file ./m.json\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_seed_exit_2_before_any_output(self, synthetic_files,
+                                                    tmp_path, capsys):
+        _, panel_path, _, _ = synthetic_files
+        rc = main(["fit", "--panel", str(panel_path), "--k", "2", "--seed", "-1",
+                   "--out", str(tmp_path / "m.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: seed must be a non-negative integer, "
+                                "got -1\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_required(self, synthetic_files, tmp_path, capsys):
         _, panel_path, _, _ = synthetic_files
         with pytest.raises(SystemExit):

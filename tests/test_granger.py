@@ -24,6 +24,7 @@ from factorregimes import (
     select_lag_bic,
 )
 import factorregimes
+from factorregimes import granger
 from factorregimes.granger import (
     _bic_rows,
     _fixed_lag_fit,
@@ -40,6 +41,7 @@ from conftest import (
     lstsq_bic_table,
     lstsq_nested_f,
     reference_design,
+    reference_svd_ranks,
     reference_first_sustained_detection,
     reference_regime_lag_mask,
     reference_transition_starts,
@@ -583,6 +585,104 @@ class TestCoreMatchesLstsq:
                            match=r"no feasible lag in 1\.\.4; lag 1: response "
                                  r"is constant on the selected rows"):
             select_lag_bic(y, x, lambda _: mask, 4)
+
+
+def fit_outcomes(fits):
+    """_lag_fits' result with each error as its type and text."""
+    return [{L: (type(fit), str(fit)) if isinstance(fit, Exception) else fit
+             for L, fit in per_pair.items()} for per_pair in fits]
+
+
+class TestRankCertificate:
+    """`_lag_fits` with the rank certificate against the same fits with an
+    SVD at every lag (the conftest oracle): equal fits, bit for bit, and
+    equal errors, with the SVDs the certificate could not spare counted."""
+
+    def fits_and_fallbacks(self, monkeypatch, series, depth, L_max):
+        """Both ways' outcomes over every ordered pair, and the number of
+        matrices the certificate's run sent to an SVD below L_max."""
+        lags = range(1, L_max + 1)
+        m = series.shape[1]
+        pairs = [(j, i) for i in range(m) for j in range(m) if i != j]
+        rows = np.arange(series.shape[0])
+        svd, below = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            below.append(a.shape[0] if a.shape[-1] < 2 * L_max + 1 else 0)
+            return svd(a, *args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", counted)
+            got = fit_outcomes(_lag_fits(series, rows, depth, lags, pairs))
+        with monkeypatch.context() as patch:
+            patch.setattr(granger, "_ranks", reference_svd_ranks)
+            want = fit_outcomes(_lag_fits(series, rows, depth, lags, pairs))
+        assert got == want
+        return want, sum(below)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_designs_need_no_svd_below_l_max(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        T, L_max = 600, 8
+        series = rng.standard_normal((T, 3)) * rng.uniform(0.1, 10.0, 3)
+        labels = np.cumsum(rng.random(T) < 0.02) % 2
+        depth = _lag_depth(lambda L: regime_lag_mask(labels, 0, L), L_max, T)
+        fits, fallbacks = self.fits_and_fallbacks(monkeypatch, series, depth,
+                                                  L_max)
+        assert not any(isinstance(f[0], type) for fit in fits for f in fit.values())
+        assert fallbacks == 0
+
+    @pytest.mark.parametrize("case", ["constant", "duplicate", "1e-08", "1e-10",
+                                      "1e-12", "1e-14"])
+    def test_degenerate_and_near_collinear_series(self, monkeypatch, case):
+        rng = np.random.default_rng(7)
+        T, L_max = 400, 6
+        series = rng.standard_normal((T, 3))
+        if case == "constant":
+            series[:, 1] = 2.5
+        elif case == "duplicate":
+            series[:, 1] = series[:, 0]
+        else:
+            series[:, 1] = series[:, 0] + float(case) * rng.standard_normal(T)
+        fits, fallbacks = self.fits_and_fallbacks(
+            monkeypatch, series, np.minimum(np.arange(T), L_max), L_max)
+        assert fallbacks > 0
+        errors = {f[1] for fit in fits for f in fit.values()
+                  if isinstance(f[0], type)}
+        if case in ("constant", "duplicate", "1e-14"):
+            assert any("unrestricted design rank" in e for e in errors)
+
+    def test_regime_too_short_at_l_max(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        T, L_max = 500, 12
+        series = rng.standard_normal((T, 3))
+        # runs of 13 or 14 days: few rows are lag-12 complete, many lag-2
+        labels = np.zeros(T, dtype=int)
+        for start in range(0, T - 20, 40):
+            labels[start:start + rng.integers(13, 15)] = 1
+        depth = _lag_depth(lambda L: regime_lag_mask(labels, 1, L), L_max, T)
+        fits, fallbacks = self.fits_and_fallbacks(monkeypatch, series, depth,
+                                                  L_max)
+        assert fits[0][L_max][0] is SampleSizeError
+        assert isinstance(fits[0][1][0], int)  # a fit, (n_obs, ...)
+        assert fallbacks > 0
+
+    def test_paper_shaped_matrix_needs_no_svd_below_l_max(
+            self, monkeypatch, synthetic_3regime):
+        """On a paper-shaped panel every regime with enough rows at L_max
+        gets its lower lags' ranks from the certificate alone, and the
+        matrix is the oracle's."""
+        panel, labels = synthetic_3regime
+        L_max = 15
+        feasible = []
+        for k in np.unique(labels):
+            depth = _lag_depth(lambda L: regime_lag_mask(labels, k, L), L_max,
+                               panel.n_days)
+            fits, fallbacks = self.fits_and_fallbacks(
+                monkeypatch, panel.returns, depth, L_max)
+            if not isinstance(fits[0][L_max][0], type):
+                feasible.append(k)
+                assert fallbacks == 0
+        assert feasible == [0, 1]  # the crisis regime's runs are short
 
 
 GRANGER_DETERMINISM_SCRIPT = """

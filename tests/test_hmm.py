@@ -717,6 +717,33 @@ print(rc, children_left())
                               "exit status 7\n")
         assert not (tmp_path / "model.json").exists()
 
+    def test_package_error_in_a_child_keeps_its_type(self, tmp_path):
+        """A SampleSizeError raised in a forked restart reaches `fit` as
+        itself, so the stage exits 2 with its text, not 1 with a traceback
+        of the RuntimeError that stood in for an unpicklable error."""
+        body = """
+from factorregimes import SampleSizeError
+
+
+def run_em(X, p):
+    if os.getpid() == parent:
+        raise AssertionError("a restart ran in the parent")
+    raise SampleSizeError(10, 5, "lag 3 design")
+
+
+hmm._run_em = run_em
+out = sys.argv[1]
+write_panel_csv(panel, out + "/panel.csv")
+rc = cli.main(["fit", "--panel", out + "/panel.csv", "--k", "2", "--seed", "1",
+               "--restarts", "2", "--out", out + "/model.json"])
+print(rc, children_left())
+"""
+        res = run_forking_script(body, 2, str(tmp_path))
+        assert res.stdout == "2 False\n", res.stderr
+        assert res.stderr == ("error: lag 3 design: need at least 10 "
+                              "observations, have 5\n")
+        assert not (tmp_path / "model.json").exists()
+
     def test_earliest_raised_exception_wins(self):
         """Restart 2 raises at once and restart 1 later; restart 1's
         exception reaches the caller with its type and text."""
@@ -969,6 +996,13 @@ class TestPersistence:
 
 
 class TestParamsValidation:
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_fit_config_rejects_a_negative_seed(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative "
+                                             rf"integer, got {seed}$"):
+            FitConfig(seed=seed, n_restarts=2)
+        assert FitConfig(seed=0, n_restarts=1).seed == 0
+
     def test_bad_transition_rows(self):
         with pytest.raises(ValueError):
             HmmParams(pi=[0.5, 0.5], A=[[0.9, 0.2], [0.1, 0.9]],

@@ -8,6 +8,8 @@ row-scaled product, the sustained run, the fixed-lag bound and the
 opening of artifact files, and the runtime imports numpy only."""
 
 import ast
+import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -42,18 +44,49 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_init_exports_exactly_what_it_imports():
-    """`__init__.py` imports the names of `__all__`, each once: no export
-    is left unimported and no import is left unexported."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    (exported,) = [ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and [t.id for t in node.targets] == ["__all__"]]
-    assert len(set(exported)) == len(exported)
-    assert len(set(imported)) == len(imported)
-    assert sorted(imported) == sorted(exported)
+def test_export_table_resolves_every_name():
+    """`__init__.py` exports the names of its one name -> module table:
+    each `__all__` name is listed once, is the object its home module
+    defines, is bound by `import *` and listed by `dir()`; an unknown name
+    is an AttributeError that names it, and submodules still import."""
+    import factorregimes
+
+    homes = factorregimes._HOMES
+    assert len(set(factorregimes.__all__)) == len(factorregimes.__all__)
+    assert sorted(factorregimes.__all__) == sorted(homes)
+    for name, module in homes.items():
+        home = importlib.import_module(f"factorregimes.{module}")
+        assert getattr(factorregimes, name) is vars(home)[name], name
+    star = {}
+    exec("from factorregimes import *", star)
+    assert set(factorregimes.__all__) <= set(star)
+    assert set(factorregimes.__all__) <= set(dir(factorregimes))
+    with pytest.raises(AttributeError, match="'no_such_export'"):
+        factorregimes.no_such_export
+    with pytest.raises(ImportError, match="no_such_export"):
+        exec("from factorregimes import no_such_export", {})
+    exec("from factorregimes import cli", star)
+    assert star["cli"] is sys.modules["factorregimes.cli"]
+
+
+def test_export_table_names_each_public_name_of_its_home():
+    """Each table entry is defined in its home module itself, not only
+    imported there, so the table names the one owner of every export."""
+    import factorregimes
+
+    for name, module in factorregimes._HOMES.items():
+        obj = getattr(factorregimes, name)
+        owner = getattr(obj, "__module__", None)
+        if owner is not None and not isinstance(obj, (str, tuple)):
+            assert owner == f"factorregimes.{module}", name
+        else:  # a constant: the home assigns it at module level
+            tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+            assigned = {t.id for node in tree.body
+                        if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for t in (node.targets if isinstance(node, ast.Assign)
+                                  else [node.target])
+                        if isinstance(t, ast.Name)}
+            assert name in assigned, name
 
 
 def test_checker_flags_only_unread_names():
@@ -296,3 +329,108 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "granger.csv").exists()
     assert (tmp_path / "model.json").exists()
+
+
+STAGE_PROBE = """
+import sys
+from factorregimes import cli
+
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("factorregimes.")))
+"""
+
+BASE = {"cli", "errors", "panel"}
+STAGE_MODULES = {
+    "--help": BASE,
+    "ingest": BASE,
+    "fit": BASE | {"hmm", "numerics"},
+    "granger": BASE | {"granger", "numerics"},
+    "validate": BASE | {"events", "granger", "numerics"},
+    "backtest": BASE | {"backtest"},
+    "robustness": BASE | {"robustness", "granger", "numerics"},
+    "plotdata": BASE | {"events", "granger", "numerics"},
+}
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """Raw factor files, a six-factor panel and two-regime labels."""
+    from factorregimes import SIX_FACTOR_NAMES, FactorPanel, write_labels_csv, \
+        write_panel_csv
+
+    tmp = tmp_path_factory.mktemp("stages")
+    (tmp / "ff5.csv").write_text(",Mkt-RF,SMB,HML,RMW,CMA,RF\n"
+                                 "19900102,1.5,0.2,-0.1,0.05,0.02,0.03\n")
+    (tmp / "mom.csv").write_text(",Mom\n19900102,0.45\n")
+    rng = np.random.default_rng(0)
+    dates = np.busday_offset("2007-01-02", np.arange(800)).astype("datetime64[D]")
+    write_panel_csv(FactorPanel(dates, rng.standard_normal((800, 6)),
+                                SIX_FACTOR_NAMES), tmp / "panel.csv")
+    write_labels_csv(dates, (np.arange(800) // 80) % 2, tmp / "labels.csv")
+    return tmp
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_MODULES))
+def test_each_stage_loads_only_the_modules_it_runs(stage, stage_inputs):
+    """A subcommand run in a fresh interpreter loads exactly its modules:
+    the parser needs only `cli`, `errors` and `panel`, and no stage loads
+    `synthgen`."""
+    tmp = stage_inputs
+    inputs = ["--panel", str(tmp / "panel.csv"), "--labels", str(tmp / "labels.csv")]
+    argv = {
+        "--help": ["--help"],
+        "ingest": ["ingest", str(tmp / "ff5.csv"), str(tmp / "mom.csv"),
+                   "--out", str(tmp / "ingested.csv")],
+        "fit": ["fit", "--panel", str(tmp / "panel.csv"), "--k", "2", "--seed", "1",
+                "--restarts", "1", "--out", str(tmp / "model.json")],
+        "granger": ["granger", *inputs, "--lmax", "3",
+                    "--out", str(tmp / "granger.csv")],
+        "validate": ["validate", *inputs, "--out", str(tmp / "validation.csv")],
+        "backtest": ["backtest", *inputs, "--out", str(tmp / "backtest.json")],
+        "robustness": ["robustness", *inputs, "--lmax", "3",
+                       "--out", str(tmp / "robustness")],
+        "plotdata": ["plotdata", *inputs, "--out", str(tmp / "timeline.csv")],
+    }[stage]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", STAGE_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    assert {m.split(".", 1)[1] for m in loaded} == STAGE_MODULES[stage]
+
+
+def test_cli_calls_each_library_function_by_its_home_name():
+    """Each package function `cli` calls is a module attribute of `cli`,
+    looked up at call time, whose `__module__` and `__name__` name its
+    home, so it can be wrapped or replaced by name (the benchmark's traced
+    replay and the CLI tests' monkeypatching rely on this). Those of the
+    modules `cli` loads on demand are stand-ins that run the real one."""
+    from factorregimes import cli
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    library = {}
+    for name in sorted(called & set(vars(cli))):
+        obj = vars(cli)[name]
+        home = getattr(obj, "__module__", "")
+        if (home.startswith("factorregimes.") and home != "factorregimes.cli"
+                and not (inspect.isclass(obj) and issubclass(obj, Exception))):
+            library[name] = home
+    for name, home in library.items():
+        obj = vars(cli)[name]
+        assert inspect.isfunction(obj) and obj.__name__ == name, name
+        real = vars(importlib.import_module(home))[name]
+        if home.rsplit(".", 1)[1] in ("panel", "errors"):
+            assert obj is real, name
+        else:
+            assert obj is not real, name
+    assert {home.rsplit(".", 1)[1] for home in library.values()} == {
+        "backtest", "events", "granger", "hmm", "panel", "robustness"}
+    assert cli.FitConfig(seed=3, n_restarts=2) == \
+        importlib.import_module("factorregimes.hmm").FitConfig(3, 2)
