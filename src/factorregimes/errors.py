@@ -4,10 +4,10 @@
 class FactorRegimesError(Exception):
     """Base class for all package-specific errors.
 
-    A copy or an unpickled error is rebuilt from its type, its arguments
-    and its attributes without calling `__init__` again, since a
-    constructor may format its text from arguments that `args` no longer
-    holds (SampleSizeError), so an error survives `pickle` and `copy`.
+    `pickle` and `copy` rebuild an error from its type, `args` and
+    attributes without calling `__init__` again: a constructor may format
+    its text from arguments that `args` does not keep, as SampleSizeError
+    does, and would fail if called with `args`.
     """
 
     def __reduce__(self):

@@ -1,11 +1,13 @@
-"""Every package module uses each name it imports (`__init__.py` imports
-to re-export, so it is checked against `__all__` instead), the
-command-line driver opens no file
-itself, reads the downstream stages' inputs and prints their reports in
-`main` alone, no default is a bare number, one
+"""Every package module uses each name it imports; `__init__.py`
+exports exactly the names of its one name -> module table, each
+resolved from its home module on first access; each CLI stage loads
+only the modules it runs, and every library function the CLI calls is
+an attribute of `cli` that names its home; the command-line driver
+opens no file itself, reads the downstream stages' inputs and prints
+their reports in `main` alone; no default is a bare number; one
 function each owns the date-range rule, the alignment check, the
 row-scaled product, the sustained run, the fixed-lag bound and the
-opening of artifact files, and the runtime imports numpy only."""
+opening of artifact files; and the runtime imports numpy only."""
 
 import ast
 import importlib
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "factorregimes"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
