@@ -54,15 +54,26 @@ def test_export_table_resolves_every_name():
     import factorregimes
 
     homes = factorregimes._HOMES
-    assert len(set(factorregimes.__all__)) == len(factorregimes.__all__)
-    assert sorted(factorregimes.__all__) == sorted(homes)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["_HOMES"]]
+    listed = [node.value for tup in ast.walk(table) if isinstance(tup, ast.Tuple)
+              for node in tup.elts if isinstance(node, ast.Constant)]
+    assert len(set(listed)) == len(listed)
+    assert sorted(listed) == sorted(homes) == factorregimes.__all__
     for name, module in homes.items():
         home = importlib.import_module(f"factorregimes.{module}")
         assert getattr(factorregimes, name) is vars(home)[name], name
     star = {}
     exec("from factorregimes import *", star)
     assert set(factorregimes.__all__) <= set(star)
-    assert set(factorregimes.__all__) <= set(dir(factorregimes))
+    # in a fresh interpreter, before any name has been looked up
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import factorregimes as f; "
+         "print(set(f.__all__) <= set(dir(f)), len(f.__all__))"],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True, text=True, timeout=60)
+    assert fresh.stdout.split() == ["True", str(len(homes))], fresh.stderr
     with pytest.raises(AttributeError, match="'no_such_export'"):
         factorregimes.no_such_export
     with pytest.raises(ImportError, match="no_such_export"):
@@ -79,7 +90,7 @@ def test_export_table_names_each_public_name_of_its_home():
     for name, module in factorregimes._HOMES.items():
         obj = getattr(factorregimes, name)
         owner = getattr(obj, "__module__", None)
-        if owner is not None and not isinstance(obj, (str, tuple)):
+        if owner is not None:
             assert owner == f"factorregimes.{module}", name
         else:  # a constant: the home assigns it at module level
             tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
