@@ -29,6 +29,7 @@ from dataclasses import astuple
 
 import numpy as np
 
+from . import _HOMES
 from .errors import (
     DegenerateDesignError,
     EstimationError,
@@ -58,16 +59,15 @@ from .panel import (
 )
 
 
-def _deferred(module: str, *names: str) -> list:
-    """Stand-ins for the callables `names` of the package module `module`,
-    each importing that module on its first call, so a stage loads only
-    the modules it runs. A stand-in carries its function's home
-    `__module__` and `__name__`, and the stages look it up here at call
-    time, so it can be wrapped or replaced by name like an imported
-    function."""
-    home = f"{__package__}.{module}"
-
+def _deferred(*names: str) -> list:
+    """Stand-ins for the package callables `names`, each importing its home
+    module, as the package's export table `_HOMES` names it, on its first
+    call, so a stage loads only the modules it runs. A stand-in carries its
+    function's home `__module__` and `__name__`, and the stages look it up
+    here at call time, so it can be wrapped or replaced by name like an
+    imported function."""
     def stand_in(name):
+        home = f"{__package__}.{_HOMES[name]}"
         def call(*args, **kwargs):
             return getattr(importlib.import_module(home), name)(*args, **kwargs)
         call.__module__, call.__name__, call.__qualname__ = home, name, name
@@ -76,20 +76,17 @@ def _deferred(module: str, *names: str) -> list:
     return [stand_in(name) for name in names]
 
 
-run_backtest, write_backtest_json, write_returns_csv = _deferred(
-    "backtest", "run_backtest", "write_backtest_json", "write_returns_csv")
-(detection_rate, event_granger_validation, lead_time, read_event_windows,
- write_validation_csv) = _deferred(
-    "events", "detection_rate", "event_granger_validation", "lead_time",
-    "read_event_windows", "write_validation_csv")
-granger_results_to_csv, pairwise_regime_matrix, regime_lag_mask = _deferred(
-    "granger", "granger_results_to_csv", "pairwise_regime_matrix",
-    "regime_lag_mask")
-FitConfig, em_fit, order_regimes, save_model, select_k = _deferred(
-    "hmm", "FitConfig", "em_fit", "order_regimes", "save_model", "select_k")
-lag_sweep, subsample_split, threshold_regimes, transition_window_analysis = \
-    _deferred("robustness", "lag_sweep", "subsample_split", "threshold_regimes",
-              "transition_window_analysis")
+(run_backtest, write_backtest_json, write_returns_csv, detection_rate,
+ event_granger_validation, lead_time, read_event_windows, write_validation_csv,
+ granger_results_to_csv, pairwise_regime_matrix, regime_lag_mask, FitConfig,
+ em_fit, order_regimes, save_model, select_k, lag_sweep, subsample_split,
+ threshold_regimes, transition_window_analysis) = _deferred(
+    "run_backtest", "write_backtest_json", "write_returns_csv", "detection_rate",
+    "event_granger_validation", "lead_time", "read_event_windows",
+    "write_validation_csv", "granger_results_to_csv", "pairwise_regime_matrix",
+    "regime_lag_mask", "FitConfig", "em_fit", "order_regimes", "save_model",
+    "select_k", "lag_sweep", "subsample_split", "threshold_regimes",
+    "transition_window_analysis")
 
 FAMILY_MAP = {"student-t": "student_t", "gaussian": "gaussian"}
 
@@ -129,7 +126,7 @@ def _event_windows(args):
     """The windows of --events, or the built-in set without it."""
     if args.events:
         return read_event_windows(args.events)
-    from .events import DEFAULT_EVENT_WINDOWS  # a constant has no stand-in
+    from . import DEFAULT_EVENT_WINDOWS  # a constant, through the export table
     return DEFAULT_EVENT_WINDOWS
 
 

@@ -49,6 +49,7 @@ class HmmParams:
     Sigma : (K, d, d) SPD scale matrices, percent^2
     nu    : (K,) degrees of freedom (student_t); None for gaussian
     family: 'student_t' or 'gaussian'
+    Every entry of every array must be finite.
     """
 
     pi: np.ndarray
@@ -67,6 +68,11 @@ class HmmParams:
         mu = np.atleast_2d(np.array(self.mu, dtype=float))
         d = mu.shape[1]
         Sigma = np.array(self.Sigma, dtype=float).reshape(K, d, d)
+        nu = None if self.nu is None else np.array(self.nu, dtype=float).reshape(-1)
+        arrays = {"pi": pi, "A": A, "mu": mu, "Sigma": Sigma, "nu": nu}
+        for name, arr in arrays.items():
+            if arr is not None and not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if mu.shape[0] != K:
             raise ValueError(f"mu has {mu.shape[0]} rows for K={K}")
         if abs(pi.sum() - 1.0) > 1e-12 or np.any(pi < 0):
@@ -79,24 +85,19 @@ class HmmParams:
                 np.linalg.cholesky(Sigma[k])
             except np.linalg.LinAlgError:
                 raise ValueError(f"Sigma[{k}] is not positive definite") from None
-        nu = self.nu
         if self.family == "student_t":
             if nu is None:
                 raise ValueError("student_t family requires nu")
-            nu = np.array(nu, dtype=float).reshape(-1)
             if nu.shape[0] != K:
                 raise ValueError(f"nu has length {nu.shape[0]} for K={K}")
             if np.any(nu <= 2.0):
                 raise ValueError("every nu must exceed 2 (finite covariance)")
         elif nu is not None:
             raise ValueError("gaussian family takes no nu")
-        for arr in (pi, A, mu, Sigma) + ((nu,) if nu is not None else ()):
-            arr.flags.writeable = False
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "Sigma", Sigma)
-        object.__setattr__(self, "nu", nu)
+        for name, arr in arrays.items():
+            if arr is not None:
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_regimes(self) -> int:
@@ -451,7 +452,10 @@ def _m_step(X, gamma, xi_sum, delta, p: HmmParams):
         if student_t:
             s2 = float(gk @ (np.log(u) - u))
             nu[k] = solve_nu(float(s1), s2, d)
-    return replace(p, pi=pi, A=A, mu=mu, Sigma=Sigma, nu=nu), regularized
+    try:
+        return replace(p, pi=pi, A=A, mu=mu, Sigma=Sigma, nu=nu), regularized
+    except ValueError as exc:  # a non-finite update ends this restart alone
+        raise EstimationError(f"M-step gave invalid parameters: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -565,29 +569,18 @@ def _raised(run) -> bool:
     return isinstance(run, Exception) and not isinstance(run, EstimationError)
 
 
-def _sendable(exc: Exception, job) -> Exception:
-    """exc if it survives pickling, else a RuntimeError with its type and
-    text."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception as err:
-        return RuntimeError(f"{_job_name(job)} raised {type(exc).__name__}: {exc} "
-                            f"(not picklable: {err})")
-
-
 def _forked_restarts(jobs, workers: int) -> list:
     """_restart on each job in a forked child, at most `workers` at once.
 
     Each running child is pinned to its own usable CPU: a scheduler may
     otherwise keep a freshly forked child on its parent's CPU. A child
-    pickles its result, or the exception its job raised, into a pipe and
-    exits; the parent reads every pipe as data arrives, so no result is
-    held back by a full pipe, and starts the next job when a child exits.
-    A child that exits without a result is a ChildProcessError of its
-    job. Jobs after the earliest job that raised are not started, and
-    every child still running on the way out, by return or by exception,
-    is killed and reaped.
+    writes its pipe once, when its job is done: the pickled result or
+    exception of its job, or a RuntimeError for one that does not pickle.
+    The parent reads a readable pipe whole, reaps its child and starts the
+    next job in the freed slot. A child that exits without a result is a
+    ChildProcessError of its job. Jobs after the earliest job that raised
+    are not started, and every child still running on the way out, by
+    return or by exception, is killed and reaped.
     """
     # imported here: only a forked fit uses them
     import selectors
@@ -596,7 +589,7 @@ def _forked_restarts(jobs, workers: int) -> list:
     runs = [None] * len(jobs)
     stop = len(jobs)  # the earliest job that raised
     started = 0
-    live = {}  # read end -> (pid, job index, chunks read, cpu)
+    live = {}  # read end -> (pid, job index, cpu)
     free = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     free += [None] * (workers - len(free))  # workers beyond the CPUs go unpinned
     sel = selectors.DefaultSelector()
@@ -607,43 +600,46 @@ def _forked_restarts(jobs, workers: int) -> list:
                 cpu = free.pop(0)
                 pid = os.fork()
                 if pid == 0:
-                    status = 1
                     try:
                         os.close(r)
-                        if cpu is not None:
-                            try:
-                                os.sched_setaffinity(0, {cpu})
-                            except OSError:
-                                pass  # the placement is a hint, not a need
                         try:
                             run = _restart(*jobs[started])
                         except Exception as exc:
-                            run = _sendable(exc, jobs[started])
-                        data = memoryview(pickle.dumps(run))
+                            run = exc
+                        try:
+                            data = pickle.dumps(run)
+                            pickle.loads(data)  # an exception can pickle yet not unpickle
+                        except Exception as err:
+                            data = pickle.dumps(RuntimeError(
+                                f"{_job_name(jobs[started])} raised "
+                                f"{type(run).__name__}: {run} (not picklable: {err})"))
+                        data = memoryview(data)
                         while data:
                             data = data[os.write(w, data):]
-                        status = 0
+                        os._exit(0)
                     finally:
-                        os._exit(status)
+                        os._exit(1)
                 os.close(w)
-                live[r] = (pid, started, [], cpu)
+                live[r] = (pid, started, cpu)
+                if cpu is not None:
+                    try:
+                        os.sched_setaffinity(pid, {cpu})
+                    except OSError:
+                        pass  # the placement is a hint, not a need
                 sel.register(r, selectors.EVENT_READ)
                 started += 1
-            if all(index > stop for _, index, _, _ in live.values()):
+            if all(index > stop for _, index, _ in live.values()):
                 return runs
             for key, _ in sel.select():
-                pid, index, chunks, cpu = live[key.fd]
-                chunk = os.read(key.fd, 1 << 16)
-                if chunk:
-                    chunks.append(chunk)
-                    continue
+                pid, index, cpu = live[key.fd]
+                data = b"".join(iter(lambda: os.read(key.fd, 1 << 16), b""))
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 sel.unregister(key.fd)
                 os.close(key.fd)
                 del live[key.fd]
                 free.append(cpu)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 if code == 0:
-                    runs[index] = pickle.loads(b"".join(chunks))
+                    runs[index] = pickle.loads(data)
                 else:
                     runs[index] = ChildProcessError(
                         f"{_job_name(jobs[index])} ended without a result: "
@@ -651,7 +647,7 @@ def _forked_restarts(jobs, workers: int) -> list:
                 if _raised(runs[index]):
                     stop = min(stop, index)
     finally:
-        for fd, (pid, _, _, _) in live.items():
+        for fd, (pid, _, _) in live.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)

@@ -192,6 +192,35 @@ class TestFit:
         doc = json.loads(model.read_text())
         assert doc["K"] in (2, 3)
 
+    def test_k_range_without_a_colon_exit_2_before_any_output(
+            self, synthetic_files, tmp_path, capsys):
+        _, panel_path, _, _ = synthetic_files
+        rc = main(["fit", "--panel", str(panel_path), "--k-range", "2-4",
+                   "--seed", "1", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --k-range must look like A:B, got '2-4'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_k_range_prints_the_row_of_a_failed_k(self, tmp_path, capsys):
+        """60 standard-normal days and one outlier: every K=2 restart needs
+        the scale ridge on each step and is aborted, and K=1 is selected."""
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.standard_normal((60, 2)),
+                       50 + 0.01 * rng.standard_normal((1, 2))])
+        dates = np.datetime64("2000-01-03") + np.arange(61)
+        write_panel_csv(FactorPanel(dates, X, ("A", "B")), tmp_path / "panel.csv")
+        rc = main(["fit", "--panel", str(tmp_path / "panel.csv"), "--k-range", "1:2",
+                   "--seed", "1", "--restarts", "2", "--out", str(tmp_path / "m.json")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        abort = ("restart aborted: scale regularization needed on 3 consecutive "
+                 "iterations")
+        assert lines[2:4] == [f"2      15  failed: all 2 restarts failed: "
+                              f"restart 0: {abort}; restart 1: {abort}",
+                              "selected K=1 by BIC"]
+
     def test_gaussian_family_flag(self, synthetic_files, tmp_path):
         _, panel_path, _, _ = synthetic_files
         model = tmp_path / "g.json"
@@ -391,6 +420,28 @@ class TestValidate:
         assert "# binomial:" in text
         console = capsys.readouterr().out
         assert "detection" in console.lower()
+
+    def test_sustained_detection_prints_its_lead_time(self, tmp_path, capsys):
+        """Crisis labels on days 50-59 of a window over days 40-100, and the
+        volatility peak on day 70: the window's row gives the detection
+        day, the peak day and the calendar days between them."""
+        rng = np.random.default_rng(0)
+        dates = np.busday_offset("2008-01-02", np.arange(200)).astype("datetime64[D]")
+        returns = rng.standard_normal((200, 6))
+        returns[70] = 10.0
+        labels = np.zeros(200, dtype=int)
+        labels[50:60] = 1
+        write_panel_csv(FactorPanel(dates, returns, SIX_FACTOR_NAMES),
+                        tmp_path / "panel.csv")
+        write_labels_csv(dates, labels, tmp_path / "labels.csv")
+        (tmp_path / "events.csv").write_text(f"stress,{dates[40]},{dates[100]}\n")
+        rc = main(["validate", "--panel", str(tmp_path / "panel.csv"),
+                   "--labels", str(tmp_path / "labels.csv"),
+                   "--events", str(tmp_path / "events.csv"),
+                   "--out", str(tmp_path / "validation.csv")])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "stress                    0.164  2008-03-12    2008-04-09    28d")
 
     def test_default_event_set_used_when_unspecified(self, fitted,
                                                      tmp_path, capsys):
@@ -612,6 +663,24 @@ class TestRobustnessCommand:
         assert lines[1:] == [
             f"{L},,,,,no feasible lag in 1..{L}: need at least 13 "
             f"observations; have 5" for L in (5, 10, 15, 20)]
+
+    def test_untestable_threshold_regime_is_reported(self, tmp_path, capsys):
+        """61 days leave the 21-day volatility detector four crisis days,
+        too few for any lag: the threshold line gives the reason."""
+        rng = np.random.default_rng(0)
+        dates = np.datetime64("2005-01-03") + np.arange(61)
+        write_panel_csv(FactorPanel(dates, rng.normal(size=(61, 6)),
+                                    SIX_FACTOR_NAMES), tmp_path / "panel.csv")
+        labels = np.zeros(61, dtype=int)
+        labels[30:36] = 1
+        write_labels_csv(dates, labels, tmp_path / "labels.csv")
+        assert main(["robustness", "--panel", str(tmp_path / "panel.csv"),
+                     "--labels", str(tmp_path / "labels.csv"),
+                     "--split", "2005-02-02",
+                     "--out", str(tmp_path / "robust")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "threshold regimes: untestable (no feasible lag in 1..15: need at "
+            "least 13 observations, have 2)")
 
     def test_lmax_below_one_rejected_before_any_output(self, fitted, tmp_path,
                                                        capsys):

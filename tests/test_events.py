@@ -336,6 +336,21 @@ class TestWindowConfigIO:
             "name,start,end\n2020 COVID,2020-02-01,2020-06-30\n"))
         assert back == (EventWindow("2020 COVID", "2020-02-01", "2020-06-30"),)
 
+    def test_comment_lines_are_skipped(self):
+        back = read_event_windows(io.StringIO(
+            "# stress windows\nname,start,end\n# 2020\n"
+            "2020 COVID,2020-02-01,2020-06-30\n"))
+        assert back == (EventWindow("2020 COVID", "2020-02-01", "2020-06-30"),)
+
+    @pytest.mark.parametrize("text,message", [
+        ("A,2020-03-01,2020-02-01\n", "line 1: window 'A': start after end"),
+        ("# only a comment\nname,start,end\n\n", "no event windows found"),
+    ])
+    def test_bad_window_set_rejected(self, text, message):
+        with pytest.raises(PanelParseError) as exc:
+            read_event_windows(io.StringIO(text))
+        assert str(exc.value) == message
+
     def test_non_utf8_byte_reports_line(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_bytes(b"name,start,end\n2008 Financial,2008-07-01,2009-06-30\n"

@@ -569,6 +569,56 @@ def mostly_flat_panel():
     return toy_panel(X)
 
 
+def outlier_panel(n_outliers):
+    """60 standard-normal days in d=2 plus n_outliers days near (50, 50):
+    a regime on one or two such days needs the scale ridge on every EM
+    step, while three of them carry a full-rank scale."""
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.standard_normal((60, 2)),
+                   50 + 0.01 * rng.standard_normal((n_outliers, 2))])
+    return toy_panel(X)
+
+
+@pytest.mark.parametrize("family", ["student_t", "gaussian"])
+def test_consecutive_regularization_aborts_the_restart(family):
+    abort = ("restart aborted: scale regularization needed on 3 consecutive "
+             "iterations")
+    for n_outliers in (1, 2):
+        with pytest.raises(EstimationError) as info:
+            em_fit(outlier_panel(n_outliers), 2, family,
+                   FitConfig(seed=1, n_restarts=2))
+        assert str(info.value) == (f"all 2 restarts failed: restart 0: {abort}; "
+                                   f"restart 1: {abort}")
+    fit = em_fit(outlier_panel(3), 2, family, FitConfig(seed=1, n_restarts=2))
+    assert sorted(np.bincount(fit.labels)) == [3, 60]
+
+
+def test_non_finite_update_drops_only_its_restart(monkeypatch):
+    """An M-step that yields a non-finite parameter ends its own restart
+    with an EstimationError; the other restarts still fit."""
+    panel = outlier_panel(3)
+    config = FitConfig(seed=1, n_restarts=2)
+    solve = hmm.solve_nu
+    calls = []
+
+    def first_call_infinite(s1, s2, d):
+        calls.append(s1)
+        return math.inf if len(calls) == 1 else solve(s1, s2, d)
+
+    monkeypatch.setattr(hmm, "_usable_cpus", lambda: 1)  # restart 0 runs first
+    monkeypatch.setattr(hmm, "solve_nu", first_call_infinite)
+    fit = em_fit(panel, 2, "student_t", config)
+    monkeypatch.setattr(hmm, "solve_nu", solve)
+    child = np.random.SeedSequence(config.seed).spawn(2)[1]
+    assert fit.loglik == hmm._restart(panel.returns, 2, "student_t", child, 1)[1]
+    monkeypatch.setattr(hmm, "solve_nu", lambda s1, s2, d: math.nan)
+    with pytest.raises(EstimationError) as info:
+        em_fit(panel, 2, "student_t", config)
+    reason = "M-step gave invalid parameters: nu must be finite"
+    assert str(info.value) == (f"all 2 restarts failed: restart 0: {reason}; "
+                               f"restart 1: {reason}")
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -836,6 +886,62 @@ except KeyboardInterrupt:
         assert res.stdout == "True False\n", res.stderr
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_exception_that_does_not_unpickle_arrives_as_runtime_error():
+    """An exception that pickles but cannot be rebuilt from its args
+    reaches the caller as the RuntimeError that names it, not as the
+    TypeError of rebuilding it."""
+    body = """
+class TwoArgs(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+initial = hmm._initial_params
+
+
+def failing(X, K, family, restart, rng):
+    if restart == 1:
+        raise TwoArgs("no", "way back")
+    return initial(X, K, family, restart, rng)
+
+
+hmm._initial_params = failing
+try:
+    em_fit(panel, 2, "gaussian", FitConfig(seed=1, n_restarts=2))
+except RuntimeError as exc:
+    print(exc)
+    print(children_left())
+"""
+    res = run_forking_script(body, 2)
+    message, left = res.stdout.splitlines()
+    assert message.startswith("restart 1 for K=2 raised TwoArgs: no and way back "
+                              "(not picklable: "), res.stderr
+    assert left == "False"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_next_job_takes_the_first_free_worker():
+    """With 2 workers, job 0 runs 1 s and jobs 1-3 0.1 s each: jobs 2 and
+    3 start in the slot job 1 frees, before job 0 ends. Round-robin
+    slices, or waiting on the oldest child, would start job 2 after job 0
+    ends."""
+    body = """
+def restart(X, K, family, child, r):
+    start = time.monotonic()
+    time.sleep(1.0 if r == 0 else 0.1)
+    return start, time.monotonic()
+
+
+hmm._restart = restart
+runs = hmm._restarts([(None, 2, "gaussian", None, r) for r in range(4)])
+end_0 = runs[0][1]
+print([start < end_0 for start, _ in runs[1:]], children_left())
+"""
+    res = run_forking_script(body, 2)
+    assert res.stdout == "[True, True, True] False\n", res.stderr
+
+
 class TestNFreeParams:
     def test_student_t_count(self):
         K, d = 3, 6
@@ -1028,3 +1134,25 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             HmmParams(pi=[1.0], A=[[1.0]], mu=[[0.0]], Sigma=[[[1.0]]],
                       nu=[5.0], family="cauchy")
+
+
+VALID_DOC = {"family": "student_t", "pi": [0.5, 0.5], "A": [[0.9, 0.1], [0.2, 0.8]],
+             "mu": [[0.0], [1.0]], "Sigma": [[[1.0]], [[2.0]]], "nu": [5.0, 5.0]}
+NON_FINITE = [("pi", [math.nan, math.nan]), ("A", [[0.9, 0.1], [math.nan] * 2]),
+              ("mu", [[0.0], [math.inf]]), ("Sigma", [[[math.nan]], [[2.0]]]),
+              ("nu", [math.nan, 5.0]), ("nu", [math.inf, 5.0])]
+
+
+@pytest.mark.parametrize("name,value", NON_FINITE)
+def test_non_finite_params_rejected(name, value, tmp_path):
+    """Each array must be finite: NaN passes every comparison, and a 1x1
+    NaN scale has a Cholesky factor. A model file is checked the same way."""
+    doc = dict(VALID_DOC, **{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        HmmParams(**doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity, as json writes them
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        load_model(path)
+    path.write_text(json.dumps(VALID_DOC))
+    assert load_model(path)[0].nu.tolist() == [5.0, 5.0]

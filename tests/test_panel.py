@@ -351,6 +351,28 @@ class TestSerialization:
                            match="line 3: expected 'date,regime'"):
             read_labels_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("text,error,message", [
+        ("", PanelParseError, "empty input"),
+        ("day,A\n2020-01-06,0.1\n", PanelParseError,
+         "line 1: expected header starting with 'date'"),
+        ("date\n2020-01-06\n", SchemaError, "no factor columns in header"),
+    ])
+    def test_panel_header_rejected(self, text, error, message):
+        with pytest.raises(error) as exc:
+            read_panel_csv(io.StringIO(text))
+        assert str(exc.value) == message
+
+    def test_labels_header_rejected(self):
+        with pytest.raises(PanelParseError) as exc:
+            read_labels_csv(io.StringIO("date,label\n2020-01-06,0\n"))
+        assert str(exc.value) == "line 1: expected header 'date,regime'"
+
+    def test_labels_blank_line_skipped(self):
+        dates, labels = read_labels_csv(io.StringIO(
+            "date,regime\n2020-01-06,0\n\n2020-01-07,1\n"))
+        assert dates.astype(str).tolist() == ["2020-01-06", "2020-01-07"]
+        assert labels.tolist() == [0, 1]
+
     def test_labels_non_utf8_byte_reports_line(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_bytes(b"date,regime\n2020-01-06,0\n2020-01-07,\xff\n")
