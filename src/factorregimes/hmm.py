@@ -545,17 +545,19 @@ def _run_em(X, p: HmmParams):
 
 def _restart(X, K, family, child, r):
     """One EM restart from its own seed. Returns _run_em's tuple, or the
-    EstimationError that ended the restart."""
+    exception that ended the restart."""
     try:
         return _run_em(X, _initial_params(X, K, family, r, np.random.default_rng(child)))
-    except EstimationError as exc:
+    except Exception as exc:
         return exc
 
 
-def _usable_cpus() -> int:
+def _usable_cpus() -> list:
+    """The CPUs this process may run on, sorted, or one None per CPU where
+    the platform has no affinity call."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return sorted(os.sched_getaffinity(0))
+    return [None] * (os.cpu_count() or 1)
 
 
 def _job_name(job) -> str:
@@ -563,49 +565,37 @@ def _job_name(job) -> str:
     return f"restart {r} for K={K}"
 
 
-def _raised(run) -> bool:
-    """A job's result that stands for an exception it raised: _restart
-    returns an EstimationError and raises anything else."""
-    return isinstance(run, Exception) and not isinstance(run, EstimationError)
+def _forked_restarts(jobs, cpus) -> list:
+    """_restart on each job in a forked child, one running per entry of cpus.
 
-
-def _forked_restarts(jobs, workers: int) -> list:
-    """_restart on each job in a forked child, at most `workers` at once.
-
-    Each running child is pinned to its own usable CPU: a scheduler may
-    otherwise keep a freshly forked child on its parent's CPU. A child
-    writes its pipe once, when its job is done: the pickled result or
-    exception of its job, or a RuntimeError for one that does not pickle.
+    Each running child is pinned to its entry, unless that is None: a
+    scheduler may otherwise keep a freshly forked child on its parent's
+    CPU. A child writes its pipe once, when its job is done: the pickled
+    outcome of its job, or a RuntimeError for one that does not pickle.
     The parent reads a readable pipe whole, reaps its child and starts the
     next job in the freed slot. A child that exits without a result is a
-    ChildProcessError of its job. Jobs after the earliest job that raised
-    are not started, and every child still running on the way out, by
-    return or by exception, is killed and reaped.
+    ChildProcessError of its job. Every job runs; every child still
+    running on the way out by exception is killed and reaped.
     """
     # imported here: only a forked fit uses them
     import selectors
     import signal
 
     runs = [None] * len(jobs)
-    stop = len(jobs)  # the earliest job that raised
     started = 0
     live = {}  # read end -> (pid, job index, cpu)
-    free = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    free += [None] * (workers - len(free))  # workers beyond the CPUs go unpinned
+    free = list(cpus)
     sel = selectors.DefaultSelector()
     try:
-        while True:
-            while started < stop and len(live) < workers:
+        while started < len(jobs) or live:
+            while started < len(jobs) and free:
                 r, w = os.pipe()
                 cpu = free.pop(0)
                 pid = os.fork()
                 if pid == 0:
                     try:
                         os.close(r)
-                        try:
-                            run = _restart(*jobs[started])
-                        except Exception as exc:
-                            run = exc
+                        run = _restart(*jobs[started])
                         try:
                             data = pickle.dumps(run)
                             pickle.loads(data)  # an exception can pickle yet not unpickle
@@ -628,8 +618,6 @@ def _forked_restarts(jobs, workers: int) -> list:
                         pass  # the placement is a hint, not a need
                 sel.register(r, selectors.EVENT_READ)
                 started += 1
-            if all(index > stop for _, index, _ in live.values()):
-                return runs
             for key, _ in sel.select():
                 pid, index, cpu = live[key.fd]
                 data = b"".join(iter(lambda: os.read(key.fd, 1 << 16), b""))
@@ -644,8 +632,7 @@ def _forked_restarts(jobs, workers: int) -> list:
                     runs[index] = ChildProcessError(
                         f"{_job_name(jobs[index])} ended without a result: "
                         + (f"exit status {code}" if code > 0 else f"signal {-code}"))
-                if _raised(runs[index]):
-                    stop = min(stop, index)
+        return runs
     finally:
         for fd, (pid, _, _) in live.items():
             os.kill(pid, signal.SIGKILL)
@@ -655,17 +642,18 @@ def _forked_restarts(jobs, workers: int) -> list:
 
 
 def _restarts(jobs) -> list:
-    """_restart on each job, results in job order; the earliest job's
-    exception is raised, as a loop over the jobs would raise it.
+    """_restart on each job, outcomes in job order. Every job runs; then the
+    earliest exception other than an EstimationError is raised.
 
     With more than one usable CPU and os.fork the jobs run in forked
     children, one per usable CPU; otherwise they run in this process."""
-    workers = min(len(jobs), _usable_cpus())
-    if workers < 2 or not hasattr(os, "fork"):
-        return [_restart(*job) for job in jobs]
-    runs = _forked_restarts(jobs, workers)
+    cpus = _usable_cpus()[:len(jobs)]
+    if len(cpus) < 2 or not hasattr(os, "fork"):
+        runs = [_restart(*job) for job in jobs]
+    else:
+        runs = _forked_restarts(jobs, cpus)
     for run in runs:
-        if _raised(run):
+        if isinstance(run, Exception) and not isinstance(run, EstimationError):
             raise run
     return runs
 
@@ -677,8 +665,8 @@ def _fit_ks(panel: FactorPanel, ks, family: str, config: FitConfig) -> list:
     Every feasible K's restarts share one set of workers (_restarts).
     Each restart is a pure function of the panel and its own seed, and
     comes back bit for bit, so the fits do not depend on the worker
-    count. Any other exception reaches the caller from the earliest
-    restart that raised it, as a serial loop would raise it.
+    count. Any other exception is raised once every restart has run: the
+    earliest restart's.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")

@@ -24,8 +24,7 @@ from __future__ import annotations
 import os
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from datetime import date as _date
+from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
@@ -53,8 +52,6 @@ def as_date64(value) -> np.datetime64:
     """Coerce str / datetime.date / datetime64 to numpy datetime64[D]."""
     if isinstance(value, np.datetime64):
         return value.astype("datetime64[D]")
-    if isinstance(value, _date):
-        return np.datetime64(value.isoformat(), "D")
     return np.datetime64(str(value), "D")
 
 
@@ -69,16 +66,14 @@ class FactorPanel:
 
     dates: np.ndarray
     returns: np.ndarray
-    factor_names: tuple[str, ...] = field(default=())
+    factor_names: tuple[str, ...]
 
     def __post_init__(self):
         dates = np.asarray(self.dates, dtype="datetime64[D]").copy()
         returns = np.array(self.returns, dtype=float, copy=True)
         if returns.ndim != 2:
-            returns = returns.reshape(len(dates), -1)
+            raise ValueError(f"returns must be 2-D, got {returns.ndim}-D")
         names = tuple(str(n) for n in self.factor_names)
-        if not names:
-            names = tuple(f"F{i}" for i in range(returns.shape[1]))
         if len(dates) != returns.shape[0]:
             raise ValueError(
                 f"{len(dates)} dates but {returns.shape[0]} return rows"

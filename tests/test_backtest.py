@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,3 +242,18 @@ class TestSerialization:
         assert back.factor_names == ("STRATEGY", "BENCHMARK")
         np.testing.assert_allclose(back.column("BENCHMARK"),
                                    bench.daily_returns, atol=5e-7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: strategy_signal(np.zeros(5), np.zeros(5, dtype=int), 1, window=0),
+     "window must be >= 1"),
+    (lambda tmp: strategy_signal(np.zeros(5), np.zeros(4, dtype=int), 1),
+     "hml and labels must have equal length"),
+    (lambda tmp: write_returns_csv(performance_metrics(np.ones(3)),
+                                   performance_metrics(np.ones(4)), tmp / "r.csv"),
+     "strategy and benchmark series differ in length"),
+])
+def test_bad_input_rejected(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+    assert not (tmp_path / "r.csv").exists()

@@ -1,6 +1,7 @@
 """Granger F-tests, lag selection, masks, and the pairwise matrix."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -716,3 +717,29 @@ def test_matrix_csv_identical_across_blas_thread_counts():
         outputs.append(res.stdout)
     assert outputs[0].count("\n") > 30
     assert outputs[0] == outputs[1]
+
+
+def all_rows(n):
+    return lambda L: np.ones(n, dtype=bool)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: regime_lag_mask(np.zeros(5, dtype=int), 0, 0), "L must be >= 1"),
+    (lambda: select_lag_bic(np.zeros(50), np.zeros(50), all_rows(49), 3),
+     "y, x, and mask must have equal length"),
+    (lambda: select_lag_bic(np.zeros(50), np.zeros(49), all_rows(50), 3),
+     "y, x, and mask must have equal length"),
+    (lambda: granger_f_test(np.zeros(50), np.zeros(50), 2, np.ones(49, dtype=bool)),
+     "y, x, and mask must have equal length"),
+    (lambda: select_lag_bic(np.zeros(50), np.zeros(50), all_rows(50), 0),
+     "L_max must be >= 1"),
+    (lambda: pairwise_regime_matrix(make_panel(np.zeros((50, 2))),
+                                    np.zeros(50, dtype=int), L_max=0),
+     "L_max must be >= 1"),
+    (lambda: pairwise_regime_matrix(make_panel(np.zeros((50, 1))),
+                                    np.zeros(50, dtype=int)),
+     "need at least two factors for pairwise tests"),
+])
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

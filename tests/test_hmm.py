@@ -6,8 +6,10 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -529,7 +531,7 @@ class TestEmFit:
         panel, _ = synthetic_3regime
         iterations = {}
         restart = hmm._restart
-        monkeypatch.setattr(hmm, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(hmm, "_usable_cpus", lambda: [None])
 
         def counting(X, K, family, child, r):
             run = restart(X, K, family, child, r)
@@ -605,7 +607,7 @@ def test_non_finite_update_drops_only_its_restart(monkeypatch):
         calls.append(s1)
         return math.inf if len(calls) == 1 else solve(s1, s2, d)
 
-    monkeypatch.setattr(hmm, "_usable_cpus", lambda: 1)  # restart 0 runs first
+    monkeypatch.setattr(hmm, "_usable_cpus", lambda: [None])  # restart 0 runs first
     monkeypatch.setattr(hmm, "solve_nu", first_call_infinite)
     fit = em_fit(panel, 2, "student_t", config)
     monkeypatch.setattr(hmm, "solve_nu", solve)
@@ -636,10 +638,10 @@ class TestConcurrentRestarts:
             raise AssertionError("one worker forked")
 
         with monkeypatch.context() as m:
-            m.setattr(hmm, "_usable_cpus", lambda: 1)
+            m.setattr(hmm, "_usable_cpus", lambda: [None])
             m.setattr(os, "fork", no_fork)
             one = em_fit(panel, 3, "student_t", config)
-        monkeypatch.setattr(hmm, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(hmm, "_usable_cpus", lambda: [None] * 4)
         assert_fits_identical(one, em_fit(panel, 3, "student_t", config))
         assert_no_child_left()
 
@@ -647,7 +649,7 @@ class TestConcurrentRestarts:
         panel = mostly_flat_panel()
         results = []
         for workers in (1, 4):
-            monkeypatch.setattr(hmm, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(hmm, "_usable_cpus", lambda: [None] * workers)
             results.append(select_k(panel, [1, 2, 4], "gaussian",
                                     FitConfig(seed=1, n_restarts=3)))
         (best_1, table_1), (best_4, table_4) = results
@@ -704,10 +706,40 @@ class TestConcurrentRestarts:
             return initial(X, K, family, restart, rng)
 
         monkeypatch.setattr(hmm, "_initial_params", failing)
-        monkeypatch.setattr(hmm, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(hmm, "_usable_cpus", lambda: [None] * workers)
         with pytest.raises(ValueError, match="^restart 1 failed$"):
             em_fit(panel, 3, "student_t", FitConfig(seed=3, n_restarts=3))
         assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_restart_runs_before_an_error_is_raised(self, monkeypatch,
+                                                          tmp_path, workers):
+        """Restart 0 raises at once; restarts 1-3 still run to their end,
+        each leaving a marker, before restart 0's exception is raised."""
+        panel = toy_panel(np.random.default_rng(0).standard_normal((300, 2)))
+        initial = hmm._initial_params
+
+        def failing(X, K, family, restart, rng):
+            if restart == 0:
+                raise ValueError("restart 0 failed")
+            time.sleep(0.1)
+            (tmp_path / f"restart {restart}").touch()
+            return initial(X, K, family, restart, rng)
+
+        monkeypatch.setattr(hmm, "_initial_params", failing)
+        monkeypatch.setattr(hmm, "_usable_cpus", lambda: [None] * workers)
+        with pytest.raises(ValueError, match="^restart 0 failed$"):
+            em_fit(panel, 2, "gaussian", FitConfig(seed=1, n_restarts=4))
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "restart 1", "restart 2", "restart 3"]
+        assert_no_child_left()
+
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert hmm._usable_cpus() == sorted(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert hmm._usable_cpus() == [None, None, None]
 
 
 FORK_PRELUDE = """
@@ -715,7 +747,7 @@ import os, signal, sys, time
 import numpy as np
 from factorregimes import FactorPanel, FitConfig, cli, em_fit, hmm, write_panel_csv
 
-hmm._usable_cpus = lambda: int(os.environ["WORKERS"])
+hmm._usable_cpus = lambda: [None] * int(os.environ["WORKERS"])
 parent = os.getpid()
 dates = np.datetime64("2000-01-03") + np.arange(300)
 panel = FactorPanel(dates, np.random.default_rng(0).standard_normal((300, 2)),
@@ -1156,3 +1188,25 @@ def test_non_finite_params_rejected(name, value, tmp_path):
         load_model(path)
     path.write_text(json.dumps(VALID_DOC))
     assert load_model(path)[0].nu.tolist() == [5.0, 5.0]
+
+
+def fit_toy(family="student_t", K=2):
+    em_fit(toy_panel(np.zeros((30, 1))), K, family, FitConfig(seed=1, n_restarts=1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HmmParams(**dict(VALID_DOC, mu=[[0.0], [1.0], [2.0]])),
+     "mu has 3 rows for K=2"),
+    (lambda: HmmParams(**dict(VALID_DOC, pi=[0.5, 0.6])),
+     "pi must be a probability vector (sum 1 within 1e-12)"),
+    (lambda: HmmParams(**dict(VALID_DOC, nu=None)), "student_t family requires nu"),
+    (lambda: HmmParams(**dict(VALID_DOC, nu=[5.0, 5.0, 5.0])),
+     "nu has length 3 for K=2"),
+    (lambda: FitConfig(seed=1, n_restarts=0), "n_restarts must be >= 1"),
+    (lambda: fit_toy(family="cauchy"),
+     "unknown family 'cauchy', expected one of ('student_t', 'gaussian')"),
+    (lambda: fit_toy(K=0), "K must be >= 1"),
+])
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -664,3 +664,21 @@ class TestTableWriter:
     def test_row_of_another_length_rejected(self, header, rows):
         with pytest.raises(ValueError, match="cells do not match the header"):
             written(header, ["d", "d"], rows)
+
+
+DAYS = np.array(["2020-01-06", "2020-01-07", "2020-01-08"], dtype="datetime64[D]")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FactorPanel(DAYS, np.zeros((2, 1)), ("A",)), ValueError,
+     "3 dates but 2 return rows"),
+    (lambda: FactorPanel(DAYS, np.zeros((3, 2)), ("A",)), ValueError,
+     "1 factor names but 2 columns"),
+    (lambda: FactorPanel(DAYS, np.zeros(3), ("A",)), ValueError,
+     "returns must be 2-D, got 1-D"),
+    (lambda: parse_ff_daily_csv(io.StringIO("date,X\n20200106,0.1\n"), ["X", "x"]),
+     SchemaError, "requested columns not distinct: ['X', 'x']"),
+])
+def test_bad_input_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Synthetic panel generator: chain law, emissions, cross-lag injection."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -264,3 +265,17 @@ class TestEndToEndRecovery:
 
         fit = order_regimes(fit, panel)
         assert label_accuracy(fit.labels, truth, 3) >= 0.90
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CrossLagSpec(source=0, target=1, regime=0, lag=1, coefficient=np.nan),
+     "coefficient must be finite"),
+    (lambda: SyntheticSpec(hmm=one_state(), T=0, seed=1), "T must be >= 1"),
+    (lambda: label_accuracy(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 2),
+     "label series must have equal length"),
+    (lambda: label_accuracy(np.zeros(3, dtype=int), np.zeros(3, dtype=int), 7),
+     "exhaustive permutation search supports K <= 6"),
+])
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
