@@ -734,7 +734,7 @@ class TestConcurrentRestarts:
             "restart 1", "restart 2", "restart 3"]
         assert_no_child_left()
 
-    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+    def test_usable_cpus_lists_each_cpu(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             assert hmm._usable_cpus() == sorted(os.sched_getaffinity(0))
             monkeypatch.delattr(os, "sched_getaffinity")
