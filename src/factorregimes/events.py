@@ -16,8 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PanelParseError
-from .granger import _runs_from, _segment_test
-from .numerics import binomial_tail
 from .panel import (PEAK_HORIZON, TESTED_LAG, FactorPanel, _aligned, _in_range,
                     _read_lines, _tested_pair, _write_table, as_date64)
 
@@ -76,6 +74,8 @@ def first_sustained_detection(labels, dates, w: EventWindow, m: int = SUSTAINED_
     The run may extend past the window end but must fit inside the
     label series. Returns None when no such day exists.
     """
+    from .granger import _runs_from  # imported here: plotdata needs no granger
+
     dates = np.asarray(dates, dtype="datetime64[D]")
     labels = _aligned(labels, dates.shape[0], "labels")
     idx = _window_indices(dates, w)
@@ -154,6 +154,10 @@ def event_granger_validation(panel: FactorPanel,
     binomial upper tail for the CHECK count among testable events at
     success probability `alpha`.
     """
+    # imported here, so that plotdata, which tests nothing, loads neither
+    from .granger import _segment_test
+    from .numerics import binomial_tail
+
     y_t, y_s = _tested_pair(panel)
     rows = []
     for w in windows:

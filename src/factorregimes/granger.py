@@ -11,15 +11,19 @@ One routine, `_lag_fits`, does every least-squares fit in the package.
 It takes design rows, duplicates allowed, each with a lag depth (the
 largest lag at which it is usable; lag-complete masks are nested, so
 every row has one), and folds them from the deepest level down into one
-chain of Householder R factors, one per lag. A column subset of such a
-factor factors that column subset of the design, so one chain per regime
-serves every ordered pair and every lag of the pairwise matrix, one chain
-over (y, x) serves a lag search and the F test at its chosen lag, and a
-fixed-lag test over day segments (`_segment_test`) is a chain whose rows
-all have that depth. The rank, exact-fit and constant-response checks run
-there once, every GrangerResult is assembled by `_granger_result`, and
-the lag-selection policy (smallest BIC, ties to the smaller lag) lives in
-`_bic_lag` alone.
+chain of Householder R factors, one per lag. The design's columns are
+laid out lag by lag (`_lag_block`: the constant, every series' same-day
+value, then every series' lag 1, lag 2, ...), so lag L reads only the
+leading columns, and each level folds its rows on those alone: the
+leading block of a triangular factor is the factor of the leading
+columns. A column subset of such a factor factors that column subset of
+the design, so one chain per regime serves every ordered pair and every
+lag of the pairwise matrix, one chain over (y, x) serves a lag search and
+the F test at its chosen lag, and a fixed-lag test over day segments
+(`_segment_test`) is a chain whose rows all have that depth. The rank,
+exact-fit and constant-response checks run there once, every
+GrangerResult is assembled by `_granger_result`, and the lag-selection
+policy (smallest BIC, ties to the smaller lag) lives in `_bic_lag` alone.
 """
 
 from __future__ import annotations
@@ -100,6 +104,18 @@ def _runs_from(state, m: int) -> np.ndarray:
     return _run_lengths(state[::-1])[::-1] >= m
 
 
+def _distinct(values) -> np.ndarray:
+    """np.unique(values) without the numpy.ma import that np.unique makes:
+    the sorted distinct values, all NaNs one. The two agree to the bit but
+    for the sign of a zero, which np.unique takes from its hash table."""
+    s = np.sort(values, axis=None)
+    new = np.ones(s.size, dtype=bool)
+    new[1:] = s[1:] != s[:-1]
+    if s.dtype.kind == "f":  # NaNs sort last; only the first is kept
+        new[1:] &= ~np.isnan(s[:-1])
+    return s[new]
+
+
 def _check_rows(n: int, L: int) -> None:
     """SampleSizeError unless n rows leave MIN_EXTRA_ROWS spare at lag L."""
     required = 2 * L + 1 + MIN_EXTRA_ROWS
@@ -107,28 +123,27 @@ def _check_rows(n: int, L: int) -> None:
         raise SampleSizeError(required, n, f"lag {L} design")
 
 
-def _lag_block(series: np.ndarray, L_max: int) -> Callable[[np.ndarray], np.ndarray]:
+def _lag_block(series: np.ndarray, L: int) -> Callable[[np.ndarray], np.ndarray]:
     """Row builder of the lagged design over the (T, m) array `series`.
 
-    `block(rows)` returns, at those row indices, the columns [1, series 0
-    lags 1..L_max, ..., series m-1 lags 1..L_max, each series' same-day
-    value]: series j's lag l sits in column 1 + j*L_max + l - 1 and its
-    same-day value in 1 + m*L_max + j. Rows are used as given, duplicates
-    included. Lags reaching before the first day read day 0; a row of
-    depth D is only ever fitted at lags up to D, so those cells are unused.
-    A non-finite value on a day the block reads raises a ValueError that
-    names the earliest such day.
+    `block(rows)` returns, at those row indices, the columns lag by lag:
+    [1, each series' same-day value, each series' lag 1, ..., each
+    series' lag L], so series j's lag l (0 the same day) sits in column
+    1 + l*m + j, and the design up to any lag L' <= L is its leading
+    1 + m + L'*m columns. Rows are used as given, duplicates included;
+    lags reaching before the first day read day 0. A non-finite value on a
+    day the block reads raises a ValueError that names the earliest such
+    day.
     """
     m = series.shape[1]
-    steps = np.arange(1, L_max + 1)
+    steps = np.arange(L + 1)
 
     def block(rows: np.ndarray) -> np.ndarray:
         days = np.maximum(rows[:, None] - steps, 0)
         Z = np.hstack([np.ones((rows.size, 1)),
-                       series[days].transpose(0, 2, 1).reshape(rows.size, m * L_max),
-                       series[rows]])
+                       series[days].reshape(rows.size, m * (L + 1))])
         if not np.isfinite(Z).all():
-            read = np.concatenate([rows, days.ravel()])
+            read = days.ravel()
             day = read[~np.isfinite(series[read]).all(axis=1)].min()
             raise ValueError(f"non-finite value on day {day}")
         return Z
@@ -221,9 +236,13 @@ def _lag_fits(series: np.ndarray, rows: np.ndarray, depth: np.ndarray, lags,
     duplicates allowed, and depth[i] <= max(lags) is the largest lag at
     which rows[i] is usable. Rows are folded into Householder R factors
     from the deepest level down, at most BLOCK_ROWS at a time, R_L =
-    qr([R_{L+1}; rows of depth L]), so R_L covers exactly the rows usable
-    at L and the whole design is never held at once (TSQR: Demmel,
-    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012). R_L'R_L is the Gram matrix of
+    qr([R_{L+1}[:w, :w]; rows of depth L]), so R_L covers exactly the rows
+    usable at L and the whole design is never held at once (TSQR: Demmel,
+    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 2012). The columns
+    are _lag_block's, lag by lag, and lag L reads only the leading w = 1 +
+    m + L*m of them (lags 0..L); the leading w x w block of an upper
+    triangular R is the R factor of the leading w columns, so each level
+    folds its rows on those columns alone. R_L'R_L is the Gram matrix of
     those rows, so a column subset of R_L factors exactly as that column
     subset of the design would: the fit of (target, source) at L is one
     small QR of R_L's columns [1, target lags 1..L, source lags 1..L,
@@ -238,17 +257,18 @@ def _lag_fits(series: np.ndarray, rows: np.ndarray, depth: np.ndarray, lags,
     DegenerateDesignError that L raised.
     """
     m = series.shape[1]
-    L_max = max(lags)
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    block = _lag_block(series, L_max)
     fits: list[dict] = [{} for _ in pairs]
     floor = np.zeros(len(pairs))  # see _ranks
-    R = None
-    for L in range(L_max, 0, -1):
+    R = np.zeros((0, 1 + m + max(lags) * m))
+    for L in range(max(lags), 0, -1):
+        w = 1 + m + L * m
+        R = R[:w, :w]  # the R factor of the leading w columns, lags 0..L
         level = rows[depth == L]
+        block = _lag_block(series, L)
         for lo in range(0, level.size, BLOCK_ROWS):
-            Z = block(level[lo:lo + BLOCK_ROWS])
-            R = np.linalg.qr(Z if R is None else np.vstack([R, Z]), mode="r")
+            R = np.linalg.qr(np.vstack([R, block(level[lo:lo + BLOCK_ROWS])]),
+                             mode="r")
         if L not in lags:
             continue
         n = int(np.count_nonzero(depth >= L))
@@ -261,9 +281,9 @@ def _lag_fits(series: np.ndarray, rows: np.ndarray, depth: np.ndarray, lags,
         k = 2 * L + 1
         lag = np.arange(L)
         cols = np.column_stack([np.zeros(len(pairs), dtype=np.intp),
-                                1 + pairs[:, :1] * L_max + lag,
-                                1 + pairs[:, 1:] * L_max + lag,
-                                1 + m * L_max + pairs[:, 0]])
+                                1 + m + m * lag + pairs[:, :1],
+                                1 + m + m * lag + pairs[:, 1:],
+                                1 + pairs[:, 0]])
         r = np.linalg.qr(R.T[cols].swapaxes(1, 2), mode="r")
         rank = _ranks(r[:, :k, :k], n, floor)
         y2 = r[:, :, k] ** 2
@@ -434,7 +454,7 @@ def pairwise_regime_matrix(panel: FactorPanel, labels, L_max: int = DEFAULT_L_MA
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     labels = _aligned(labels, panel.n_days, "labels")
     threshold = alpha / (d * (d - 1))
-    regimes = [int(k) for k in np.unique(labels)]
+    regimes = [int(k) for k in _distinct(labels)]
     names = panel.factor_names
     pairs = [(j, i) for i in range(d) for j in range(d) if i != j]  # (target, source)
     cells: dict[tuple[int, int, int], GrangerResult | CellFailure] = {}

@@ -13,6 +13,15 @@ A data row's date is YYYYMMDD or YYYY-MM-DD, later than the previous kept
 row's; a malformed or out-of-order date, or a malformed value, raises
 PanelParseError with its line.
 
+The readers convert in bulk and look at single rows only on failure, as
+`_to_dates` does for the dates: a panel's value columns go through one
+`np.loadtxt` call, and a label file whose body is all `YYYY-MM-DD,<digits>`
+lines through one more. When a bulk conversion raises, the row-by-row code
+runs instead: it reads a short row's missing fields as NaN, so the row is
+dropped, reads the cells that only Python's float() accepts (digit
+separators, non-ASCII digits), and names the first malformed cell or row
+with its line.
+
 Every CSV table goes through one writer: a header line, then per row the
 cells format(value, spec), or empty for None, joined by commas, unquoted;
 a comma or a line break (as str.splitlines finds them) in a column name
@@ -115,8 +124,12 @@ class FactorPanel:
 
 # A date token is exactly YYYYMMDD or YYYY-MM-DD.
 _DATE_TOKEN = re.compile(r"[0-9]{8}|[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# date tokens, each ended by a line break: one match checks them all
+_DATE_COLUMN = re.compile(rf"(?:(?:{_DATE_TOKEN.pattern})\n)*")
 # A regime label is what write_labels_csv writes: ASCII digits, maybe negative.
 _LABEL_TOKEN = re.compile(r"-?[0-9]+")
+# the body of a label file as write_labels_csv writes it, each line ended
+_LABEL_BODY = re.compile(r"(?:[0-9]{4}-[0-9]{2}-[0-9]{2},-?[0-9]+\n)*")
 # the characters at which str.splitlines, and so every reader here, ends a line
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 _TABLE_BLOCK_ROWS = 1024  # rows the table writer formats at once
@@ -127,7 +140,7 @@ def _to_dates(tokens: list[str], line_numbers: list[int]) -> np.ndarray:
     another shape, or a month or day out of range, raises PanelParseError
     with the line number of the first such token."""
     iso = [f"{t[:4]}-{t[4:6]}-{t[6:]}" if len(t) == 8 else t for t in tokens]
-    if all(map(_DATE_TOKEN.fullmatch, tokens)):
+    if _DATE_COLUMN.fullmatch("\n".join([*tokens, ""])):
         try:
             return np.array(iso, dtype="datetime64[D]")
         except ValueError:  # a month or day out of range
@@ -206,25 +219,29 @@ def _parse_lines(lines: list[str], expected_columns: Sequence[str]) -> FactorPan
             block.append(i)
         elif block:
             break  # the first other line after the daily rows ends them
-    fields = [lines[i].strip().split(",") for i in block]
+    rows = [lines[i].strip() for i in block]
     line_numbers = [i + 1 for i in block]
-    dates = _to_dates([f[0].strip() for f in fields], line_numbers)
-
-    # a missing field reads as NaN, so its row is dropped with the others
+    dates = _to_dates([row.split(",", 1)[0].strip() for row in rows], line_numbers)
     idx = [header.index(key) for key in wanted_keys]
-    cells = [f[j] if j < len(f) else "nan" for f in fields for j in idx]
     try:
-        values = np.array(cells, dtype=float).reshape(len(block), len(idx))
-    except ValueError:
-        for k, cell in enumerate(cells):
-            try:
-                float(cell)
-            except ValueError:
-                row, col = divmod(k, len(idx))
-                raise PanelParseError(
-                    f"malformed value {cell!r} in column {wanted_keys[col]}",
-                    line_numbers[row]) from None
-        raise
+        values = (np.loadtxt(rows, delimiter=",", usecols=idx, comments=None,
+                             ndmin=2) if rows else np.empty((0, len(idx))))
+    except ValueError:  # a short row, or a cell only float() reads or none
+        # a missing field reads as NaN, so its row is dropped with the others
+        fields = [row.split(",") for row in rows]
+        cells = [f[j] if j < len(f) else "nan" for f in fields for j in idx]
+        try:
+            values = np.array(cells, dtype=float).reshape(len(block), len(idx))
+        except ValueError:
+            for k, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    row, col = divmod(k, len(idx))
+                    raise PanelParseError(
+                        f"malformed value {cell!r} in column {wanted_keys[col]}",
+                        line_numbers[row]) from None
+            raise
     keep = np.isfinite(values).all(axis=1) & ~np.isin(values, SENTINELS).any(axis=1)
     _check_order(dates[keep], np.array(line_numbers)[keep], "previous kept row's")
     return FactorPanel(dates[keep], values[keep], tuple(wanted))
@@ -362,6 +379,16 @@ def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:
     lines = _read_lines(source)
     if not lines or lines[0].strip().lower() != "date,regime":
         raise PanelParseError("expected header 'date,regime'", 1)
+    if len(lines) > 1 and _LABEL_BODY.fullmatch("\n".join([*lines[1:], ""])):
+        try:
+            table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1,
+                               dtype=[("date", "datetime64[D]"), ("regime", int)])
+        except ValueError:  # a month or day out of range, or a huge label
+            pass
+        else:
+            _check_order(table["date"], np.arange(2, len(lines) + 1),
+                         "previous row's")
+            return table["date"].copy(), table["regime"].copy()
     tokens, labels, line_numbers = [], [], []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():

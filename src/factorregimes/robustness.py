@@ -10,6 +10,7 @@ result is informative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,10 +50,25 @@ def threshold_regimes(panel: FactorPanel) -> np.ndarray:
     norm = volatility_norm(panel)
     csum = np.concatenate([[0.0], np.cumsum(norm)])
     realized = (csum[w:] - csum[:-w]) / w  # ends at t = w-1..T-1
-    cutoff = np.quantile(realized, THRESHOLD_QUANTILE)
+    cutoff = _quantile(realized, THRESHOLD_QUANTILE)
     labels = np.zeros(T, dtype=np.int64)
     labels[w - 1:] = (realized > cutoff).astype(np.int64)
     return labels
+
+
+def _quantile(values: np.ndarray, q: float) -> np.floating:
+    """np.quantile(values, q) of a non-empty 1-D array by its default
+    linear rule, without the numpy.ma import that np.quantile makes. As in
+    numpy, at or past the last value both neighbours are the last and the
+    weight counts from -1, and a NaN anywhere gives NaN. The two agree to
+    the bit but for the sign of a zero, which np.quantile takes from its
+    partition order."""
+    s = np.sort(values)
+    i = (s.size - 1) * q
+    lo, hi = (math.floor(i), math.floor(i) + 1) if i < s.size - 1 else (-1, -1)
+    a, b, t = s[lo], s[hi], i - lo
+    value = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return s[-1] if np.isnan(s[-1]) else value
 
 
 def lag_sweep(y, x, mask_builder: Callable[[int], np.ndarray],

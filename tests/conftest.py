@@ -20,6 +20,7 @@ from factorregimes import (
     generate,
     log_gamma,
 )
+from factorregimes.granger import _lag_block
 from factorregimes.panel import SENTINELS
 
 
@@ -121,6 +122,37 @@ def reference_design(y, x, L, rows):
     for lag in range(1, L + 1):
         cols.append(x[rows - lag])
     return y[rows], X_r, np.column_stack(cols)
+
+
+def random_series(rng, n_series=300):
+    """Short integer, float-label and float series, some empty, some with
+    NaN, infinities and zeros of both signs."""
+    for trial in range(n_series):
+        n = int(rng.integers(0, 30))
+        kind = trial % 4
+        if kind == 0:
+            yield rng.integers(-3, 4, n)
+        elif kind == 1:
+            yield rng.integers(-3, 4, n).astype(float)
+        elif kind == 2:
+            yield rng.choice([0.0, -0.0, 1.5, -2.0, np.nan, np.inf, -np.inf], n)
+        else:
+            yield rng.standard_normal(n).round(1)
+
+
+def same_bits(a, b):
+    """Equal dtype and bits, a zero's sign aside (adding 0 clears it)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and (a + 0).tobytes() == (b + 0).tobytes()
+
+
+def pair_design(y, x, L, rows):
+    """(Y, X_r, X_u) of the nested models at the given rows, gathered from
+    the design builder's lag-major columns [1, y, x, y lag 1, x lag 1, ...,
+    y lag L, x lag L]: y's lag l is column 1 + 2l and x's 2 + 2l."""
+    Z = _lag_block(np.column_stack([y, x]), L)(rows)
+    lags = 2 * np.arange(1, L + 1)
+    return Z[:, 1], Z[:, np.r_[0, 1 + lags]], Z[:, np.r_[0, 1 + lags, 2 + lags]]
 
 
 def reference_svd_ranks(r, n, floor):

@@ -28,6 +28,7 @@ import factorregimes
 from factorregimes import granger
 from factorregimes.granger import (
     _bic_rows,
+    _distinct,
     _fixed_lag_fit,
     _granger_result,
     _lag_block,
@@ -41,11 +42,16 @@ from factorregimes.robustness import _transition_starts
 from conftest import (
     lstsq_bic_table,
     lstsq_nested_f,
+    lstsq_rss,
+    lstsq_unrestricted_fit,
+    pair_design,
+    random_series,
     reference_design,
     reference_first_sustained_detection,
     reference_regime_lag_mask,
     reference_svd_ranks,
     reference_transition_starts,
+    same_bits,
 )
 
 
@@ -103,6 +109,13 @@ def test_regime_lag_mask_matches_brute_force(labels, k, L):
                                   brute_force_lag_mask(labels, k, L))
 
 
+def test_distinct_is_np_unique():
+    """The regimes of the pairwise matrix come from np.unique's values,
+    computed without loading numpy.ma."""
+    for values in random_series(np.random.default_rng(34)):
+        assert same_bits(_distinct(values), np.unique(values)), values
+
+
 def test_run_lengths():
     state = np.array([True, True, False, True, True, True, False])
     np.testing.assert_array_equal(_run_lengths(state), [1, 2, 0, 1, 2, 3, 0])
@@ -132,13 +145,6 @@ def test_run_length_rules_match_references(labels, k, m, first, span):
         want = reference_transition_starts(labels, k, m, entering)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
-
-
-def pair_design(y, x, L, rows):
-    """(Y, X_r, X_u) of the nested models at the given rows, sliced from the
-    design builder's columns [1, y lags, x lags, y, x]."""
-    Z = _lag_block(np.column_stack([y, x]), L)(rows)
-    return Z[:, 2 * L + 1], Z[:, :L + 1], Z[:, :2 * L + 1]
 
 
 class TestBuildDesign:
@@ -176,13 +182,16 @@ class TestBuildDesign:
         y = np.arange(1.0, T + 1)
         x = 10.0 * np.arange(1.0, T + 1)
         sel = [t for t in range(1, T) if t != 5]
-        Z = _lag_block(np.column_stack([y, x]), 1)(np.array(sel))
-        assert Z.shape == (len(sel), 5)
+        Z = _lag_block(np.column_stack([y, x]), 2)(np.array(sel))
+        assert Z.shape == (len(sel), 7)
         np.testing.assert_array_equal(Z[:, 0], 1.0)
-        np.testing.assert_array_equal(Z[:, 1], y[np.array(sel) - 1])
-        np.testing.assert_array_equal(Z[:, 2], x[np.array(sel) - 1])
-        np.testing.assert_array_equal(Z[:, 3], y[sel])
-        np.testing.assert_array_equal(Z[:, 4], x[sel])
+        np.testing.assert_array_equal(Z[:, 1], y[sel])
+        np.testing.assert_array_equal(Z[:, 2], x[sel])
+        np.testing.assert_array_equal(Z[:, 3], y[np.array(sel) - 1])
+        np.testing.assert_array_equal(Z[:, 4], x[np.array(sel) - 1])
+        # day 1 has no second lag: it reads day 0
+        np.testing.assert_array_equal(Z[:, 5], y[np.maximum(np.array(sel) - 2, 0)])
+        np.testing.assert_array_equal(Z[:, 6], x[np.maximum(np.array(sel) - 2, 0)])
 
     def test_mask_rows_below_lag_dropped(self):
         T = 20
@@ -528,6 +537,32 @@ class TestCoreMatchesLstsq:
                     assert_f_matches((res.f_stat, res.p_value, res.r2_increment),
                                      lstsq_nested_f(Y, X_u, L))
         assert len(got) + len(failed) == d * (d - 1) * 3
+
+    def test_six_series_every_lag_level_matches_reference(self):
+        """d=6 at L_max=15 on a regime of short runs, so every lag level
+        folds rows on its own leading columns: each (pair, lag) fit equals
+        the explicit two-series design's SVD fits."""
+        rng = np.random.default_rng(33)
+        runs = rng.integers(1, 41, 160)
+        labels = np.repeat(np.arange(runs.size) % 2, runs)
+        T, d, L_max = labels.size, 6, 15
+        X = rng.standard_normal((T, d)) * rng.uniform(0.5, 2.0, d)
+        X[2:, 1] += 0.4 * X[:-2, 2]
+        depth = _lag_depth(lambda L: regime_lag_mask(labels, 1, L), L_max, T)
+        assert set(depth[depth > 0]) == set(range(1, L_max + 1))
+        pairs = [(j, i) for i in range(d) for j in range(d) if i != j]
+        fits = _lag_fits(X, np.arange(T), depth, range(1, L_max + 1), pairs)
+        for (j, i), fit in zip(pairs, fits):
+            for L in range(1, L_max + 1):
+                Y, X_r, X_u = reference_design(
+                    X[:, j], X[:, i], L, masked_rows(regime_lag_mask(labels, 1, L), L))
+                n, rss_u, gain, tss = fit[L]
+                want_u, want_tss = lstsq_unrestricted_fit(Y, X_u)
+                assert n == Y.size
+                assert rss_u == pytest.approx(want_u, rel=1e-9)
+                assert tss == pytest.approx(want_tss, rel=1e-9)
+                assert gain == pytest.approx(lstsq_rss(X_r, Y)[0] - want_u,
+                                             rel=1e-7, abs=1e-9 * want_u)
 
     def test_duplicated_rows(self):
         rng = np.random.default_rng(32)

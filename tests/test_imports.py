@@ -352,7 +352,8 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:  # --help
     code = exc.code
-print(code, *sorted(m for m in sys.modules if m.startswith("factorregimes.")))
+print(code, "numpy.ma" in sys.modules,
+      *sorted(m for m in sys.modules if m.startswith("factorregimes.")))
 """
 
 BASE = {"cli", "errors", "panel"}
@@ -364,7 +365,7 @@ STAGE_MODULES = {
     "validate": BASE | {"events", "granger", "numerics"},
     "backtest": BASE | {"backtest"},
     "robustness": BASE | {"robustness", "granger", "numerics"},
-    "plotdata": BASE | {"events", "granger", "numerics"},
+    "plotdata": BASE | {"events"},
 }
 
 
@@ -390,7 +391,7 @@ def stage_inputs(tmp_path_factory):
 def test_each_stage_loads_only_the_modules_it_runs(stage, stage_inputs):
     """A subcommand run in a fresh interpreter loads exactly its modules:
     the parser needs only `cli`, `errors` and `panel`, and no stage loads
-    `synthgen`."""
+    `synthgen`, nor `numpy.ma` (np.unique and np.quantile load it)."""
     tmp = stage_inputs
     inputs = ["--panel", str(tmp / "panel.csv"), "--labels", str(tmp / "labels.csv")]
     argv = {
@@ -412,8 +413,9 @@ def test_each_stage_loads_only_the_modules_it_runs(stage, stage_inputs):
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", STAGE_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    code, *loaded = proc.stdout.splitlines()[-1].split()
+    code, masked, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
+    assert masked == "False", "numpy.ma loaded"
     assert {m.split(".", 1)[1] for m in loaded} == STAGE_MODULES[stage]
 
 

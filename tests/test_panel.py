@@ -682,3 +682,88 @@ DAYS = np.array(["2020-01-06", "2020-01-07", "2020-01-08"], dtype="datetime64[D]
 def test_bad_input_rejected(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Inputs at the edge of the readers' bulk conversion. Each gives the panel
+# or labels of the plain rows after it, or the error text after it, exactly
+# as the row-by-row readers did before the bulk conversion.
+PLAIN_ROWS = ["2020-01-02,0.5,1.0", "2020-01-03,1.5,2.0", "2020-01-06,0.25,3.0"]
+DROPPED = [PLAIN_ROWS[0], PLAIN_ROWS[2]]
+
+
+def cell(value):
+    """The plain rows with `value` as the second row's first cell."""
+    return [PLAIN_ROWS[0], f"2020-01-03,{value},2.0", PLAIN_ROWS[2]]
+
+
+PANEL_EDGES = {
+    "digit separator": (cell("1_5"), cell("15")),
+    "full-width digits": (cell("１.５"), PLAIN_ROWS),
+    "leading space": (cell(" 1.5"), PLAIN_ROWS),
+    "plus sign": (cell("+1.5"), PLAIN_ROWS),
+    "nan": (cell("nan"), DROPPED),
+    "inf": (cell("inf"), DROPPED),
+    "sentinel": (cell("-99.99"), DROPPED),
+    "empty cell": (cell(""), "line 3: malformed value '' in column A"),
+    "hash in a cell": (cell("1#5"), "line 3: malformed value '1#5' in column A"),
+    "missing field": ([PLAIN_ROWS[0], "2020-01-03,1.5", PLAIN_ROWS[2]], DROPPED),
+    "extra field": ([PLAIN_ROWS[0], PLAIN_ROWS[1] + ",9", PLAIN_ROWS[2]],
+                    PLAIN_ROWS),
+    "YYYYMMDD dates": ([row.replace("-", "", 2) for row in PLAIN_ROWS], PLAIN_ROWS),
+    "trailing blank line": (PLAIN_ROWS + [""], PLAIN_ROWS),
+    "U+FFFD row": ([PLAIN_ROWS[0], "\ufffd" + PLAIN_ROWS[1][1:], PLAIN_ROWS[2]],
+                   "line 3: malformed date token '\ufffd020-01-03'"),
+    "out-of-order date": ([PLAIN_ROWS[0], "2020-01-07,1.5,2.0", PLAIN_ROWS[2]],
+                          "line 4: date 2020-01-06 is not after the previous "
+                          "kept row's 2020-01-07"),
+}
+PANEL_READERS = {
+    "read_panel_csv": lambda rows: read_panel_csv(
+        io.StringIO("\n".join(["date,A,B", *rows]) + "\n")),
+    "parse_ff_daily_csv": lambda rows: parse_ff_daily_csv(
+        io.StringIO("\n".join([",A,B", *rows]) + "\n"), ["A", "B"]),
+}
+LABEL_ROWS = ["2020-01-02,0", "2020-01-03,1", "2020-01-06,2"]
+LABEL_EDGES = {
+    "spaces around fields": (["2020-01-02,0", " 2020-01-03 , 1 ", "2020-01-06,2"],
+                             LABEL_ROWS),
+    "blank lines": (["", "2020-01-02,0", "", "2020-01-03,1", "2020-01-06,2", ""],
+                    LABEL_ROWS),
+    "plus sign": (["2020-01-02,0", "2020-01-03,+1", "2020-01-06,2"],
+                  "line 3: malformed regime label '+1'"),
+    "leading zero": (["2020-01-02,0", "2020-01-03,01", "2020-01-06,2"], LABEL_ROWS),
+    "YYYYMMDD dates": ([row.replace("-", "", 2) for row in LABEL_ROWS], LABEL_ROWS),
+    "month 13": (["2020-01-02,0", "2020-13-03,1", "2020-01-06,2"],
+                 "line 3: malformed date token '2020-13-03'"),
+}
+
+
+def read_labels(rows):
+    return read_labels_csv(io.StringIO("\n".join(["date,regime", *rows]) + "\n"))
+
+
+@pytest.mark.parametrize("reader", PANEL_READERS.values(), ids=PANEL_READERS.keys())
+@pytest.mark.parametrize("rows, want", PANEL_EDGES.values(), ids=PANEL_EDGES.keys())
+def test_panel_edge_input(reader, rows, want):
+    if isinstance(want, str):
+        with pytest.raises(PanelParseError) as exc:
+            reader(rows)
+        assert str(exc.value) == want
+        return
+    got, plain = reader(rows), reader(want)
+    assert got.factor_names == plain.factor_names == ("A", "B")
+    assert got.dates.tobytes() == plain.dates.tobytes()
+    assert got.returns.tobytes() == plain.returns.tobytes()
+
+
+@pytest.mark.parametrize("rows, want", LABEL_EDGES.values(), ids=LABEL_EDGES.keys())
+def test_labels_edge_input(rows, want):
+    if isinstance(want, str):
+        with pytest.raises(PanelParseError) as exc:
+            read_labels(rows)
+        assert str(exc.value) == want
+        return
+    (dates, labels), (plain_dates, plain_labels) = read_labels(rows), read_labels(want)
+    assert dates.dtype == plain_dates.dtype and labels.dtype == plain_labels.dtype
+    assert dates.tobytes() == plain_dates.tobytes()
+    assert labels.tobytes() == plain_labels.tobytes() == np.array([0, 1, 2]).tobytes()

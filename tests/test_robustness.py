@@ -16,10 +16,12 @@ from factorregimes import (
     transition_window_analysis,
     volatility_norm,
 )
-from factorregimes.granger import _lag_block, _segment_test
-from factorregimes.robustness import _transition_starts
+from factorregimes.granger import _segment_test
+from factorregimes.robustness import (THRESHOLD_QUANTILE, _quantile,
+                                     _transition_starts)
 
-from conftest import lstsq_nested_f, reference_design
+from conftest import (lstsq_nested_f, pair_design, random_series,
+                      reference_design, same_bits)
 
 
 def dated(n, start="2005-01-03"):
@@ -71,6 +73,18 @@ class TestThresholdRegimes:
         panel = noise_panel(15)
         with pytest.raises(SampleSizeError):
             threshold_regimes(panel)
+
+    def test_cutoff_is_np_quantile(self):
+        """The cutoff comes from np.quantile's linear rule, computed without
+        loading numpy.ma, at the detector's quantile and others."""
+        rng = np.random.default_rng(53)
+        for values in random_series(rng):
+            if values.size == 0:
+                continue
+            for q in (THRESHOLD_QUANTILE, 0.0, 0.5, 1.0, float(rng.random())):
+                with np.errstate(invalid="ignore"):  # inf - inf, in both
+                    assert same_bits(_quantile(values, q),
+                                     np.quantile(values, q)), (values, q)
 
 
 class TestLagSweep:
@@ -321,10 +335,10 @@ class TestTransitionWindows:
             Y_ref = np.concatenate([ref[0] for ref in refs])
             X_r = np.vstack([ref[1] for ref in refs])
             X_u = np.vstack([ref[2] for ref in refs])
-            Z = _lag_block(np.column_stack([y, x]), L)(np.concatenate(parts))
-            np.testing.assert_array_equal(Z[:, 2 * L + 1], Y_ref)
-            np.testing.assert_array_equal(Z[:, :2 * L + 1], X_u)
-            np.testing.assert_array_equal(Z[:, :L + 1], X_r)
+            Y, Z_r, Z_u = pair_design(y, x, L, np.concatenate(parts))
+            np.testing.assert_array_equal(Y, Y_ref)
+            np.testing.assert_array_equal(Z_u, X_u)
+            np.testing.assert_array_equal(Z_r, X_r)
             p, n_rows = _segment_test(y, x, segments, L)
             assert n_rows == Y_ref.size
             # the SVD two-fit reference on the stacked reference design
