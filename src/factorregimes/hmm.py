@@ -659,8 +659,9 @@ def _restarts(jobs) -> list:
 
 
 def _fit_ks(panel: FactorPanel, ks, family: str, config: FitConfig) -> list:
-    """Fit each K in ks as em_fit describes. Returns, for each K in order,
-    its HmmFit, or the SampleSizeError or EstimationError that ended it.
+    """Fit each K in ks as em_fit describes; every K must lie in 1..8.
+    Returns, for each K in order, its HmmFit, or the SampleSizeError or
+    EstimationError that ended it.
 
     Every feasible K's restarts share one set of workers (_restarts).
     Each restart is a pure function of the panel and its own seed, and
@@ -672,6 +673,8 @@ def _fit_ks(panel: FactorPanel, ks, family: str, config: FitConfig) -> list:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if min(ks) < 1:
         raise ValueError("K must be >= 1")
+    if max(ks) > 8:
+        raise ValueError(f"K must be <= 8, got K={max(ks)}")
     X = panel.returns
     T, d = X.shape
     n = config.n_restarts
@@ -738,8 +741,8 @@ def select_k(panel: FactorPanel, k_range, family: str, config: FitConfig):
     every K fails, the error names each K's reason.
     """
     ks = list(k_range)
-    if not ks or min(ks) < 1 or max(ks) > 8:
-        raise ValueError("k_range must lie within [1, 8] and be nonempty")
+    if not ks:
+        raise ValueError("k_range is empty")
     for i, k in enumerate(ks):
         if k in ks[:i]:
             raise ValueError(f"k_range repeats K={k}")

@@ -1,7 +1,9 @@
 """End-to-end CLI pipeline on synthetic data, including determinism."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ import pytest
 from factorregimes import (
     SIX_FACTOR_NAMES,
     CrossLagSpec,
+    DegenerateDesignError,
     EstimationError,
     FactorPanel,
     SyntheticSpec,
@@ -898,3 +901,115 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code != 0
+
+
+def _stage_argv(case, panel_path, labels):
+    """A stage that succeeds, fails on its input (2), fails in computation
+    (3), or prints its help; every output path is relative."""
+    return {
+        "success": ["granger", "--panel", str(panel_path), "--labels", str(labels),
+                    "--lmax", "3", "--out", "granger.csv"],
+        "input_error": ["granger", "--panel", str(panel_path),
+                        "--labels", "missing.csv", "--out", "granger.csv"],
+        "computation_failure": ["fit", "--panel", "flat.csv", "--k", "2",
+                                "--family", "gaussian", "--seed", "1",
+                                "--restarts", "2", "--out", "model.json"],
+        "help": ["--help"],
+    }[case]
+
+
+def _flat_panel(path):
+    """40 days, 30 of them exactly zero: every K=2 Gaussian restart fails."""
+    X = np.zeros((40, 1))
+    X[30:, 0] = np.random.default_rng(1).normal(0, 1, 10)
+    dates = np.busday_offset("2015-01-05", np.arange(40)).astype("datetime64[D]")
+    write_panel_csv(FactorPanel(dates, X, ("F0",)), path)
+
+
+def _call_main(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # --help
+        return exc.code
+
+
+STAGE_CODES = {"success": 0, "input_error": 2, "computation_failure": 3, "help": 0}
+
+# A stage process as each launcher starts it; at exit it prints whether the
+# collector is on and whether the heap is frozen.
+PROCESS_PROBE = """
+import atexit, gc, importlib, runpy, sys
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))
+launcher, entry, *argv = sys.argv[1:]
+sys.argv = ["factor-regimes", *argv]
+if launcher == "module":  # python -m factorregimes.cli
+    runpy.run_module("factorregimes.cli", run_name="__main__", alter_sys=True)
+else:  # the console script, as pip writes it
+    module, _, function = entry.partition(":")
+    sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+
+class TestStageProcess:
+    """A stage process runs with the cyclic collector off and exits with its
+    heap frozen; `main` called in a process leaves its caller's collector as
+    it was."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("case", sorted(STAGE_CODES))
+    def test_main_leaves_the_collector_as_the_caller_had_it(
+            self, fitted, tmp_path, monkeypatch, case, enabled):
+        panel_path, _, labels = fitted
+        monkeypatch.chdir(tmp_path)
+        if case == "computation_failure":
+            def degenerate(*args, **kwargs):
+                raise DegenerateDesignError("design is rank-deficient")
+
+            monkeypatch.setattr(cli, "pairwise_regime_matrix", degenerate)
+            argv = _stage_argv("success", panel_path, labels)
+        else:
+            argv = _stage_argv(case, panel_path, labels)
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = _call_main(argv)
+            state = gc.isenabled(), gc.get_freeze_count()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert code == STAGE_CODES[case]
+        assert state == (enabled, frozen)
+
+    @pytest.mark.parametrize("launcher", ["module", "script"])
+    @pytest.mark.parametrize("case", sorted(STAGE_CODES))
+    def test_stage_process_runs_without_the_collector(
+            self, fitted, tmp_path, monkeypatch, capsys, case, launcher):
+        """`python -m factorregimes.cli` and the `factor-regimes` script
+        (the entry named in pyproject.toml) keep the collector off and
+        freeze the heap, and print, exit and write as `main` does."""
+        panel_path, _, labels = fitted
+        argv = _stage_argv(case, panel_path, labels)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to it
+        here, there = tmp_path / "in_process", tmp_path / "process"
+        for cwd in (here, there):
+            cwd.mkdir()
+            _flat_panel(cwd / "flat.csv")
+        monkeypatch.chdir(here)
+        code = _call_main(argv)
+        captured = capsys.readouterr()
+
+        pyproject = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+        with open(pyproject, encoding="utf-8") as fh:
+            entry = re.search(r'^factor-regimes = "(.+)"$', fh.read(), re.M).group(1)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", PROCESS_PROBE, launcher, entry, *argv],
+            cwd=there, env=env, capture_output=True, text=True, timeout=120)
+        *lines, collector = proc.stdout.splitlines(keepends=True)
+        assert collector == "False True\n"
+        assert code == STAGE_CODES[case]
+        assert (proc.returncode, "".join(lines), proc.stderr) == (
+            code, captured.out, captured.err)
+        assert {p.name: p.read_bytes() for p in there.iterdir()} == {
+            p.name: p.read_bytes() for p in here.iterdir()}

@@ -1041,6 +1041,22 @@ class TestSelectK:
             select_k(mostly_flat_panel(), [1, 2, 2], "gaussian",
                      FitConfig(seed=1, n_restarts=2))
 
+    @pytest.mark.parametrize("fit", [
+        lambda panel, config: em_fit(panel, 9, "gaussian", config),
+        lambda panel, config: select_k(panel, [9], "gaussian", config),
+        lambda panel, config: select_k(panel, [2, 9], "gaussian", config),
+    ], ids=["em_fit", "select_k", "select_k_range"])
+    def test_both_entry_points_refuse_k_above_8(self, monkeypatch, fit):
+        """em_fit and select_k share one bound and one error, raised before
+        any restart runs, on a panel long enough for nine regimes."""
+        def no_fit(*args):
+            raise AssertionError("a restart ran")
+
+        monkeypatch.setattr(hmm, "_restart", no_fit)
+        panel = toy_panel(np.random.default_rng(0).standard_normal((200, 1)))
+        with pytest.raises(ValueError, match=r"^K must be <= 8, got K=9$"):
+            fit(panel, FitConfig(seed=1, n_restarts=2))
+
 
 class TestOrderRegimes:
     def test_orders_by_mean_norm(self, synthetic_3regime):
