@@ -137,7 +137,7 @@ print(f"binomial tail for {report.n_check}/{report.n_testable} CHECK "
 # ---------------------------------------------------------------------
 # 5. Transition windows: does the relation switch on at crisis entry?
 
-trans = transition_window_analysis(panel, fit.labels, 2, L=2)
+trans = transition_window_analysis(panel, fit.labels, 2)
 print(f"\ncrisis entries: {trans.entry.n_transitions}")
 print(f"  pooled p before entry: {trans.entry.p_before}")
 print(f"  pooled p after entry:  {trans.entry.p_after}")

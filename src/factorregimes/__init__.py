@@ -23,15 +23,14 @@ _HOMES = {name: module for module, names in {
                "PanelParseError", "SampleSizeError", "SchemaError"),
     "events": ("CHECK", "CROSS", "DEFAULT_EVENT_WINDOWS", "DIR", "UNTESTABLE",
                "EventResult", "EventWindow", "LeadTime", "ValidationReport",
-               "detection_rate", "event_granger_validation",
-               "first_sustained_detection", "lead_time", "read_event_windows",
-               "write_validation_csv"),
+               "detection_rate", "event_granger_validation", "lead_time",
+               "read_event_windows", "write_validation_csv"),
     "granger": ("CellFailure", "GrangerResult", "PairwiseMatrix", "granger_f_test",
                 "granger_results_to_csv", "pairwise_regime_matrix",
                 "regime_lag_mask", "select_lag_bic"),
     "hmm": ("FitConfig", "HmmFit", "HmmParams", "decode", "em_fit",
-            "forward_backward", "load_model", "n_free_params", "order_regimes",
-            "save_model", "select_k", "solve_nu"),
+            "forward_backward", "load_model", "order_regimes", "save_model",
+            "select_k"),
     "numerics": ("FTestDistribution", "binomial_tail", "digamma", "f_sf",
                  "log_gamma", "regularized_incomplete_beta"),
     "panel": ("FF5_COLUMNS", "MOMENTUM_COLUMNS", "SIX_FACTOR_NAMES", "FactorPanel",

@@ -1,24 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+`pickle` and `copy` rebuild an error by Python's default rule: its
+constructor is called again with its `args`, then its attributes are
+restored. Each constructor therefore accepts its own `args`:
+PanelParseError keeps the text with its line number in it, and
+SampleSizeError keeps its counts and formats its text in `__str__`.
+"""
 
 
 class FactorRegimesError(Exception):
-    """Base class for all package-specific errors.
-
-    `pickle` and `copy` rebuild an error from its type, `args` and
-    attributes without calling `__init__` again: a constructor may format
-    its text from arguments that `args` does not keep, as SampleSizeError
-    does, and would fail if called with `args`.
-    """
-
-    def __reduce__(self):
-        return _rebuilt, (type(self), self.args, self.__dict__)
-
-
-def _rebuilt(cls, args, attributes):
-    """An instance of the error class cls with these args and attributes."""
-    exc = cls.__new__(cls, *args)
-    exc.__dict__.update(attributes)
-    return exc
+    """Base class for all package-specific errors."""
 
 
 class PanelParseError(FactorRegimesError, ValueError):
@@ -39,12 +30,14 @@ class SampleSizeError(FactorRegimesError, ValueError):
     """Too few observations to build the requested design."""
 
     def __init__(self, required: int, available: int, context: str = ""):
-        msg = f"need at least {required} observations, have {available}"
-        if context:
-            msg = f"{context}: {msg}"
-        super().__init__(msg)
+        super().__init__(required, available, context)
         self.required = required
         self.available = available
+
+    def __str__(self) -> str:
+        required, available, context = self.args
+        msg = f"need at least {required} observations, have {available}"
+        return f"{context}: {msg}" if context else msg
 
 
 class DegenerateDesignError(FactorRegimesError, ValueError):

@@ -67,9 +67,9 @@ def detection_rate(labels, dates, w: EventWindow, crisis_index: int) -> float:
     return float(np.mean(labels[idx] == crisis_index))
 
 
-def first_sustained_detection(labels, dates, w: EventWindow, m: int = SUSTAINED_RUN, *,
+def first_sustained_detection(labels, dates, w: EventWindow, *,
                               crisis_index: int) -> np.datetime64 | None:
-    """Earliest in-window date starting m consecutive crisis labels.
+    """Earliest in-window date starting SUSTAINED_RUN consecutive crisis labels.
 
     The run may extend past the window end but must fit inside the
     label series. Returns None when no such day exists.
@@ -79,7 +79,7 @@ def first_sustained_detection(labels, dates, w: EventWindow, m: int = SUSTAINED_
     dates = np.asarray(dates, dtype="datetime64[D]")
     labels = _aligned(labels, dates.shape[0], "labels")
     idx = _window_indices(dates, w)
-    hits = idx[_runs_from(labels == crisis_index, m)[idx]]
+    hits = idx[_runs_from(labels == crisis_index, SUSTAINED_RUN)[idx]]
     return dates[hits[0]] if hits.size else None
 
 
@@ -91,7 +91,7 @@ class LeadTime:
 
 
 def lead_time(labels, dates, vol, w: EventWindow, horizon: int = PEAK_HORIZON, *,
-              crisis_index: int, m: int = SUSTAINED_RUN) -> LeadTime | None:
+              crisis_index: int) -> LeadTime | None:
     """Calendar days from first sustained detection to the volatility peak.
 
     The peak is the argmax of the volatility norm over the `horizon`
@@ -102,7 +102,7 @@ def lead_time(labels, dates, vol, w: EventWindow, horizon: int = PEAK_HORIZON, *
         raise ValueError(f"the peak-search horizon must be >= 0, got {horizon}")
     dates = np.asarray(dates, dtype="datetime64[D]")
     vol = _aligned(np.asarray(vol, dtype=float), dates.shape[0], "volatility norms")
-    det = first_sustained_detection(labels, dates, w, m, crisis_index=crisis_index)
+    det = first_sustained_detection(labels, dates, w, crisis_index=crisis_index)
     if det is None:
         return None
     t_d = int(np.searchsorted(dates, det))
@@ -126,33 +126,31 @@ class ValidationReport:
     n_check: int
     n_testable: int
     binomial_p: float
-    alpha: float = EVENT_ALPHA
 
 
-def _classify(p_fwd: float, p_rev: float, alpha: float) -> str:
-    if p_fwd < alpha and p_rev > alpha:
+def _classify(p_fwd: float, p_rev: float) -> str:
+    if p_fwd < EVENT_ALPHA and p_rev > EVENT_ALPHA:
         return CHECK
-    if p_fwd >= alpha and p_fwd < p_rev:
+    if p_fwd >= EVENT_ALPHA and p_fwd < p_rev:
         return DIR
     return CROSS
 
 
 def event_granger_validation(panel: FactorPanel,
                              windows: Sequence[EventWindow] = DEFAULT_EVENT_WINDOWS,
-                             L: int = TESTED_LAG, *,
-                             alpha: float = EVENT_ALPHA) -> ValidationReport:
+                             L: int = TESTED_LAG) -> ValidationReport:
     """Directional HML -> SMB Granger classification for each event window.
 
     At fixed lag L, tests HML -> SMB (forward) and the reverse on every
     day of the window: the design rows are its days from the (L+1)th on,
     with lags read inside the window. CHECK means the forward test is
-    significant at `alpha` while the reverse is not; DIR means the
+    significant at EVENT_ALPHA while the reverse is not; DIR means the
     forward p is smaller but misses significance; CROSS is anything
     else. A window is UNTESTABLE when its design collapses or when it
     has fewer than 3L+11 days, which would leave under 2L+11 design
     rows (at L=9, fewer than 38 days). The summary attaches the exact
     binomial upper tail for the CHECK count among testable events at
-    success probability `alpha`.
+    success probability EVENT_ALPHA.
     """
     # imported here, so that plotdata, which tests nothing, loads neither
     from .granger import _segment_test
@@ -169,17 +167,17 @@ def event_granger_validation(panel: FactorPanel,
             rows.append(EventResult(w.name, idx.size, None, None, UNTESTABLE))
         else:
             rows.append(EventResult(w.name, idx.size, p_fwd, p_rev,
-                                    _classify(p_fwd, p_rev, alpha)))
+                                    _classify(p_fwd, p_rev)))
     testable = [r for r in rows if r.classification != UNTESTABLE]
     n_check = sum(1 for r in testable if r.classification == CHECK)
     n_testable = len(testable)
-    binom = binomial_tail(n_check, n_testable, alpha) if n_testable else 1.0
-    return ValidationReport(tuple(rows), n_check, n_testable, binom, alpha)
+    binom = binomial_tail(n_check, n_testable, EVENT_ALPHA) if n_testable else 1.0
+    return ValidationReport(tuple(rows), n_check, n_testable, binom)
 
 
 def write_validation_csv(report: ValidationReport, path_or_buf) -> None:
     """Canonical validation CSV plus a binomial footer row."""
-    p = np.format_float_positional(report.alpha, min_digits=2)
+    p = np.format_float_positional(EVENT_ALPHA, min_digits=2)
     _write_table(path_or_buf, "event,days,p_fwd,p_rev,classification".split(","),
                  ("", "", ".5e", ".5e", ""), map(astuple, report.rows),
                  footer=f"# binomial: {report.n_check}/{report.n_testable} CHECK; "

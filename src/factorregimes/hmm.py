@@ -62,19 +62,30 @@ class HmmParams:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        pi = np.array(self.pi, dtype=float).reshape(-1)
-        K = pi.shape[0]
-        A = np.array(self.A, dtype=float).reshape(K, K)
-        mu = np.atleast_2d(np.array(self.mu, dtype=float))
-        d = mu.shape[1]
-        Sigma = np.array(self.Sigma, dtype=float).reshape(K, d, d)
-        nu = None if self.nu is None else np.array(self.nu, dtype=float).reshape(-1)
+        if self.family == "student_t" and self.nu is None:
+            raise ValueError("student_t family requires nu")
+        if self.family == "gaussian" and self.nu is not None:
+            raise ValueError("gaussian family takes no nu")
+        pi, A, mu, Sigma = (np.array(a, dtype=float)
+                            for a in (self.pi, self.A, self.mu, self.Sigma))
+        nu = None if self.nu is None else np.array(self.nu, dtype=float)
+        if pi.ndim != 1:
+            raise ValueError(f"pi has shape {pi.shape}, expected (K,)")
+        if mu.ndim != 2:
+            raise ValueError(f"mu has shape {mu.shape}, expected (K, d)")
+        K, d = pi.shape[0], mu.shape[1]
+        if mu.shape[0] != K:
+            raise ValueError(f"mu has {mu.shape[0]} rows for K={K}")
+        if nu is not None and nu.ndim == 1 and nu.shape[0] != K:
+            raise ValueError(f"nu has length {nu.shape[0]} for K={K}")
+        for name, arr, shape in (("A", A, (K, K)), ("Sigma", Sigma, (K, d, d)),
+                                 ("nu", nu, (K,))):
+            if arr is not None and arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
         arrays = {"pi": pi, "A": A, "mu": mu, "Sigma": Sigma, "nu": nu}
         for name, arr in arrays.items():
             if arr is not None and not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        if mu.shape[0] != K:
-            raise ValueError(f"mu has {mu.shape[0]} rows for K={K}")
         if abs(pi.sum() - 1.0) > 1e-12 or np.any(pi < 0):
             raise ValueError("pi must be a probability vector (sum 1 within 1e-12)")
         rowsums = A.sum(axis=1)
@@ -85,15 +96,8 @@ class HmmParams:
                 np.linalg.cholesky(Sigma[k])
             except np.linalg.LinAlgError:
                 raise ValueError(f"Sigma[{k}] is not positive definite") from None
-        if self.family == "student_t":
-            if nu is None:
-                raise ValueError("student_t family requires nu")
-            if nu.shape[0] != K:
-                raise ValueError(f"nu has length {nu.shape[0]} for K={K}")
-            if np.any(nu <= 2.0):
-                raise ValueError("every nu must exceed 2 (finite covariance)")
-        elif nu is not None:
-            raise ValueError("gaussian family takes no nu")
+        if nu is not None and np.any(nu <= 2.0):
+            raise ValueError("every nu must exceed 2 (finite covariance)")
         for name, arr in arrays.items():
             if arr is not None:
                 arr.flags.writeable = False

@@ -400,6 +400,9 @@ def read_labels_csv(source) -> tuple[np.ndarray, np.ndarray]:
         if not _LABEL_TOKEN.fullmatch(z.strip()):
             raise PanelParseError(f"malformed regime label {z!r}", i)
         labels.append(int(z))
+        if not -2**63 <= labels[-1] < 2**63:
+            raise PanelParseError(f"regime label {z.strip()} is outside the int64 "
+                                  "range", i)
         tokens.append(d.strip())
         line_numbers.append(i)
     dates = _to_dates(tokens, line_numbers)

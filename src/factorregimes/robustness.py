@@ -145,15 +145,15 @@ def _transition_starts(labels, crisis_index, m, entering: bool) -> np.ndarray:
     return np.flatnonzero(_runs_from(state, m)[1:] & ~state[:-1]) + 1
 
 
-def transition_window_analysis(panel: FactorPanel, labels, crisis_index: int,
-                               L: int = TESTED_LAG) -> TransitionReport:
+def transition_window_analysis(panel: FactorPanel, labels,
+                               crisis_index: int) -> TransitionReport:
     """Does the HML -> SMB relation switch on at crisis entry?
 
     Entries are first days of >= TRANSITION_MIN_RUN crisis days preceded
     by a non-crisis day; exits are the mirror image. The TRANSITION_WINDOW
     days before each transition and from it on form separate design
     segments (lags never cross the boundary), pooled into one regression
-    per side at lag L. Returns pooled p-values; a direction with no
+    per side at TESTED_LAG. Returns pooled p-values; a direction with no
     transitions reports an empty pair.
     """
     labels = _aligned(labels, panel.n_days, "labels")
@@ -165,7 +165,7 @@ def transition_window_analysis(panel: FactorPanel, labels, crisis_index: int,
                                     TRANSITION_MIN_RUN, entering)
         before = [(max(0, t - w), t - 1) for t in starts]
         after = [(t, min(T - 1, t + w - 1)) for t in starts]
-        p_b, n_b = _segment_test(y, x, before, L)
-        p_a, n_a = _segment_test(y, x, after, L)
+        p_b, n_b = _segment_test(y, x, before, TESTED_LAG)
+        p_a, n_a = _segment_test(y, x, after, TESTED_LAG)
         out[name] = TransitionPair(len(starts), p_b, p_a, n_b, n_a)
     return TransitionReport(entry=out["entry"], exit=out["exit"])

@@ -367,6 +367,17 @@ def reference_regime_lag_mask(labels, k, L):
     return mask
 
 
+def reference_runs_from(state, m):
+    """The days that start m true days of `state` inside the series, from
+    a length-m convolution."""
+    T = state.shape[0]
+    runs = np.zeros(T, dtype=bool)
+    if T >= m:
+        runs[:T - m + 1] = np.convolve(state.astype(int), np.ones(m, dtype=int),
+                                       "valid") == m
+    return runs
+
+
 def reference_first_sustained_detection(labels, dates, w, m, crisis_index):
     """The first window day that starts m crisis days inside the series,
     from a length-m convolution and a scan over the window's days."""

@@ -614,6 +614,23 @@ class TestPlotdata:
         assert markers[:42] == [""] * 10 + ["early"] * 21 + ["late"] * 10 + [""]
         assert set(markers[42:]) == {""}
 
+    def test_label_beyond_int64_exit_2(self, fitted, tmp_path, capsys):
+        """A label no int64 holds is a parse error naming its line, not a
+        traceback, and nothing is written."""
+        panel_path, _, labels = fitted
+        rows = labels.read_text().splitlines()
+        bad = tmp_path / "labels.csv"
+        bad.write_text("\n".join([rows[0], rows[1].split(",")[0]
+                                  + ",99999999999999999999999", *rows[2:]]) + "\n")
+        out = tmp_path / "plot.csv"
+        rc = main(["plotdata", "--panel", str(panel_path), "--labels", str(bad),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: line 2: regime label "
+                                           "99999999999999999999999 is outside "
+                                           "the int64 range\n")
+        assert not out.exists()
+
 
 class TestRobustnessCommand:
     def test_writes_battery_outputs(self, fitted, tmp_path, capsys):

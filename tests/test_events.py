@@ -18,7 +18,6 @@ from factorregimes import (
     binomial_tail,
     detection_rate,
     event_granger_validation,
-    first_sustained_detection,
     granger_f_test,
     lead_time,
     read_event_windows,
@@ -26,7 +25,8 @@ from factorregimes import (
     slice_dates,
     write_validation_csv,
 )
-from factorregimes.events import _classify
+from factorregimes.events import (EVENT_ALPHA, _classify,
+                                   first_sustained_detection)
 
 
 def dated(n, start="2020-01-02"):
@@ -64,39 +64,41 @@ class TestDetectionRate:
 
 
 class TestFirstSustainedDetection:
-    def test_m1_is_first_crisis_day(self):
-        dates = dated(8)
-        labels = np.array([0, 0, 1, 0, 1, 1, 1, 0])
+    def test_shorter_runs_are_skipped(self):
+        """A detection is SUSTAINED_RUN = 3 crisis days: runs of 1 and 2 are
+        passed over."""
+        dates = dated(10)
+        labels = np.array([0, 0, 1, 0, 1, 1, 0, 1, 1, 1])
         w = window_over(dates)
-        assert first_sustained_detection(labels, dates, w, 1,
-                                         crisis_index=1) == dates[2]
+        assert first_sustained_detection(labels, dates, w,
+                                         crisis_index=1) == dates[7]
 
     def test_requires_m_consecutive(self):
         dates = dated(8)
         labels = np.array([0, 0, 1, 0, 1, 1, 1, 0])
         w = window_over(dates)
-        assert first_sustained_detection(labels, dates, w, 3,
+        assert first_sustained_detection(labels, dates, w,
                                          crisis_index=1) == dates[4]
 
     def test_run_may_extend_past_window(self):
         dates = dated(8)
         labels = np.array([0, 0, 0, 0, 0, 1, 1, 1])
         w = window_over(dates, 0, 5)
-        assert first_sustained_detection(labels, dates, w, 3,
+        assert first_sustained_detection(labels, dates, w,
                                          crisis_index=1) == dates[5]
 
     def test_run_must_fit_series(self):
         dates = dated(6)
         labels = np.array([0, 0, 0, 0, 1, 1])
         w = window_over(dates)
-        assert first_sustained_detection(labels, dates, w, 3,
+        assert first_sustained_detection(labels, dates, w,
                                          crisis_index=1) is None
 
     def test_none_when_absent(self):
         dates = dated(6)
         w = window_over(dates)
         assert first_sustained_detection(np.zeros(6, dtype=int), dates, w,
-                                         2, crisis_index=1) is None
+                                         crisis_index=1) is None
 
 
 class TestLeadTime:
@@ -118,10 +120,8 @@ class TestLeadTime:
         labels = (rng.random(120) < 0.4).astype(int)
         vol = rng.random(120)
         w = window_over(dates)
-        lt = lead_time(labels, dates, vol, w, horizon=30, crisis_index=1,
-                       m=1)
-        if lt is not None:
-            assert lt.lead_days >= 0
+        lt = lead_time(labels, dates, vol, w, horizon=30, crisis_index=1)
+        assert lt is not None and lt.lead_days >= 0
 
     def test_none_without_detection(self):
         dates = dated(20)
@@ -168,17 +168,17 @@ class TestSeriesAlignment:
 
 class TestClassify:
     def test_check(self):
-        assert _classify(0.02, 0.60, 0.10) == CHECK
+        assert _classify(0.02, 0.60) == CHECK
 
     def test_reverse_also_low_is_cross(self):
         # significant both ways fails the one-directional requirement
-        assert _classify(0.020, 0.081, 0.10) == CROSS
+        assert _classify(0.020, 0.081) == CROSS
 
     def test_directional(self):
-        assert _classify(0.104, 0.194, 0.10) == DIR
+        assert _classify(0.104, 0.194) == DIR
 
     def test_wrong_order_is_cross(self):
-        assert _classify(0.711, 0.049, 0.10) == CROSS
+        assert _classify(0.711, 0.049) == CROSS
 
 
 def build_event_panel(T=400, seed=30, coef=0.0, lag=2):
@@ -301,13 +301,12 @@ class TestValidationCsv:
     def test_footer_reports_the_alpha_used(self):
         panel = build_event_panel(T=500, seed=36, coef=0.8, lag=2)
         ws = (EventWindow("evt", panel.dates[0], panel.dates[-1]),)
-        for alpha, shown in ((0.05, "p=0.05"), (0.10, "p=0.10")):
-            report = event_granger_validation(panel, ws, L=3, alpha=alpha)
-            assert report.alpha == alpha
-            buf = io.StringIO()
-            write_validation_csv(report, buf)
-            footer = buf.getvalue().splitlines()[-1]
-            assert f"exact tail at {shown} =" in footer
+        report = event_granger_validation(panel, ws, L=3)
+        assert EVENT_ALPHA == 0.10
+        buf = io.StringIO()
+        write_validation_csv(report, buf)
+        footer = buf.getvalue().splitlines()[-1]
+        assert "exact tail at p=0.10 =" in footer
 
 
 class TestWindowConfigIO:

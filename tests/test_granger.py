@@ -16,7 +16,6 @@ from factorregimes import (
     FactorPanel,
     SampleSizeError,
     f_sf,
-    first_sustained_detection,
     granger_f_test,
     granger_results_to_csv,
     lag_sweep,
@@ -36,7 +35,9 @@ from factorregimes.granger import (
     _lag_fits,
     _lag_search,
     _run_lengths,
+    _runs_from,
 )
+from factorregimes.events import SUSTAINED_RUN, first_sustained_detection
 from factorregimes.robustness import _transition_starts
 
 from conftest import (
@@ -49,6 +50,7 @@ from conftest import (
     reference_design,
     reference_first_sustained_detection,
     reference_regime_lag_mask,
+    reference_runs_from,
     reference_svd_ranks,
     reference_transition_starts,
     same_bits,
@@ -126,9 +128,10 @@ def test_run_lengths():
 @given(labels=st.lists(st.integers(0, 2), max_size=39), k=st.integers(0, 2),
        m=st.integers(1, 7), first=st.integers(-10, 45), span=st.integers(0, 30))
 def test_run_length_rules_match_references(labels, k, m, first, span):
-    """The lag mask, the first sustained detection and the transition
-    starts, all read from run lengths, equal the shift-and-convolve
-    bodies they replaced, dtypes included, for windows inside, across
+    """The lag mask, the sustained-run days and the transition starts, all
+    read from run lengths, equal the shift-and-convolve bodies they
+    replaced, dtypes included; so does the first sustained detection,
+    which takes its run from SUSTAINED_RUN, for windows inside, across
     and outside the series."""
     labels = np.array(labels, dtype=np.int64)
     day0 = np.datetime64("2001-01-01")
@@ -137,8 +140,11 @@ def test_run_length_rules_match_references(labels, k, m, first, span):
     got, want = regime_lag_mask(labels, k, m), reference_regime_lag_mask(labels, k, m)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
-    got = first_sustained_detection(labels, dates, w, m, crisis_index=k)
-    want = reference_first_sustained_detection(labels, dates, w, m, k)
+    got, want = _runs_from(labels == k, m), reference_runs_from(labels == k, m)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    got = first_sustained_detection(labels, dates, w, crisis_index=k)
+    want = reference_first_sustained_detection(labels, dates, w, SUSTAINED_RUN, k)
     assert got == want and type(got) is type(want)
     for entering in (True, False):
         got = _transition_starts(labels, k, m, entering)

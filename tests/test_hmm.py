@@ -30,11 +30,9 @@ from factorregimes import (
     generate,
     label_accuracy,
     load_model,
-    n_free_params,
     order_regimes,
     save_model,
     select_k,
-    solve_nu,
 )
 import factorregimes
 from factorregimes import hmm
@@ -43,6 +41,8 @@ from factorregimes.hmm import (
     _forward_backward_core,
     _initial_params,
     _m_step,
+    n_free_params,
+    solve_nu,
 )
 
 from conftest import reference_emission_terms, table1_like_params
@@ -1204,6 +1204,37 @@ def test_non_finite_params_rejected(name, value, tmp_path):
         load_model(path)
     path.write_text(json.dumps(VALID_DOC))
     assert load_model(path)[0].nu.tolist() == [5.0, 5.0]
+
+
+D2_DOC = {"family": "student_t", "pi": [0.5, 0.5], "A": [[0.9, 0.1], [0.2, 0.8]],
+          "mu": [[0.0, 0.0], [1.0, 1.0]],
+          "Sigma": [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]],
+          "nu": [5.0, 6.0]}
+BAD_SHAPES = [("pi", [[0.5, 0.5]], "pi has shape (1, 2), expected (K,)"),
+              ("mu", [0.0, 1.0], "mu has shape (2,), expected (K, d)"),
+              ("A", [0.9, 0.1, 0.2, 0.8], "A has shape (4,), expected (2, 2)"),
+              ("Sigma", [1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0],
+               "Sigma has shape (8,), expected (2, 2, 2)"),
+              ("Sigma", [[1.0, 0.0], [0.0, 1.0]],
+               "Sigma has shape (2, 2), expected (2, 2, 2)"),
+              ("nu", [[5.0], [6.0]], "nu has shape (2, 1), expected (2,)"),
+              ("nu", 5.0, "nu has shape (), expected (2,)")]
+
+
+@pytest.mark.parametrize("name,value,message", BAD_SHAPES)
+def test_params_of_another_shape_rejected(name, value, message, tmp_path):
+    """Each array must have its documented shape: a flat transition matrix
+    or scale stack is not reshaped, and the error names the field. A model
+    file is checked the same way."""
+    doc = dict(D2_DOC, **{name: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HmmParams(**doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+    path.write_text(json.dumps(D2_DOC))
+    assert load_model(path)[0].Sigma.shape == (2, 2, 2)
 
 
 def fit_toy(family="student_t", K=2):

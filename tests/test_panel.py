@@ -735,6 +735,10 @@ LABEL_EDGES = {
     "YYYYMMDD dates": ([row.replace("-", "", 2) for row in LABEL_ROWS], LABEL_ROWS),
     "month 13": (["2020-01-02,0", "2020-13-03,1", "2020-01-06,2"],
                  "line 3: malformed date token '2020-13-03'"),
+    "label past int64": (["2020-01-02,99999999999999999999999", "2020-01-03,1",
+                          "2020-01-06,2"],
+                         "line 2: regime label 99999999999999999999999 is "
+                         "outside the int64 range"),
 }
 
 
@@ -754,6 +758,17 @@ def test_panel_edge_input(reader, rows, want):
     assert got.factor_names == plain.factor_names == ("A", "B")
     assert got.dates.tobytes() == plain.dates.tobytes()
     assert got.returns.tobytes() == plain.returns.tobytes()
+
+
+def test_labels_at_the_int64_bounds_read():
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    for rows in ([f"2020-01-02,{lo}", f"2020-01-03,{hi}"],
+                 [f"2020-01-02,{lo}", f" 2020-01-03 , {hi} "]):  # bulk, row by row
+        assert read_labels(rows)[1].tolist() == [lo, hi]
+    with pytest.raises(PanelParseError, match=f"^line 3: regime label {hi + 1} "):
+        read_labels([f"2020-01-02,{lo}", f"2020-01-03,{hi + 1}"])
+    with pytest.raises(PanelParseError, match=f"^line 2: regime label {lo - 1} "):
+        read_labels([f"2020-01-02,{lo - 1}", f"2020-01-03,{hi}"])
 
 
 @pytest.mark.parametrize("rows, want", LABEL_EDGES.values(), ids=LABEL_EDGES.keys())

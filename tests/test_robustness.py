@@ -297,7 +297,7 @@ class TestTransitionWindows:
 
     def test_counts_transitions(self):
         panel, labels = self.make_panel_with_transitions()
-        report = transition_window_analysis(panel, labels, 1, L=3)
+        report = transition_window_analysis(panel, labels, 1)
         assert report.entry.n_transitions == 3
         assert report.exit.n_transitions == 3
         assert report.entry.n_after > 0
@@ -305,7 +305,7 @@ class TestTransitionWindows:
 
     def test_relation_switches_on_at_entry(self):
         panel, labels = self.make_panel_with_transitions(seed=64, coef=0.9)
-        report = transition_window_analysis(panel, labels, 1, L=3)
+        report = transition_window_analysis(panel, labels, 1)
         assert report.entry.p_after < 0.01
         assert report.entry.p_before > 0.01
 
@@ -313,7 +313,7 @@ class TestTransitionWindows:
         rejected = 0
         for seed in range(5):
             panel, labels = self.make_panel_with_transitions(seed=70 + seed)
-            report = transition_window_analysis(panel, labels, 1, L=3)
+            report = transition_window_analysis(panel, labels, 1)
             for p in (report.entry.p_before, report.entry.p_after,
                       report.exit.p_before, report.exit.p_after):
                 if p is not None and p < 0.05:
