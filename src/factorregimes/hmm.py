@@ -49,7 +49,8 @@ class HmmParams:
     Sigma : (K, d, d) SPD scale matrices, percent^2
     nu    : (K,) degrees of freedom (student_t); None for gaussian
     family: 'student_t' or 'gaussian'
-    Every entry of every array must be finite.
+    Each array must have exactly its shape above, and every entry must be
+    finite.
     """
 
     pi: np.ndarray
