@@ -47,14 +47,13 @@ def strategy_signal(hml, labels, crisis_index: int,
     sign of the compounded HML return over days t-window..t-1; all other
     days are flat. An exactly zero trailing return is flat as well. The
     signal at t uses data only through t-1, so it is computable at the
-    prior close.
+    prior close. hml and labels are one-dimensional series of hml's
+    length (a 2-D array is a ValueError).
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    hml = np.asarray(hml, dtype=float).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
-    if hml.shape != labels.shape:
-        raise ValueError("hml and labels must have equal length")
+    hml = _aligned(hml, None, "hml", float)
+    labels = _aligned(labels, hml.shape[0], "labels")
     signal = np.zeros(hml.shape[0])
     # growth[t] is the compounded HML growth over days 0..t-1
     growth = np.concatenate([[1.0], np.cumprod(1.0 + hml / 100.0)])
@@ -68,15 +67,15 @@ def performance_metrics(returns, dates=None, n_active_days: int | None = None
     """Annualized geometric return, Sharpe ratio, and maximum drawdown.
 
     With no explicit active-day count, days with nonzero return are
-    counted as active.
+    counted as active. returns, and dates if given, are one-dimensional
+    series of returns' length (a 2-D array is a ValueError).
     """
-    returns = np.asarray(returns, dtype=float).reshape(-1)
+    returns = _aligned(returns, None, "returns", float)
     T = returns.shape[0]
     if T == 0:
         raise ValueError("return series is empty")
-    if dates is None:
-        dates = np.arange(T).astype("datetime64[D]")
-    dates = np.asarray(dates, dtype="datetime64[D]")
+    dates = _aligned(np.arange(T) if dates is None else dates, T, "dates",
+                     "datetime64[D]")
     wealth = np.cumprod(1.0 + returns / 100.0)
     annual = 100.0 * (wealth[-1] ** (TRADING_DAYS_PER_YEAR / T) - 1.0)
     # a constant series has zero variance even when std(ddof=1) returns
@@ -111,7 +110,7 @@ def run_backtest(panel: FactorPanel, labels, crisis_index: int, *,
     """
     if execution_lag < 0:
         raise ValueError(f"execution_lag must be >= 0, got {execution_lag}")
-    labels = _aligned(np.asarray(labels).reshape(-1), panel.n_days, "labels")
+    labels = _aligned(labels, panel.n_days, "labels")
     keep = _in_range(panel.dates, start, end)
     if not keep.any():
         raise ValueError("date range selects no rows")
@@ -150,11 +149,11 @@ def write_backtest_json(strategy: BacktestReport, benchmark: BacktestReport,
 def write_returns_csv(strategy: BacktestReport, benchmark: BacktestReport,
                       path) -> None:
     """Daily return series of both legs in the canonical panel layout."""
-    if strategy.daily_returns.shape != benchmark.daily_returns.shape:
-        raise ValueError("strategy and benchmark series differ in length")
+    benchmark_returns = _aligned(benchmark.daily_returns,
+                                 strategy.daily_returns.shape[0], "benchmark returns")
     p = FactorPanel(
         strategy.dates,
-        np.column_stack([strategy.daily_returns, benchmark.daily_returns]),
+        np.column_stack([strategy.daily_returns, benchmark_returns]),
         ("STRATEGY", "BENCHMARK"),
     )
     write_panel_csv(p, path)

@@ -101,7 +101,7 @@ def lead_time(labels, dates, vol, w: EventWindow, horizon: int = PEAK_HORIZON, *
     if horizon < 0:
         raise ValueError(f"the peak-search horizon must be >= 0, got {horizon}")
     dates = np.asarray(dates, dtype="datetime64[D]")
-    vol = _aligned(np.asarray(vol, dtype=float), dates.shape[0], "volatility norms")
+    vol = _aligned(vol, dates.shape[0], "volatility norms", float)
     det = first_sustained_detection(labels, dates, w, crisis_index=crisis_index)
     if det is None:
         return None

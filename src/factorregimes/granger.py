@@ -86,7 +86,7 @@ def regime_lag_mask(labels, k: int, L: int) -> np.ndarray:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    return _run_lengths(np.asarray(labels) == k) > L
+    return _run_lengths(_aligned(labels, None, "labels") == k) > L
 
 
 def _run_lengths(state) -> np.ndarray:
@@ -162,9 +162,7 @@ def _lag_depth(mask_builder: Callable[[int], np.ndarray], L_max: int,
     depth = np.zeros(n, dtype=np.intp)
     prev = None
     for L in range(1, L_max + 1):
-        mask = np.asarray(mask_builder(L), dtype=bool).reshape(-1)
-        if mask.shape[0] != n:
-            raise ValueError("y, x, and mask must have equal length")
+        mask = _aligned(mask_builder(L), n, f"mask_builder({L})", bool)
         if prev is not None and np.any(mask & ~prev):
             raise ValueError(f"mask_builder({L}) is not a subset of "
                              f"mask_builder({L - 1}); lag masks must be nested")
@@ -379,12 +377,11 @@ def granger_f_test(y, x, L: int, mask) -> GrangerResult:
     RSS_u)/L) / (RSS_u/(n - 2L - 1)), upper-tail p-value from the
     F(L, n-2L-1) distribution. The result is labeled source "x", target
     "y", regime "pooled", and flagged significant below DEFAULT_ALPHA / 30.
+    y, x and mask are 1-D series of one length; a 2-D one is a ValueError.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    if not (y.shape == x.shape == mask.shape):
-        raise ValueError("y, x, and mask must have equal length")
+    y = _aligned(y, None, "y", float)
+    x = _aligned(x, y.shape[0], "x", float)
+    mask = _aligned(mask, y.shape[0], "mask", bool)
     return _granger_result(_fixed_lag_fit(y, x, np.flatnonzero(mask), L), L)
 
 
@@ -410,10 +407,8 @@ def _lag_search(y, x, mask_builder: Callable[[int], np.ndarray],
     """The fits of y on (y, x) at every lag 1..L_max, from one chain."""
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if y.shape != x.shape:
-        raise ValueError("y, x, and mask must have equal length")
+    y = _aligned(y, None, "y", float)
+    x = _aligned(x, y.shape[0], "x", float)
     depth = _lag_depth(mask_builder, L_max, y.shape[0])
     (fits,) = _lag_fits(np.column_stack([y, x]), np.arange(y.shape[0]), depth,
                         range(1, L_max + 1), [(0, 1)])
@@ -429,7 +424,8 @@ def select_lag_bic(y, x, mask_builder: Callable[[int], np.ndarray],
     + (2L+1) ln n; ties break toward the smaller L. Returns the winner
     and a per-L table (lag, n_obs, bic, error). The masks must be
     nested, mask_builder(L) a subset of mask_builder(L-1); a ValueError
-    names the first L at which they are not.
+    names the first L at which they are not. y, x and each mask are
+    one-dimensional series of y's length (a 2-D array is a ValueError).
     """
     fits = _lag_search(y, x, mask_builder, L_max)
     return _bic_lag(fits, L_max), _bic_rows(fits)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EstimationError, SampleSizeError
+from .errors import EstimationError, SampleSizeError, SchemaError
 from .numerics import digamma, log_gamma
 from .panel import FactorPanel, _write_text, volatility_norm
 
@@ -121,8 +121,10 @@ class FitConfig:
     n_restarts: int
 
     def __post_init__(self):
-        if self.seed < 0:
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(self.n_restarts, (int, np.integer)):
+            raise ValueError(f"n_restarts must be an integer, got {self.n_restarts}")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
 
@@ -820,16 +822,16 @@ def save_model(fit: HmmFit, path) -> None:
 
 
 def load_model(path) -> tuple[HmmParams, dict]:
-    """Load a persisted model. Returns (params, metadata)."""
+    """Load a persisted model. Returns (params, metadata). A file that is
+    not a JSON object or lacks a field is a SchemaError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    params = HmmParams(
-        pi=np.array(doc["pi"], dtype=float),
-        A=np.array(doc["A"], dtype=float),
-        mu=np.array(doc["mu"], dtype=float),
-        Sigma=np.array(doc["Sigma"], dtype=float),
-        nu=None if doc.get("nu") is None else np.array(doc["nu"], dtype=float),
-        family=doc["family"],
-    )
+    fields = ("family", "pi", "A", "mu", "Sigma")
+    if not isinstance(doc, dict):
+        raise SchemaError(f"model file {path} is not a JSON object")
+    for field in fields:
+        if field not in doc:
+            raise SchemaError(f"model file {path} has no field {field!r}")
+    params = HmmParams(nu=doc.get("nu"), **{field: doc[field] for field in fields})
     meta = {key: doc.get(key) for key in ("loglik", "bic", "seed", "restarts", "K", "d")}
     return params, meta

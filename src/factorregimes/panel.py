@@ -282,10 +282,13 @@ def slice_dates(p: FactorPanel, start=None, end=None) -> FactorPanel:
     return FactorPanel(p.dates[keep], p.returns[keep], p.factor_names)
 
 
-def _aligned(values, n: int, what: str) -> np.ndarray:
-    """values as an array with one entry per panel row, else a ValueError."""
-    values = np.asarray(values)
-    if values.shape[0] != n:
+def _aligned(values, n: int | None, what: str, dtype=None) -> np.ndarray:
+    """Any series argument as a 1-D array, of `dtype` if given, with n entries,
+    else a ValueError; n None takes its own length, for a call's first one."""
+    values = np.asarray(values, dtype=dtype)
+    if values.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional, got shape {values.shape}")
+    if n is not None and values.shape[0] != n:
         raise ValueError(f"{what} must align with the panel rows: "
                          f"{values.shape[0]} {what} for {n} days")
     return values

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hmm import HmmParams
-from .panel import FactorPanel
+from .panel import FactorPanel, _aligned
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,10 @@ def generate(spec: SyntheticSpec) -> tuple[FactorPanel, np.ndarray]:
 
 
 def label_accuracy(estimated, truth, K: int) -> float:
-    """Best agreement fraction over all K! relabelings of the estimate."""
-    estimated = np.asarray(estimated).reshape(-1)
-    truth = np.asarray(truth).reshape(-1)
-    if estimated.shape != truth.shape:
-        raise ValueError("label series must have equal length")
+    """Best agreement fraction over all K! relabelings of the estimate; the
+    two label series are 1-D and of one length, a 2-D one a ValueError."""
+    estimated = _aligned(estimated, None, "estimated labels")
+    truth = _aligned(truth, estimated.shape[0], "true labels")
     if K > 6:
         raise ValueError("exhaustive permutation search supports K <= 6")
     for name, labels in (("estimated", estimated), ("true", truth)):

@@ -247,11 +247,14 @@ class TestSerialization:
 @pytest.mark.parametrize("call, message", [
     (lambda tmp: strategy_signal(np.zeros(5), np.zeros(5, dtype=int), 1, window=0),
      "window must be >= 1"),
-    (lambda tmp: strategy_signal(np.zeros(5), np.zeros(4, dtype=int), 1),
-     "hml and labels must have equal length"),
-    (lambda tmp: write_returns_csv(performance_metrics(np.ones(3)),
-                                   performance_metrics(np.ones(4)), tmp / "r.csv"),
-     "strategy and benchmark series differ in length"),
+    pytest.param(lambda tmp: strategy_signal(np.zeros(5), np.zeros(4, dtype=int), 1),
+                 "labels must align with the panel rows: 4 labels for 5 days",
+                 id="short labels"),
+    pytest.param(lambda tmp: write_returns_csv(performance_metrics(np.ones(3)),
+                                               performance_metrics(np.ones(4)),
+                                               tmp / "r.csv"),
+                 "benchmark returns must align with the panel rows: 4 benchmark "
+                 "returns for 3 days", id="long benchmark returns"),
 ])
 def test_bad_input_rejected(tmp_path, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -766,12 +767,15 @@ def all_rows(n):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: regime_lag_mask(np.zeros(5, dtype=int), 0, 0), "L must be >= 1"),
-    (lambda: select_lag_bic(np.zeros(50), np.zeros(50), all_rows(49), 3),
-     "y, x, and mask must have equal length"),
-    (lambda: select_lag_bic(np.zeros(50), np.zeros(49), all_rows(50), 3),
-     "y, x, and mask must have equal length"),
-    (lambda: granger_f_test(np.zeros(50), np.zeros(50), 2, np.ones(49, dtype=bool)),
-     "y, x, and mask must have equal length"),
+    pytest.param(lambda: select_lag_bic(np.zeros(50), np.zeros(50), all_rows(49), 3),
+                 "mask_builder(1) must align with the panel rows: 49 mask_builder(1) "
+                 "for 50 days", id="short mask_builder mask"),
+    pytest.param(lambda: select_lag_bic(np.zeros(50), np.zeros(49), all_rows(50), 3),
+                 "x must align with the panel rows: 49 x for 50 days", id="short x"),
+    pytest.param(lambda: granger_f_test(np.zeros(50), np.zeros(50), 2,
+                                        np.ones(49, dtype=bool)),
+                 "mask must align with the panel rows: 49 mask for 50 days",
+                 id="short mask"),
     (lambda: select_lag_bic(np.zeros(50), np.zeros(50), all_rows(50), 0),
      "L_max must be >= 1"),
     (lambda: pairwise_regime_matrix(make_panel(np.zeros((50, 2))),
@@ -784,3 +788,21 @@ def all_rows(n):
 def test_bad_input_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_column_of_labels_rejected_before_any_mask_is_built():
+    """A (T, 1) label column is refused by the panel's one series rule.
+    It used to pass the length check and broadcast against the day index
+    into a (T, T) mask, about 144 MB at T=3000, before a length error."""
+    T = 3000
+    panel = make_panel(np.random.default_rng(30).standard_normal((T, 2)))
+    labels = np.zeros((T, 1), dtype=int)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^labels must be one-dimensional, "
+                                             r"got shape \(3000, 1\)$"):
+            pairwise_regime_matrix(panel, labels, L_max=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

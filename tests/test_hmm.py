@@ -23,6 +23,7 @@ from factorregimes import (
     FitConfig,
     HmmParams,
     SampleSizeError,
+    SchemaError,
     SyntheticSpec,
     decode,
     em_fit,
@@ -1156,6 +1157,8 @@ class TestParamsValidation:
                                              rf"integer, got {seed}$"):
             FitConfig(seed=seed, n_restarts=2)
         assert FitConfig(seed=0, n_restarts=1).seed == 0
+        config = FitConfig(seed=np.int64(3), n_restarts=np.int32(2))
+        assert (config.seed, config.n_restarts) == (3, 2)
 
     def test_bad_transition_rows(self):
         with pytest.raises(ValueError):
@@ -1237,6 +1240,22 @@ def test_params_of_another_shape_rejected(name, value, message, tmp_path):
     assert load_model(path)[0].Sigma.shape == (2, 2, 2)
 
 
+@pytest.mark.parametrize("doc, fault", [
+    *(({k: v for k, v in VALID_DOC.items() if k != field}, f"has no field {field!r}")
+      for field in ("family", "pi", "A", "mu", "Sigma")),
+    ([VALID_DOC], "is not a JSON object"),
+], ids=["no family", "no pi", "no A", "no mu", "no Sigma", "array"])
+def test_model_file_missing_a_field_rejected(doc, fault, tmp_path):
+    """A model file without a required field, or that is not a JSON
+    object, is one SchemaError naming the file and the field, where it
+    used to be a KeyError or a TypeError from the dictionary lookup."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=f"^model file {re.escape(str(path))} "
+                                          f"{re.escape(fault)}$"):
+        load_model(path)
+
+
 def fit_toy(family="student_t", K=2):
     em_fit(toy_panel(np.zeros((30, 1))), K, family, FitConfig(seed=1, n_restarts=1))
 
@@ -1250,6 +1269,12 @@ def fit_toy(family="student_t", K=2):
     (lambda: HmmParams(**dict(VALID_DOC, nu=[5.0, 5.0, 5.0])),
      "nu has length 3 for K=2"),
     (lambda: FitConfig(seed=1, n_restarts=0), "n_restarts must be >= 1"),
+    # a float seed or restart count used to fail inside numpy, unnamed
+    (lambda: FitConfig(seed=1.5, n_restarts=1),
+     "seed must be a non-negative integer, got 1.5"),
+    (lambda: FitConfig(seed=2.0, n_restarts=1),
+     "seed must be a non-negative integer, got 2.0"),
+    (lambda: FitConfig(seed=1, n_restarts=2.0), "n_restarts must be an integer, got 2.0"),
     (lambda: fit_toy(family="cauchy"),
      "unknown family 'cauchy', expected one of ('student_t', 'gaussian')"),
     (lambda: fit_toy(K=0), "K must be >= 1"),

@@ -226,17 +226,23 @@ def test_only_panel_compares_dates_with_a_bound():
     assert found == []
 
 
+OLD_LENGTH_TEXTS = ("y, x, and mask must have equal length",
+                    "hml and labels must have equal length",
+                    "label series must have equal length",
+                    "strategy and benchmark series differ in length")
+
+
 def test_one_function_raises_the_alignment_error():
-    """Every series-against-panel length check goes through
-    `panel._aligned`, the only function that holds its message."""
-    holders = []
-    for path in PACKAGE.glob("*.py"):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(fn, ast.FunctionDef):
-                holders += [(path.name, fn.name) for node in ast.walk(fn)
-                            if isinstance(node, ast.Constant)
-                            and "must align with the panel rows" in str(node.value)]
-    assert holders == [("panel.py", "_aligned")]
+    """Every series argument's shape and length check goes through
+    `panel._aligned`, the only function that holds the alignment and the
+    one-dimension messages; the modules' own length texts are gone."""
+    def holding(*texts):
+        return functions_where(lambda node: isinstance(node, ast.Constant)
+                               and any(t in str(node.value) for t in texts))
+
+    assert holding("must align with the panel rows") == [("panel.py", "_aligned")]
+    assert holding("must be one-dimensional") == [("panel.py", "_aligned")]
+    assert holding(*OLD_LENGTH_TEXTS) == []
 
 
 def functions_where(matches) -> list[tuple[str, str]]:

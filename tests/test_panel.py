@@ -1,8 +1,10 @@
-"""Panel ingestion, merging, slicing, and aggregation."""
+"""Panel ingestion, merging, slicing, and aggregation, and the one rule
+for every series argument of the library."""
 
 import datetime as dt
 import io
 import re
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -14,14 +16,22 @@ from factorregimes import (
     FactorPanel,
     PanelParseError,
     SchemaError,
+    granger_f_test,
+    label_accuracy,
     merge_on_dates,
     parse_ff_daily_csv,
+    performance_metrics,
     read_labels_csv,
     read_panel_csv,
+    regime_lag_mask,
+    run_backtest,
+    select_lag_bic,
     slice_dates,
+    strategy_signal,
     volatility_norm,
     write_labels_csv,
     write_panel_csv,
+    write_returns_csv,
 )
 
 from factorregimes.panel import _in_range, _write_table
@@ -678,9 +688,67 @@ DAYS = np.array(["2020-01-06", "2020-01-07", "2020-01-08"], dtype="datetime64[D]
      "returns must be 2-D, got 1-D"),
     (lambda: parse_ff_daily_csv(io.StringIO("date,X\n20200106,0.1\n"), ["X", "x"]),
      SchemaError, "requested columns not distinct: ['X', 'x']"),
+    (lambda: write_labels_csv(DAYS, np.zeros((3, 1)), io.StringIO()), ValueError,
+     "labels must be one-dimensional, got shape (3, 1)"),
 ])
 def test_bad_input_rejected(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _two_dimensional_series_calls():
+    """(call, argument, shape): each call passes one series argument of
+    the library as a 2-D array and every other one as a 1-D series."""
+    z, flat, rows = np.zeros(50), np.zeros((50, 2)), np.ones(50, dtype=bool)
+    report = performance_metrics(np.ones(3))
+    return {
+        "regime_lag_mask labels": (
+            lambda: regime_lag_mask(np.zeros((50, 1), dtype=int), 0, 2), "labels", (50, 1)),
+        "select_lag_bic y": (
+            lambda: select_lag_bic(flat, z, lambda L: rows, 3), "y", (50, 2)),
+        "select_lag_bic x": (
+            lambda: select_lag_bic(z, flat, lambda L: rows, 3), "x", (50, 2)),
+        "select_lag_bic mask": (
+            lambda: select_lag_bic(z, z, lambda L: rows[:, None], 3),
+            "mask_builder(1)", (50, 1)),
+        "granger_f_test y": (lambda: granger_f_test(flat, z, 1, rows), "y", (50, 2)),
+        "granger_f_test x": (lambda: granger_f_test(z, flat, 1, rows), "x", (50, 2)),
+        "granger_f_test mask": (
+            lambda: granger_f_test(z, z, 1, np.ones((50, 2), dtype=bool)), "mask", (50, 2)),
+        "strategy_signal hml": (
+            lambda: strategy_signal(flat, np.zeros(50, dtype=int), 1), "hml", (50, 2)),
+        "strategy_signal labels": (
+            lambda: strategy_signal(z, np.zeros((50, 1), dtype=int), 1), "labels", (50, 1)),
+        "performance_metrics returns": (
+            lambda: performance_metrics(np.ones((10, 3))), "returns", (10, 3)),
+        "performance_metrics dates": (
+            lambda: performance_metrics(np.ones(3), DAYS[:, None]), "dates", (3, 1)),
+        "run_backtest labels": (
+            lambda: run_backtest(make_panel(flat, ("HML", "SMB")),
+                                 np.zeros((50, 1), dtype=int), 1), "labels", (50, 1)),
+        "write_returns_csv benchmark": (
+            lambda: write_returns_csv(report, replace(report, daily_returns=np.ones((3, 1))),
+                                      io.StringIO()), "benchmark returns", (3, 1)),
+        "label_accuracy estimated": (
+            lambda: label_accuracy(np.zeros((4, 2), dtype=int), np.zeros(8, dtype=int), 2),
+            "estimated labels", (4, 2)),
+        "label_accuracy truth": (
+            lambda: label_accuracy(np.zeros(4, dtype=int), np.zeros((4, 1), dtype=int), 2),
+            "true labels", (4, 1)),
+    }
+
+
+SERIES_CALLS = _two_dimensional_series_calls()
+
+
+@pytest.mark.parametrize("call, what, shape", SERIES_CALLS.values(),
+                         ids=SERIES_CALLS.keys())
+def test_every_series_argument_must_be_one_dimensional(call, what, shape):
+    """One rule (`_aligned`) for every series argument: a 2-D array is an
+    error naming the argument and its shape, where a call used to flatten
+    it and test, trade or score the interleaved entries."""
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be one-dimensional, "
+                                         f"got shape {re.escape(str(shape))}$"):
         call()
 
 

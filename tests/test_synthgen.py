@@ -271,8 +271,9 @@ class TestEndToEndRecovery:
     (lambda: CrossLagSpec(source=0, target=1, regime=0, lag=1, coefficient=np.nan),
      "coefficient must be finite"),
     (lambda: SyntheticSpec(hmm=one_state(), T=0, seed=1), "T must be >= 1"),
-    (lambda: label_accuracy(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 2),
-     "label series must have equal length"),
+    pytest.param(lambda: label_accuracy(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 2),
+                 "true labels must align with the panel rows: 4 true labels for 3 days",
+                 id="long true labels"),
     (lambda: label_accuracy(np.zeros(3, dtype=int), np.zeros(3, dtype=int), 7),
      "exhaustive permutation search supports K <= 6"),
 ])
